@@ -61,10 +61,14 @@ let lookup_bench kind ~policy =
   Array.iter (fun vpn -> ignore (Intf.lookup pt ~vpn)) vpns;
   let n = Array.length vpns in
   let i = ref 0 in
+  (* the miss path every experiment runs: one reused accumulator, reset
+     per walk, no walk record built *)
+  let acc = Mem.Walk_acc.create () in
   Staged.stage (fun () ->
       let vpn = vpns.(!i) in
       i := (!i + 1) mod n;
-      Sys.opaque_identity (ignore (Intf.lookup pt ~vpn)))
+      Mem.Walk_acc.reset acc;
+      Sys.opaque_identity (ignore (Intf.lookup_into pt acc ~vpn)))
 
 let lookup_block_bench kind =
   let pt = populated kind ~policy:`Base in

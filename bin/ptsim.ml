@@ -433,37 +433,35 @@ let fsck_build org seed =
     Addr.Bits.mix64 (Int64.logxor (Int64.of_int seed) (Int64.of_int (i + 1)))
   in
   let attr = Pte.Attr.default in
+  let populate (type a) (module T : Pt_common.Intf.CONCURRENT_TABLE
+      with type t = a) (t : a) =
+    for i = 0 to 383 do
+      let r = rand i in
+      let vpn = Int64.logand r 0xFFFFL in
+      let ppn = Int64.logand (Int64.shift_right_logical r 16) 0xFFFFFL in
+      T.insert_base t ~vpn ~ppn ~attr
+    done;
+    Pt_common.Intf.Concurrent ((module T), t)
+  in
   match org with
   | Pt_service.Service.Clustered ->
       let t =
         Clustered_pt.Table.create
           (Clustered_pt.Config.make ~buckets ~subblock_factor ())
       in
-      for i = 0 to 383 do
-        let r = rand i in
-        let vpn = Int64.logand r 0xFFFFL in
-        let ppn = Int64.logand (Int64.shift_right_logical r 16) 0xFFFFFL in
-        Clustered_pt.Table.insert_base t ~vpn ~ppn ~attr
-      done;
+      let table = populate (module Clustered_pt.Table) t in
       Clustered_pt.Table.insert_superpage t ~vpn:0x40000L
         ~size:Addr.Page_size.kb64 ~ppn:0x1000L ~attr;
       Clustered_pt.Table.insert_superpage t ~vpn:0x80000L
         ~size:Addr.Page_size.kb256 ~ppn:0x2000L ~attr;
       Clustered_pt.Table.insert_psb t ~vpbn:0x3000L ~vmask:0b101
         ~ppn:0x4000L ~attr;
-      Fsck.Clustered t
+      table
   | Pt_service.Service.Hashed ->
-      let t =
-        Baselines.Hashed_pt.create ~buckets ~subblock_factor
-          ~mode:Baselines.Hashed_pt.No_superpages ()
-      in
-      for i = 0 to 383 do
-        let r = rand i in
-        let vpn = Int64.logand r 0xFFFFL in
-        let ppn = Int64.logand (Int64.shift_right_logical r 16) 0xFFFFFL in
-        Baselines.Hashed_pt.insert_base t ~vpn ~ppn ~attr
-      done;
-      Fsck.Hashed t
+      populate
+        (module Baselines.Hashed_pt)
+        (Baselines.Hashed_pt.create ~buckets ~subblock_factor
+           ~mode:Baselines.Hashed_pt.No_superpages ())
 
 let run_fsck seed org corruptions repair json =
   let table = fsck_build org seed in

@@ -626,20 +626,19 @@ let iter_nodes t f =
   iter_table t.fine;
   match t.mode with Two_tables _ -> iter_table t.coarse | _ -> ()
 
+(* Valid base pages one node's word maps. *)
+let word_pages t word =
+  match Pte.Word.decode word with
+  | Pte.Word.Base b -> if b.valid then 1 else 0
+  | Pte.Word.Superpage sp ->
+      (* coarse nodes of a big superpage each cover one block *)
+      if sp.valid then min (Addr.Page_size.base_pages sp.size) t.factor else 0
+  | Pte.Word.Psb p ->
+      Addr.Bits.popcount (Int64.of_int (p.vmask land factor_mask t))
+
 let population t =
   let count = ref 0 in
-  iter_nodes t (fun n ->
-      match Pte.Word.decode n.word with
-      | Pte.Word.Base b -> if b.valid then incr count
-      | Pte.Word.Superpage sp ->
-          if sp.valid then begin
-            (* coarse nodes of a big superpage each cover one block *)
-            let pages = Addr.Page_size.base_pages sp.size in
-            count := !count + min pages t.factor
-          end
-      | Pte.Word.Psb p ->
-          count :=
-            !count + Addr.Bits.popcount (Int64.of_int (p.vmask land factor_mask t)));
+  iter_nodes t (fun n -> count := !count + word_pages t n.word);
   !count
 
 let clear t =
@@ -663,27 +662,33 @@ let node_count t = Atomic.get t.fine_nodes + Atomic.get t.coarse_nodes
 
 let subblock_factor t = t.factor
 
+let pages_per_section _ = 1
+
 let chain_length t ~bucket =
   let rec go acc = function None -> acc | Some n -> go (acc + 1) n.next in
   go 0 t.fine.(bucket)
 
-let iter_chain_words t ~bucket f =
+let iter_chain t ~bucket f =
   let rec go = function
     | None -> ()
     | Some n ->
-        f n.word;
+        f n;
         go n.next
   in
   go t.fine.(bucket)
 
-let iter_chain_tags t ~bucket f =
-  let rec go = function
-    | None -> ()
-    | Some n ->
-        f n.tag;
-        go n.next
-  in
-  go t.fine.(bucket)
+let iter_node_util t ~bucket f =
+  iter_chain t ~bucket (fun n -> f (word_pages t n.word))
+
+(* Fine-chain tags are VPNs in [No_superpages] mode; [lookup] resolves
+   what each one actually maps. *)
+let iter_mappings t f =
+  for bucket = 0 to t.buckets - 1 do
+    iter_chain t ~bucket (fun n ->
+        match lookup t ~vpn:n.tag with
+        | Some tr, _ -> f n.tag tr
+        | None, _ -> ())
+  done
 
 let load_factor t =
   float_of_int (Atomic.get t.fine_nodes) /. float_of_int t.buckets
@@ -954,12 +959,6 @@ let check t =
 
 (* --- repair --- *)
 
-type repair_report = {
-  violations : violation list;
-  kept : int;
-  dropped : int;
-}
-
 let repair t =
   let violations = check t in
   let kept = ref 0 and dropped = ref 0 in
@@ -1089,7 +1088,7 @@ let repair t =
           incr kept
         with Invalid_argument _ -> incr dropped)
     survivors;
-  { violations; kept = !kept; dropped = !dropped }
+  { Pt_common.Intf.violations; kept = !kept; dropped = !dropped }
 
 (* --- fine-bucket snapshots (the service's undo journal) --- *)
 
@@ -1130,12 +1129,12 @@ let restore_bucket t ~bucket image =
 (* --- corruption injection (tests and the fsck CLI) --- *)
 
 type corruption =
-  | C_cycle
-  | C_cross_link
-  | C_misplace
-  | C_duplicate
-  | C_torn of int64
-  | C_count
+  | C_cycle  (* tie a fine chain's tail back to its head *)
+  | C_cross_link  (* link a fine tail into another bucket's chain *)
+  | C_misplace  (* move a fine node to a bucket its tag doesn't hash to *)
+  | C_duplicate  (* clone a fine node into its own bucket *)
+  | C_torn of int64  (* plant a structurally illegal word in [vpn]'s bucket *)
+  | C_count  (* drift the fine-table node counter *)
 
 let torn_garbage_word =
   Pte.Psb_pte.(encode (make ~vmask:1 ~ppn:0L ~attr:Pte.Attr.default))
@@ -1151,7 +1150,7 @@ let fine_tail n =
   let rec go n = match n.next with None -> n | Some m -> go m in
   go n
 
-let corrupt t kind =
+let inject t kind =
   match kind with
   | C_cycle -> (
       match first_nonempty_fine t with
@@ -1207,3 +1206,24 @@ let corrupt t kind =
   | C_count ->
       ignore (Atomic.fetch_and_add t.fine_nodes 1);
       true
+
+(* Any in-range page works for the planted torn word: the injector
+   creates the node it tears. *)
+let corruptions =
+  [
+    ("cycle", C_cycle);
+    ("cross_link", C_cross_link);
+    ("misplace", C_misplace);
+    ("duplicate", C_duplicate);
+    ("torn", C_torn 42L);
+    ("count", C_count);
+  ]
+
+let corruption_kinds = List.map fst corruptions
+
+let corrupt t name =
+  match List.assoc_opt name corruptions with
+  | Some kind -> inject t kind
+  | None -> false
+
+let tear t ~vpn = inject t (C_torn vpn)

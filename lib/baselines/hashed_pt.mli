@@ -27,8 +27,6 @@ type sp_mode =
 
 type t
 
-val name : string
-
 val create :
   ?arena:Mem.Sim_memory.t ->
   ?buckets:int ->
@@ -41,89 +39,10 @@ val create :
 
 val mode : t -> sp_mode
 
-val buckets : t -> int
-
-val bucket_of : t -> vpn:int64 -> int
-(** The fine-table hash bucket serving [vpn] — the stripe an external
-    per-bucket lock table (see [lib/service]) must hold to make an
-    operation on [vpn] atomic.  Sufficient for [No_superpages] and
-    [Superpage_index] modes, whose entry points touch exactly one
-    bucket; [Two_tables] mode also probes a coarse bucket and needs
-    coarser exclusion. *)
-
-val lookup :
-  t -> vpn:int64 -> Pt_common.Types.translation option * Pt_common.Types.walk
-
-val lookup_into :
-  t -> Mem.Walk_acc.t -> vpn:int64 -> Pt_common.Types.translation option
-(** Allocation-free {!lookup}: appends the walk's reads and probes to
-    the caller's reusable accumulator. *)
-
-val lookup_block :
-  t ->
-  vpn:int64 ->
-  subblock_factor:int ->
-  (int * Pt_common.Types.translation) list * Pt_common.Types.walk
-
-val insert_base : t -> vpn:int64 -> ppn:int64 -> attr:Pte.Attr.t -> unit
-
-val insert_superpage :
-  t -> vpn:int64 -> size:Addr.Page_size.t -> ppn:int64 -> attr:Pte.Attr.t -> unit
-
-val insert_psb :
-  t -> vpbn:int64 -> vmask:int -> ppn:int64 -> attr:Pte.Attr.t -> unit
-
-val remove : t -> vpn:int64 -> unit
-
-val set_attr_range :
-  t -> Addr.Region.t -> f:(Pte.Attr.t -> Pte.Attr.t) -> int
-(** One hash search per base page — the Section 3.1 cost a clustered
-    table amortizes to one per block. *)
-
-val size_bytes : t -> int
-
-val population : t -> int
-
-val clear : t -> unit
-
-val node_count : t -> int
-
-(** {2 Deferred reclamation (lock-free readers)}
-
-    Mirrors [Clustered_pt.Table]: with a hook installed, unlinked
-    nodes go to a stamped limbo list — tags swapped for a sentinel no
-    live key matches, [next] pointers intact, so optimistic readers
-    already past the unlink finish safely — and return to the arena
-    only via {!reclaim} once their stamp is proven reader-free. *)
-
-val set_reclaim_hook : t -> (unit -> int) option -> unit
-(** Install ([Some stamp_of]) or remove ([None]) the deferred-
-    reclamation hook.  Flip only at quiescence. *)
-
-val reclaim : t -> upto:int -> unit
-(** Free every limbo node stamped strictly below [upto]. *)
-
-val limbo_nodes : t -> int
-(** Nodes currently in limbo: unlinked, not yet freed. *)
-
 val subblock_factor : t -> int
 
 val load_factor : t -> float
 (** Base-table nodes per bucket (the formulae's alpha). *)
-
-(** {2 Structure inspection (telemetry probes, tests)} *)
-
-val chain_length : t -> bucket:int -> int
-(** Nodes on the fine-table chain of [bucket]. *)
-
-val iter_chain_words : t -> bucket:int -> (int64 -> unit) -> unit
-(** The PTE word of every node on the fine-table chain of [bucket]. *)
-
-val iter_chain_tags : t -> bucket:int -> (int64 -> unit) -> unit
-(** The tag of every node on the fine-table chain of [bucket] (the VPN
-    in [No_superpages] mode) — the hashed counterpart of
-    [Clustered_pt.Table.iter_chain_tags], used by the cross-replica
-    live-set enumeration. *)
 
 (** {2 Integrity verification and repair (fsck)}
 
@@ -132,8 +51,10 @@ val iter_chain_tags : t -> bucket:int -> (int64 -> unit) -> unit
     (a non-base word on a fine chain is the signature a torn update
     leaves), duplicate (tag, kind) nodes, coarse-table superpage
     replica consistency, representation exclusivity via a global
-    page-coverage map, and the node accounting.  Cycle-safe; run at
-    quiescence. *)
+    page-coverage map, and the node accounting.  Cycle-safe.  [repair]
+    harvests surviving mode-legal PTEs cycle-safely, arbitrates
+    double-mapped pages first-wins, then resets both tables and
+    reinserts; the old nodes' arena bytes are abandoned. *)
 
 type violation =
   | Chain_cycle of { coarse : bool; bucket : int }
@@ -151,49 +72,19 @@ type violation =
   | Limbo_count_mismatch of { counted : int; recorded : int }
   | Node_count_mismatch of { coarse : bool; counted : int; recorded : int }
 
-val violation_code : violation -> string
-(** Stable machine-readable code; shares the clustered checker's
-    vocabulary (["chain_cycle"], ["bad_word"], ...). *)
-
-val pp_violation : Format.formatter -> violation -> unit
-
-val check : t -> violation list
-(** All violations in deterministic table/bucket/chain order; [[]] on a
-    healthy table. *)
-
-type repair_report = {
-  violations : violation list;  (** what {!check} found before repair *)
-  kept : int;  (** PTE entries reinserted *)
-  dropped : int;  (** corrupted or conflicting entries discarded *)
-}
-
-val repair : t -> repair_report
-(** Harvest surviving mode-legal PTEs cycle-safely, arbitrate
-    double-mapped pages first-wins, then reset both tables and
-    reinsert.  After [repair], {!check} returns [[]].  The old nodes'
-    arena bytes are abandoned. *)
-
-type bucket_image
-(** Opaque copy of one fine-table bucket's chain — the per-operation
-    undo journal of the self-healing service (which drives hashed
-    tables in [No_superpages] mode, where every write touches exactly
-    one fine bucket). *)
-
-val snapshot_bucket : t -> bucket:int -> bucket_image
-
-val restore_bucket : t -> bucket:int -> bucket_image -> unit
-(** Restore the fine chain exactly as snapshotted (order, tags,
-    words); node counts are adjusted by the difference. *)
-
-type corruption =
-  | C_cycle  (** tie a fine chain's tail back to its head *)
-  | C_cross_link  (** link a fine tail into another bucket's chain *)
-  | C_misplace  (** move a fine node to a bucket its tag doesn't hash to *)
-  | C_duplicate  (** clone a fine node into its own bucket *)
-  | C_torn of int64
-      (** plant a structurally illegal word in [vpn]'s fine bucket *)
-  | C_count  (** drift the fine-table node counter *)
-
-val corrupt : t -> corruption -> bool
-(** Inject one corruption (no false negatives in {!check} is proven
-    against these).  False when no applicable site exists. *)
+include
+  Pt_common.Intf.CONCURRENT_TABLE
+    with type t := t
+     and type violation := violation
+(** The concurrent-table surface, over the fine (4 KB) table.
+    [bucket_of] is the fine-table bucket serving [vpn]: sufficient for
+    [No_superpages] and [Superpage_index] modes, whose entry points
+    touch exactly one bucket; [Two_tables] mode also probes a coarse
+    bucket and needs coarser exclusion (the service runs
+    [No_superpages]).  [pages_per_section] is 1 and [set_attr_range]
+    performs one hash search per base page — the Section 3.1 cost a
+    clustered table amortizes to one per block.  [node_count] counts
+    both tables.  The undo journal, the shape probes and
+    [iter_mappings] cover the fine table.  Corruption classes:
+    [cycle], [cross_link], [misplace], [duplicate], [torn] and
+    [count]. *)

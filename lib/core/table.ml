@@ -822,6 +822,44 @@ let block_summary t ~vpn =
     promotable_ppn;
   }
 
+(* All pages of a block hash to the block's bucket. *)
+let pages_per_section t = t.config.Config.subblock_factor
+
+(* A chain can hold several nodes with one tag (Section 5: superpage
+   node + residual base node); summarize each distinct page block
+   once. *)
+let iter_node_util t ~bucket f =
+  let factor = t.config.Config.subblock_factor in
+  let seen = ref [] in
+  iter_chain_tags t ~bucket (fun tag ->
+      if not (List.mem tag !seen) then begin
+        seen := tag :: !seen;
+        let vpn = Int64.shift_left tag (t.factor_bits + t.unit_shift) in
+        let s = block_summary t ~vpn in
+        f
+          (min factor
+             (Addr.Bits.popcount (Int64.of_int (s.base_vmask lor s.psb_vmask))
+             + min s.superpage_pages factor))
+      end)
+
+(* Tags name the resident blocks (possibly several nodes per block);
+   [lookup_block] resolves what each block actually maps.  Limbo nodes
+   are unlinked from the chains, so a quiescent enumeration never sees
+   a retired mapping. *)
+let iter_mappings t f =
+  let factor = t.config.Config.subblock_factor in
+  let seen = Hashtbl.create 1024 in
+  for bucket = 0 to buckets t - 1 do
+    iter_chain_tags t ~bucket (fun vpbn ->
+        if not (Hashtbl.mem seen vpbn) then begin
+          Hashtbl.add seen vpbn ();
+          let base = Int64.mul vpbn (Int64.of_int factor) in
+          List.iter
+            (fun (boff, tr) -> f (Int64.add base (Int64.of_int boff)) tr)
+            (fst (lookup_block t ~vpn:base ~subblock_factor:factor))
+        end)
+  done
+
 let block_size t = Addr.Page_size.of_sz_code t.sz_code_block
 
 let promote_block t ~vpn =
@@ -1268,12 +1306,6 @@ let check t =
 
 (* --- repair: rebuild a consistent table from surviving mappings --- *)
 
-type repair_report = {
-  violations : violation list;  (* pre-repair findings *)
-  kept : int;  (* PTE entries reinserted *)
-  dropped : int;  (* corrupted or conflicting entries discarded *)
-}
-
 let repair t =
   let violations = check t in
   let factor = t.config.Config.subblock_factor in
@@ -1466,7 +1498,7 @@ let repair t =
               incr kept
             with Invalid_argument _ -> incr dropped)
         survivors);
-  { violations; kept = !kept; dropped = !dropped }
+  { Pt_common.Intf.violations; kept = !kept; dropped = !dropped }
 
 (* --- bucket snapshots (the service's per-operation undo journal) --- *)
 
@@ -1503,17 +1535,19 @@ let restore_bucket t ~bucket image =
 (* --- corruption injection (tests and the fsck CLI) --- *)
 
 type corruption =
-  | C_cycle
-  | C_cross_link
-  | C_misplace
-  | C_duplicate
-  | C_stale
+  | C_cycle  (* tie a chain's tail back to its head *)
+  | C_cross_link  (* link one chain's tail into another bucket's chain *)
+  | C_misplace  (* move a node to a bucket its tag doesn't hash to *)
+  | C_duplicate  (* clone a node into its own bucket *)
+  | C_stale  (* retag a live node with the reclaimed-node tag *)
   | C_torn of int64
-  | C_torn_replica
-  | C_head_tag
-  | C_count
-  | C_free_reattach
-  | C_overlap
+      (* write a structurally illegal word at [vpn]'s block offset —
+         what a torn multi-word update leaves behind *)
+  | C_torn_replica  (* drop one replica of a multi-block superpage *)
+  | C_head_tag  (* clobber a bucket's flattened head tag *)
+  | C_count  (* drift the node and byte counters *)
+  | C_free_reattach  (* double-free a live node onto its free list *)
+  | C_overlap  (* shadow a valid base word with a psb node *)
 
 let first_nonempty t =
   let rec go b =
@@ -1531,7 +1565,7 @@ let torn_garbage_word =
   (* a psb-encoded word: structurally illegal at any block-node offset *)
   Pte.Psb_pte.(encode (make ~vmask:1 ~ppn:0L ~attr:Pte.Attr.default))
 
-let corrupt t kind =
+let inject t kind =
   Fault.suspended (fun () ->
       match kind with
       | C_cycle -> (
@@ -1682,3 +1716,29 @@ let corrupt t kind =
                 link t (Config.hash t.config (Int64.of_int tag)) node;
                 true
           end)
+
+(* Any in-range page works for the planted torn word: the injector
+   creates the node it tears. *)
+let corruptions =
+  [
+    ("cycle", C_cycle);
+    ("cross_link", C_cross_link);
+    ("misplace", C_misplace);
+    ("duplicate", C_duplicate);
+    ("stale", C_stale);
+    ("torn", C_torn 42L);
+    ("torn_replica", C_torn_replica);
+    ("head_tag", C_head_tag);
+    ("count", C_count);
+    ("free_reattach", C_free_reattach);
+    ("overlap", C_overlap);
+  ]
+
+let corruption_kinds = List.map fst corruptions
+
+let corrupt t name =
+  match List.assoc_opt name corruptions with
+  | Some kind -> inject t kind
+  | None -> false
+
+let tear t ~vpn = inject t (C_torn vpn)

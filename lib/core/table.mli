@@ -31,116 +31,6 @@ val create : ?arena:Mem.Sim_memory.t -> Config.t -> t
 
 val config : t -> Config.t
 
-val name : string
-
-val buckets : t -> int
-
-val bucket_of : t -> vpn:int64 -> int
-(** The hash bucket whose chain holds (or would hold) [vpn]'s page
-    block.  External per-bucket lock tables (see {!Bucket_lock.Real}
-    and [lib/service]) key their stripes by this: every entry point
-    that touches [vpn] touches only this bucket's chain, so holding its
-    lock makes the operation atomic with respect to other buckets. *)
-
-val lookup : t -> vpn:int64 -> Pt_common.Types.translation option * Pt_common.Types.walk
-
-val lookup_into :
-  t -> Mem.Walk_acc.t -> vpn:int64 -> Pt_common.Types.translation option
-(** Allocation-free {!lookup}: appends the walk's reads and probes to
-    the caller's reusable accumulator instead of building a walk.
-    Charges exactly the reads {!lookup} would. *)
-
-val lookup_block :
-  t ->
-  vpn:int64 ->
-  subblock_factor:int ->
-  (int * Pt_common.Types.translation) list * Pt_common.Types.walk
-
-val insert_base : t -> vpn:int64 -> ppn:int64 -> attr:Pte.Attr.t -> unit
-
-val insert_superpage :
-  t -> vpn:int64 -> size:Addr.Page_size.t -> ppn:int64 -> attr:Pte.Attr.t -> unit
-
-val insert_psb :
-  t -> vpbn:int64 -> vmask:int -> ppn:int64 -> attr:Pte.Attr.t -> unit
-
-val remove : t -> vpn:int64 -> unit
-
-val set_attr_range :
-  t -> Addr.Region.t -> f:(Pte.Attr.t -> Pte.Attr.t) -> int
-
-val size_bytes : t -> int
-
-val population : t -> int
-
-val clear : t -> unit
-
-(** {2 Structure inspection (policies, tests, reports)} *)
-
-type block_summary = {
-  base_vmask : int;  (** block offsets holding valid base-page words *)
-  psb_vmask : int;  (** offsets valid through a partial-subblock node *)
-  superpage_pages : int;  (** offsets covered by superpage words *)
-  promotable_ppn : int64 option;
-      (** when every base page is present, properly placed and
-          attribute-compatible: the block-aligned PPN a promotion to a
-          superpage or full partial-subblock PTE would use *)
-}
-
-val block_summary : t -> vpn:int64 -> block_summary
-(** Inspect the page block containing [vpn]; the information an OS
-    promotion policy gathers "for free" from a clustered node
-    (Section 5). *)
-
-val promote_block : t -> vpn:int64 -> bool
-(** Replace a fully-populated, properly-placed block of base words with
-    one block-sized superpage node.  Returns false (and does nothing)
-    when the block is not promotable. *)
-
-val demote_block : t -> vpn:int64 -> bool
-(** Inverse of {!promote_block}: expand a block-sized superpage or
-    partial-subblock node back into base-page words.  False when the
-    block holds no such node. *)
-
-val node_count : t -> int
-(** Live nodes only; reclaimed free-list nodes are not counted. *)
-
-val free_nodes : t -> int
-(** Nodes parked on the reclamation free lists, awaiting reuse.  Their
-    bytes stay allocated in the arena but are excluded from
-    {!size_bytes}: they are capacity, not page-table state. *)
-
-(** {2 Deferred reclamation (lock-free readers)}
-
-    With a reclaim hook installed, {!remove} (and the journal rollback
-    path) retires unlinked nodes to a limbo list stamped by the hook —
-    an epoch clock such as [Exec.Epoch.retire_stamp] — instead of
-    recycling them onto the free lists.  A retired node keeps its
-    [next] pointer and words intact, so an optimistic (lock-free)
-    reader that reached it before the unlink can finish walking; only
-    {!reclaim} moves nodes whose stamp is proven reader-free onto the
-    free lists, where reuse may scribble on them.  Retired nodes leave
-    {!size_bytes}/{!node_count} at retirement, exactly like released
-    ones. *)
-
-val set_reclaim_hook : t -> (unit -> int) option -> unit
-(** Install ([Some stamp_of]) or remove ([None]) the deferred-
-    reclamation hook.  Flip only at quiescence. *)
-
-val reclaim : t -> upto:int -> unit
-(** Move every limbo node stamped strictly below [upto] — typically
-    [Exec.Epoch.safe_before] — onto its free list. *)
-
-val limbo_nodes : t -> int
-(** Nodes currently in limbo: unlinked, not yet recyclable. *)
-
-val chain_length : t -> bucket:int -> int
-
-val load_factor : t -> float
-(** Nodes per bucket. *)
-
-val iter_chain_tags : t -> bucket:int -> (int64 -> unit) -> unit
-
 (** {2 Integrity verification and repair (fsck)}
 
     The checker verifies every structural invariant the table relies
@@ -151,8 +41,15 @@ val iter_chain_tags : t -> bucket:int -> (int64 -> unit) -> unit
     representation exclusivity (no page reachable through two PTEs),
     free-list acyclicity and disjointness from the live set, and the
     byte/node accounting.  It is cycle-safe: visited sets bound every
-    traversal, so corruption cannot trap the checker.  Run at
-    quiescence (no concurrent mutators). *)
+    traversal, so corruption cannot trap the checker.
+
+    [repair] harvests every decodable PTE from the (possibly corrupt)
+    chains with cycle-safe traversal, arbitrates double-mapped pages
+    first-wins in deterministic order, then resets the bucket array,
+    counters and free lists and reinserts the survivors.  The old
+    nodes' arena bytes are abandoned (corrupt chains are unsafe to walk
+    for freeing); injection sites are suspended for the duration, so
+    repair can never itself fault. *)
 
 type violation =
   | Chain_cycle of { bucket : int }
@@ -186,62 +83,54 @@ type violation =
   | Node_count_mismatch of { counted : int; recorded : int }
   | Byte_count_mismatch of { counted : int; recorded : int }
 
-val violation_code : violation -> string
-(** Stable machine-readable code, e.g. ["chain_cycle"]. *)
+include
+  Pt_common.Intf.CONCURRENT_TABLE
+    with type t := t
+     and type violation := violation
+(** The concurrent-table surface.  [bucket_of] names the chain of
+    [vpn]'s page block, so [pages_per_section] is the subblock factor.
+    [set_attr_range] performs one search per page block.
+    [node_count] counts live nodes only, not reclaimed free-list ones.
+    [restore_bucket] suspends injection sites and releases the current
+    nodes (to limbo when a reclaim hook is installed).  Corruption
+    classes: [cycle], [cross_link], [misplace], [duplicate], [stale]
+    (a live node retagged as reclaimed), [torn], [torn_replica] (one
+    replica of a multi-block superpage dropped), [head_tag] (the
+    flattened head tag clobbered), [count], [free_reattach] (a live
+    node double-freed) and [overlap] (a valid base word shadowed by a
+    psb node). *)
 
-val pp_violation : Format.formatter -> violation -> unit
+(** {2 Structure inspection (policies, tests, reports)} *)
 
-val check : t -> violation list
-(** All violations, in deterministic bucket-then-chain order; [[]] on a
-    healthy table. *)
-
-type repair_report = {
-  violations : violation list;  (** what {!check} found before repair *)
-  kept : int;  (** PTE entries reinserted *)
-  dropped : int;  (** corrupted or conflicting entries discarded *)
+type block_summary = {
+  base_vmask : int;  (** block offsets holding valid base-page words *)
+  psb_vmask : int;  (** offsets valid through a partial-subblock node *)
+  superpage_pages : int;  (** offsets covered by superpage words *)
+  promotable_ppn : int64 option;
+      (** when every base page is present, properly placed and
+          attribute-compatible: the block-aligned PPN a promotion to a
+          superpage or full partial-subblock PTE would use *)
 }
 
-val repair : t -> repair_report
-(** Rebuild a consistent table in place from the surviving mappings:
-    harvest every decodable PTE from the (possibly corrupt) chains with
-    cycle-safe traversal, arbitrate double-mapped pages first-wins in
-    deterministic order, then reset the bucket array, counters and free
-    lists and reinsert the survivors.  After [repair], {!check} returns
-    [[]].  The old nodes' arena bytes are abandoned (corrupt chains are
-    unsafe to walk for freeing); injection sites are suspended for the
-    duration, so repair can never itself fault. *)
+val block_summary : t -> vpn:int64 -> block_summary
+(** Inspect the page block containing [vpn]; the information an OS
+    promotion policy gathers "for free" from a clustered node
+    (Section 5). *)
 
-type bucket_image
-(** Opaque deep copy of one bucket's chain: the per-operation undo
-    journal of the self-healing service. *)
+val promote_block : t -> vpn:int64 -> bool
+(** Replace a fully-populated, properly-placed block of base words with
+    one block-sized superpage node.  Returns false (and does nothing)
+    when the block is not promotable. *)
 
-val snapshot_bucket : t -> bucket:int -> bucket_image
-(** Copy [bucket]'s chain (tags and words).  Take it under the
-    bucket's write lock, before mutating: the chain must be walkable. *)
+val demote_block : t -> vpn:int64 -> bool
+(** Inverse of {!promote_block}: expand a block-sized superpage or
+    partial-subblock node back into base-page words.  False when the
+    block holds no such node. *)
 
-val restore_bucket : t -> bucket:int -> bucket_image -> unit
-(** Put [bucket]'s chain back exactly as snapshotted (same node order,
-    tags and words), releasing the current nodes to the free lists.
-    Injection sites are suspended for the duration. *)
+val free_nodes : t -> int
+(** Nodes parked on the reclamation free lists, awaiting reuse.  Their
+    bytes stay allocated in the arena but are excluded from
+    {!size_bytes}: they are capacity, not page-table state. *)
 
-type corruption =
-  | C_cycle  (** tie a chain's tail back to its head *)
-  | C_cross_link  (** link one chain's tail into another bucket's chain *)
-  | C_misplace  (** move a node to a bucket its tag doesn't hash to *)
-  | C_duplicate  (** clone a node into its own bucket *)
-  | C_stale  (** retag a live node with the reclaimed-node tag *)
-  | C_torn of int64
-      (** write a structurally illegal word at [vpn]'s block offset —
-          what a torn multi-word update leaves behind *)
-  | C_torn_replica  (** drop one replica of a multi-block superpage *)
-  | C_head_tag  (** clobber a bucket's flattened head tag *)
-  | C_count  (** drift the node and byte counters *)
-  | C_free_reattach  (** double-free a live node onto its free list *)
-  | C_overlap  (** shadow a valid base word with a psb node *)
-
-val corrupt : t -> corruption -> bool
-(** Inject one corruption of the given class (tests and the fsck CLI
-    use this to prove {!check} has no false negatives).  False when the
-    table has no applicable site (e.g. no multi-block superpage to
-    tear); true means {!check} must now report the matching
-    violation. *)
+val load_factor : t -> float
+(** Nodes per bucket. *)

@@ -1,146 +1,48 @@
-module CT = Clustered_pt.Table
-module HT = Baselines.Hashed_pt
+open Pt_common.Intf
 
-type table = Clustered of CT.t | Hashed of HT.t
+type table = concurrent
 
-let org = function Clustered _ -> "clustered" | Hashed _ -> "hashed"
+let org (Concurrent ((module T), _)) = T.name
 
 type finding = { code : string; detail : string }
 
 type report = { r_org : string; findings : finding list }
 
-let finding_of_c v =
-  {
-    code = CT.violation_code v;
-    detail = Format.asprintf "%a" CT.pp_violation v;
-  }
+let findings (type v) (module T : CONCURRENT_TABLE with type violation = v)
+    (vs : v list) =
+  List.map
+    (fun v ->
+      {
+        code = T.violation_code v;
+        detail = Format.asprintf "%a" T.pp_violation v;
+      })
+    vs
 
-let finding_of_h v =
-  {
-    code = HT.violation_code v;
-    detail = Format.asprintf "%a" HT.pp_violation v;
-  }
-
-let check t =
-  match t with
-  | Clustered c ->
-      { r_org = org t; findings = List.map finding_of_c (CT.check c) }
-  | Hashed h -> { r_org = org t; findings = List.map finding_of_h (HT.check h) }
+let check (Concurrent ((module T), t)) =
+  { r_org = T.name; findings = findings (module T) (T.check t) }
 
 let clean r = r.findings = []
 
 type repair_outcome = { pre : report; kept : int; dropped : int }
 
-let repair t =
-  match t with
-  | Clustered c ->
-      let r = CT.repair c in
-      {
-        pre =
-          {
-            r_org = org t;
-            findings = List.map finding_of_c r.CT.violations;
-          };
-        kept = r.CT.kept;
-        dropped = r.CT.dropped;
-      }
-  | Hashed h ->
-      let r = HT.repair h in
-      {
-        pre =
-          {
-            r_org = org t;
-            findings = List.map finding_of_h r.HT.violations;
-          };
-        kept = r.HT.kept;
-        dropped = r.HT.dropped;
-      }
+let repair (Concurrent ((module T), t)) =
+  let r = T.repair t in
+  {
+    pre = { r_org = T.name; findings = findings (module T) r.violations };
+    kept = r.kept;
+    dropped = r.dropped;
+  }
 
-(* An arbitrary in-range page for the planted torn word; any vpn works
-   because the injector creates the node it tears. *)
-let torn_vpn = 42L
+let corruption_kinds (Concurrent ((module T), _)) = T.corruption_kinds
 
-let clustered_kinds =
-  [
-    ("cycle", CT.C_cycle);
-    ("cross_link", CT.C_cross_link);
-    ("misplace", CT.C_misplace);
-    ("duplicate", CT.C_duplicate);
-    ("stale", CT.C_stale);
-    ("torn", CT.C_torn torn_vpn);
-    ("torn_replica", CT.C_torn_replica);
-    ("head_tag", CT.C_head_tag);
-    ("count", CT.C_count);
-    ("free_reattach", CT.C_free_reattach);
-    ("overlap", CT.C_overlap);
-  ]
-
-let hashed_kinds =
-  [
-    ("cycle", HT.C_cycle);
-    ("cross_link", HT.C_cross_link);
-    ("misplace", HT.C_misplace);
-    ("duplicate", HT.C_duplicate);
-    ("torn", HT.C_torn torn_vpn);
-    ("count", HT.C_count);
-  ]
-
-let corruption_kinds = function
-  | Clustered _ -> List.map fst clustered_kinds
-  | Hashed _ -> List.map fst hashed_kinds
-
-let corrupt_by_name t name =
-  match t with
-  | Clustered c -> (
-      match List.assoc_opt name clustered_kinds with
-      | Some k -> CT.corrupt c k
-      | None -> false)
-  | Hashed h -> (
-      match List.assoc_opt name hashed_kinds with
-      | Some k -> HT.corrupt h k
-      | None -> false)
+let corrupt_by_name (Concurrent ((module T), t)) name = T.corrupt t name
 
 (* --- cross-replica agreement (NUMA replication) --- *)
 
-(* Enumerate the live base-table mapping set by walking every fine
-   chain through the table's own lookup path: tags name the resident
-   blocks (clustered: VPBNs, possibly several nodes per block; hashed:
-   VPNs), and [lookup_block] / [lookup] resolve what each tag actually
-   maps.  Limbo nodes are unlinked from the chains, so a quiescent
-   enumeration never sees a retired mapping. *)
-let live_mappings t =
+let live_mappings (Concurrent ((module T), t)) =
   let out = ref [] in
-  (match t with
-  | Clustered c ->
-      let factor = (CT.config c).Clustered_pt.Config.subblock_factor in
-      let seen = Hashtbl.create 1024 in
-      for b = 0 to CT.buckets c - 1 do
-        CT.iter_chain_tags c ~bucket:b (fun vpbn ->
-            if not (Hashtbl.mem seen vpbn) then begin
-              Hashtbl.add seen vpbn ();
-              let base = Int64.mul vpbn (Int64.of_int factor) in
-              let entries, _walk =
-                CT.lookup_block c ~vpn:base ~subblock_factor:factor
-              in
-              List.iter
-                (fun (boff, (tr : Pt_common.Types.translation)) ->
-                  let vpn = Int64.add base (Int64.of_int boff) in
-                  out :=
-                    (vpn, tr.Pt_common.Types.ppn, tr.Pt_common.Types.attr)
-                    :: !out)
-                entries
-            end)
-      done
-  | Hashed h ->
-      for b = 0 to HT.buckets h - 1 do
-        HT.iter_chain_tags h ~bucket:b (fun vpn ->
-            match HT.lookup h ~vpn with
-            | Some tr, _ ->
-                out :=
-                  (vpn, tr.Pt_common.Types.ppn, tr.Pt_common.Types.attr)
-                  :: !out
-            | None, _ -> ())
-      done);
+  T.iter_mappings t (fun vpn (tr : Pt_common.Types.translation) ->
+      out := (vpn, tr.ppn, tr.attr) :: !out);
   List.sort_uniq compare !out
 
 let check_replicas ?generations tables =

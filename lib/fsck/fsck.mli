@@ -1,20 +1,18 @@
-(** Unified page-table integrity front-end (fsck) over both
-    organizations.
+(** Unified page-table integrity front-end (fsck) over every
+    concurrent table.
 
-    Wraps {!Clustered_pt.Table.check} / {!Baselines.Hashed_pt.check}
-    behind one machine-readable report: each violation becomes a
-    [finding] with a stable [code] shared across organizations
-    (["chain_cycle"], ["bad_word"], ["coverage_overlap"], ...), so the
-    CLI, CI gate and tests compare findings without caring which table
-    produced them.  Checks run at quiescence — no concurrent
-    mutators. *)
+    Wraps a {!Pt_common.Intf.CONCURRENT_TABLE}'s [check] behind one
+    machine-readable report: each violation becomes a [finding] with a
+    stable [code] shared across organizations (["chain_cycle"],
+    ["bad_word"], ["coverage_overlap"], ...), so the CLI, CI gate and
+    tests compare findings without caring which table produced them.
+    Checks run at quiescence — no concurrent mutators. *)
 
-type table =
-  | Clustered of Clustered_pt.Table.t
-  | Hashed of Baselines.Hashed_pt.t
+type table = Pt_common.Intf.concurrent
+(** A table packed with its implementation. *)
 
 val org : table -> string
-(** ["clustered"] or ["hashed"]. *)
+(** The table's [name], e.g. ["clustered"] or ["hashed"]. *)
 
 type finding = { code : string; detail : string }
 

@@ -1,6 +1,3 @@
-module Table = Clustered_pt.Table
-module Hashed = Baselines.Hashed_pt
-
 type report = {
   chain_length : Hist.t;
   occupancy : Hist.t;
@@ -14,59 +11,14 @@ let create () =
     node_util = Hist.create ();
   }
 
-let or_fresh = function Some r -> r | None -> create ()
-
-let clustered ?into t =
-  let r = or_fresh into in
-  let cfg = Table.config t in
-  let factor = cfg.Clustered_pt.Config.subblock_factor in
-  let factor_bits = Addr.Bits.log2_exact factor in
-  let unit_shift =
-    cfg.Clustered_pt.Config.page_shift - Addr.Page_size.base_shift
-  in
-  for bucket = 0 to Table.buckets t - 1 do
-    Hist.observe r.chain_length (Table.chain_length t ~bucket);
-    (* a chain can hold several nodes with one tag (Section 5:
-       superpage node + residual base node); summarize each distinct
-       page block once *)
-    let tags = ref [] in
-    Table.iter_chain_tags t ~bucket (fun tag ->
-        if not (List.mem tag !tags) then tags := tag :: !tags);
+let table (type a)
+    (module T : Pt_common.Intf.CONCURRENT_TABLE with type t = a) ?into
+    (t : a) =
+  let r = match into with Some r -> r | None -> create () in
+  for bucket = 0 to T.buckets t - 1 do
+    Hist.observe r.chain_length (T.chain_length t ~bucket);
     let occupancy = ref 0 in
-    List.iter
-      (fun tag ->
-        let vpn = Int64.shift_left tag (factor_bits + unit_shift) in
-        let s = Table.block_summary t ~vpn in
-        let util =
-          min factor
-            (Addr.Bits.popcount
-               (Int64.of_int (s.Table.base_vmask lor s.Table.psb_vmask))
-            + min s.Table.superpage_pages factor)
-        in
-        Hist.observe r.node_util util;
-        occupancy := !occupancy + util)
-      !tags;
-    Hist.observe r.occupancy !occupancy
-  done;
-  r
-
-let hashed ?into t =
-  let r = or_fresh into in
-  let factor = Hashed.subblock_factor t in
-  let factor_mask = (1 lsl factor) - 1 in
-  let util_of_word word =
-    match Pte.Word.decode word with
-    | Pte.Word.Base b -> if b.valid then 1 else 0
-    | Pte.Word.Superpage sp ->
-        if sp.valid then min (Addr.Page_size.base_pages sp.size) factor else 0
-    | Pte.Word.Psb p ->
-        Addr.Bits.popcount (Int64.of_int (p.vmask land factor_mask))
-  in
-  for bucket = 0 to Hashed.buckets t - 1 do
-    Hist.observe r.chain_length (Hashed.chain_length t ~bucket);
-    let occupancy = ref 0 in
-    Hashed.iter_chain_words t ~bucket (fun word ->
-        let util = util_of_word word in
+    T.iter_node_util t ~bucket (fun util ->
         Hist.observe r.node_util util;
         occupancy := !occupancy + util);
     Hist.observe r.occupancy !occupancy

@@ -23,12 +23,13 @@ type report = {
 
 val create : unit -> report
 
-val clustered : ?into:report -> Clustered_pt.Table.t -> report
-(** Probe a clustered table.  [into] accumulates across tables (e.g.
-    the per-process tables of one workload). *)
-
-val hashed : ?into:report -> Baselines.Hashed_pt.t -> report
-(** Probe a hashed table's fine table. *)
+val table :
+  (module Pt_common.Intf.CONCURRENT_TABLE with type t = 'a) ->
+  ?into:report ->
+  'a ->
+  report
+(** Probe a table (a hashed table's fine table).  [into] accumulates
+    across tables (e.g. the per-process tables of one workload). *)
 
 val to_metrics : Metrics.t -> prefix:string -> report -> unit
 (** Merge the report's histograms into a registry as

@@ -82,6 +82,118 @@ module type PAGE_TABLE = sig
   val clear : t -> unit
 end
 
+type 'violation repair_report = {
+  violations : 'violation list;  (** what [check] found before repair *)
+  kept : int;  (** PTE entries reinserted *)
+  dropped : int;  (** corrupted or conflicting entries discarded *)
+}
+
+(** A page table that serves concurrently behind per-bucket locks.
+
+    The hashed and clustered tables share one bucket/chain protocol
+    (the clustered table is a hashed table with subblocking, Sections
+    3–3.1): every entry point that touches [vpn] touches only the chain
+    of [bucket_of vpn], so holding a lock on that bucket makes the
+    operation atomic.  This is everything the shared service, the
+    integrity checker (fsck) and the structural probe need of a table;
+    a backend that satisfies it serves through the whole stack. *)
+module type CONCURRENT_TABLE = sig
+  include PAGE_TABLE
+
+  val buckets : t -> int
+
+  val bucket_of : t -> vpn:int64 -> int
+  (** The bucket whose chain holds (or would hold) [vpn] — the stripe
+      an external per-bucket lock table keys by. *)
+
+  val pages_per_section : t -> int
+  (** Base pages whose operations share one bucket, hence one lock
+      section: the subblock factor for a clustered table, 1 for a
+      hashed one. *)
+
+  val node_count : t -> int
+  (** Live chain nodes. *)
+
+  (** {2 Undo journal} *)
+
+  type bucket_image
+  (** Opaque copy of one bucket's chain. *)
+
+  val snapshot_bucket : t -> bucket:int -> bucket_image
+  (** Copy [bucket]'s chain.  Take it under the bucket's write lock,
+      before mutating. *)
+
+  val restore_bucket : t -> bucket:int -> bucket_image -> unit
+  (** Put [bucket]'s chain back exactly as snapshotted (same node
+      order, tags and words). *)
+
+  (** {2 Deferred reclamation (lock-free readers)}
+
+      With a reclaim hook installed, unlinked nodes are retired to a
+      limbo list stamped by the hook (an epoch clock) instead of being
+      recycled: a retired node keeps its [next] pointer and words, so an
+      optimistic reader already past the unlink can finish its walk. *)
+
+  val set_reclaim_hook : t -> (unit -> int) option -> unit
+  (** Install or remove the hook.  Flip only at quiescence. *)
+
+  val reclaim : t -> upto:int -> unit
+  (** Recycle every limbo node stamped strictly below [upto]. *)
+
+  val limbo_nodes : t -> int
+  (** Nodes currently in limbo: unlinked, not yet recyclable. *)
+
+  (** {2 Integrity (fsck)}
+
+      Run at quiescence: no concurrent mutators. *)
+
+  type violation
+
+  val violation_code : violation -> string
+  (** Stable machine-readable code, shared across organizations
+      (["chain_cycle"], ["bad_word"], ...). *)
+
+  val pp_violation : Format.formatter -> violation -> unit
+
+  val check : t -> violation list
+  (** All violations in deterministic order; [[]] on a healthy table. *)
+
+  val repair : t -> violation repair_report
+  (** Rebuild in place from the surviving mappings; afterwards {!check}
+      returns [[]]. *)
+
+  val corruption_kinds : string list
+  (** The corruption classes {!corrupt} can inject.  Each must make
+      {!check} report at least one violation. *)
+
+  val corrupt : t -> string -> bool
+  (** Inject one corruption by class name.  False when the name is
+      unknown or the table has no applicable site. *)
+
+  val tear : t -> vpn:int64 -> bool
+  (** Plant in [vpn]'s bucket the illegal word a torn multi-word PTE
+      store leaves behind (the ["torn"] class, at a chosen page). *)
+
+  (** {2 Enumeration and shape} *)
+
+  val iter_mappings : t -> (int64 -> Types.translation -> unit) -> unit
+  (** Every live base-page mapping as [f vpn translation], in chain
+      order, each page once, resolved through the table's own lookup
+      path.  Run at quiescence. *)
+
+  val chain_length : t -> bucket:int -> int
+  (** Nodes on [bucket]'s chain. *)
+
+  val iter_node_util : t -> bucket:int -> (int -> unit) -> unit
+  (** Valid base pages mapped by each node on [bucket]'s chain (for a
+      clustered table, by each distinct page block). *)
+end
+
+type concurrent =
+  | Concurrent :
+      (module CONCURRENT_TABLE with type t = 't) * 't
+      -> concurrent
+
 type instance =
   | Instance : (module PAGE_TABLE with type t = 't) * 't -> instance
 

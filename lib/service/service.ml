@@ -35,8 +35,6 @@ let locking_name = function
   | Striped -> "striped"
   | Seqlock -> "seqlock"
 
-type backend = H of Baselines.Hashed_pt.t | C of Clustered_pt.Table.t
-
 (* The coarse baseline is one exclusive mutex.  Acquisitions are
    tallied by intent (read for lookups, write for mutations) so its
    accounting lines up with the striped lock's, even though every
@@ -67,26 +65,32 @@ type locks =
   | Striped_lock of Clustered_pt.Bucket_lock.Real.t
   | Seqlock_lock of seqlock
 
+(* The backing table, packed with its implementation.  [create] is the
+   only place that knows which table serves; every operation unpacks
+   the module once and calls through {!Pt_common.Intf.CONCURRENT_TABLE}. *)
 type t = {
   org : org;
   locking : locking;
-  backend : backend;
+  table : Pt_common.Intf.concurrent;
   locks : locks;
   subblock_factor : int;
 }
 
 let create ?(buckets = 4096) ?(subblock_factor = 16) ~org ~locking () =
-  let backend =
+  let table : Pt_common.Intf.concurrent =
     match org with
     | Hashed ->
-        H
-          (Baselines.Hashed_pt.create ~buckets ~subblock_factor
-             ~mode:Baselines.Hashed_pt.No_superpages ())
+        Concurrent
+          ( (module Baselines.Hashed_pt),
+            Baselines.Hashed_pt.create ~buckets ~subblock_factor
+              ~mode:Baselines.Hashed_pt.No_superpages () )
     | Clustered ->
-        C
-          (Clustered_pt.Table.create
-             (Clustered_pt.Config.make ~buckets ~subblock_factor ()))
+        Concurrent
+          ( (module Clustered_pt.Table),
+            Clustered_pt.Table.create
+              (Clustered_pt.Config.make ~buckets ~subblock_factor ()) )
   in
+  let (Concurrent ((module T), tbl)) = table in
   let locks =
     match locking with
     | Global ->
@@ -99,9 +103,7 @@ let create ?(buckets = 4096) ?(subblock_factor = 16) ~org ~locking () =
         (* with the hook installed, the table retires unlinked nodes
            to its limbo list instead of recycling them — the other
            half of the lock-free read path's safety argument *)
-        (match backend with
-        | H h -> Baselines.Hashed_pt.set_reclaim_hook h (Some stamp_of)
-        | C c -> Clustered_pt.Table.set_reclaim_hook c (Some stamp_of));
+        T.set_reclaim_hook tbl (Some stamp_of);
         Seqlock_lock
           {
             sl = Clustered_pt.Bucket_lock.Real.create ~buckets;
@@ -112,16 +114,15 @@ let create ?(buckets = 4096) ?(subblock_factor = 16) ~org ~locking () =
             sq_writes = Atomic.make 0;
           }
   in
-  { org; locking; backend; locks; subblock_factor }
+  { org; locking; table; locks; subblock_factor }
 
 let org t = t.org
 let locking t = t.locking
 let subblock_factor t = t.subblock_factor
 
 let bucket_of t ~vpn =
-  match t.backend with
-  | H h -> Baselines.Hashed_pt.bucket_of h ~vpn
-  | C c -> Clustered_pt.Table.bucket_of c ~vpn
+  let (Concurrent ((module T), tbl)) = t.table in
+  T.bucket_of tbl ~vpn
 
 (* Lock holds are trace slices (arg: the stripe, or -1 for the global
    mutex).  The begin event precedes acquisition, so the slice also
@@ -329,10 +330,8 @@ let with_write t ~vpn f =
       (* amortized reclamation sweep, outside the bucket lock: park
          limbo nodes no current or future reader can reach *)
       if Atomic.fetch_and_add s.sq_writes 1 land 63 = 63 then begin
-        let upto = Exec.Epoch.safe_before s.epoch in
-        match t.backend with
-        | H h -> Baselines.Hashed_pt.reclaim h ~upto
-        | C c -> Clustered_pt.Table.reclaim c ~upto
+        let (Concurrent ((module T), tbl)) = t.table in
+        T.reclaim tbl ~upto:(Exec.Epoch.safe_before s.epoch)
       end;
       v
 
@@ -361,36 +360,17 @@ let observed_site = function
   | Fault.Injected { site; _ } -> Some site
   | _ -> None
 
-type journal =
-  | J_hashed of Baselines.Hashed_pt.bucket_image
-  | J_clustered of Clustered_pt.Table.bucket_image
-
-let snapshot t ~bucket =
-  match t.backend with
-  | H h -> J_hashed (Baselines.Hashed_pt.snapshot_bucket h ~bucket)
-  | C c -> J_clustered (Clustered_pt.Table.snapshot_bucket c ~bucket)
-
-let rollback t ~bucket img =
-  match (t.backend, img) with
-  | H h, J_hashed i -> Baselines.Hashed_pt.restore_bucket h ~bucket i
-  | C c, J_clustered i -> Clustered_pt.Table.restore_bucket c ~bucket i
-  | _ -> assert false
-
-(* Plant the torn signature a half-completed multi-word PTE store
-   leaves in [vpn]'s bucket. *)
-let tear t ~vpn =
-  ignore
-    (match t.backend with
-    | H h -> Baselines.Hashed_pt.corrupt h (Baselines.Hashed_pt.C_torn vpn)
-    | C c -> Clustered_pt.Table.corrupt c (Clustered_pt.Table.C_torn vpn))
-
+(* The undo journal is the bucket's image; a torn write plants the
+   signature a half-completed multi-word PTE store leaves in [vpn]'s
+   bucket. *)
 let attempt_write t ~vpn f =
   with_write t ~vpn (fun () ->
-      let bucket = bucket_of t ~vpn in
-      let img = snapshot t ~bucket in
+      let (Concurrent ((module T), tbl)) = t.table in
+      let bucket = T.bucket_of tbl ~vpn in
+      let img = T.snapshot_bucket tbl ~bucket in
       match
         if Fault.trip Fault.Torn_write then begin
-          tear t ~vpn;
+          ignore (T.tear tbl ~vpn);
           raise
             (Fault.Injected
                { site = Fault.Torn_write; key = Fault.context_key () })
@@ -399,7 +379,7 @@ let attempt_write t ~vpn f =
       with
       | v -> v
       | exception e ->
-          Fault.suspended (fun () -> rollback t ~bucket img);
+          Fault.suspended (fun () -> T.restore_bucket tbl ~bucket img);
           raise e)
 
 let rec heal t ~vpn ~default ~write f attempt =
@@ -447,33 +427,36 @@ let lookup_into t acc ~vpn =
   let nested_misses = Mem.Walk_acc.nested_misses acc in
   read_section t ~vpn ~default:false (fun () ->
       Mem.Walk_acc.rewind acc ~count ~probes ~nested_misses;
-      match t.backend with
-      | H h -> Baselines.Hashed_pt.lookup_into h acc ~vpn <> None
-      | C c -> Clustered_pt.Table.lookup_into c acc ~vpn <> None)
-
-let lookup t ~vpn =
-  read_section t ~vpn ~default:false (fun () ->
-      match t.backend with
-      | H h -> fst (Baselines.Hashed_pt.lookup h ~vpn) <> None
-      | C c -> fst (Clustered_pt.Table.lookup c ~vpn) <> None)
-
-let insert t ~vpn ~ppn ~attr =
-  write_section t ~vpn ~default:() (fun () ->
-      match t.backend with
-      | H h -> Baselines.Hashed_pt.insert_base h ~vpn ~ppn ~attr
-      | C c -> Clustered_pt.Table.insert_base c ~vpn ~ppn ~attr)
-
-let remove t ~vpn =
-  write_section t ~vpn ~default:() (fun () ->
-      match t.backend with
-      | H h -> Baselines.Hashed_pt.remove h ~vpn
-      | C c -> Clustered_pt.Table.remove c ~vpn)
+      let (Concurrent ((module T), tbl)) = t.table in
+      T.lookup_into tbl acc ~vpn <> None)
 
 let find t ~vpn =
   read_section t ~vpn ~default:None (fun () ->
-      match t.backend with
-      | H h -> fst (Baselines.Hashed_pt.lookup h ~vpn)
-      | C c -> fst (Clustered_pt.Table.lookup c ~vpn))
+      let (Concurrent ((module T), tbl)) = t.table in
+      fst (T.lookup tbl ~vpn))
+
+let lookup t ~vpn = find t ~vpn <> None
+
+(* Table calls for the write sections.  Unpacking the table here,
+   inside a section's closure, keeps that closure capturing [t] rather
+   than the module and the table: no extra words per operation. *)
+let insert_raw t ~vpn ~ppn ~attr =
+  let (Concurrent ((module T), tbl)) = t.table in
+  T.insert_base tbl ~vpn ~ppn ~attr
+
+let remove_raw t ~vpn =
+  let (Concurrent ((module T), tbl)) = t.table in
+  T.remove tbl ~vpn
+
+let set_attr_raw t region ~f =
+  let (Concurrent ((module T), tbl)) = t.table in
+  T.set_attr_range tbl region ~f
+
+let insert t ~vpn ~ppn ~attr =
+  write_section t ~vpn ~default:() (fun () -> insert_raw t ~vpn ~ppn ~attr)
+
+let remove t ~vpn =
+  write_section t ~vpn ~default:() (fun () -> remove_raw t ~vpn)
 
 (* Batched range ops (Section 3.1's range granularity at service
    scale).  One submission covers a whole region; write-lock
@@ -514,11 +497,7 @@ let map_range t region ~ppn_of ~attr =
       | rep :: _ ->
           write_section t ~vpn:rep ~default:() (fun () ->
               List.iter
-                (fun vpn ->
-                  let ppn = ppn_of vpn in
-                  match t.backend with
-                  | H h -> Baselines.Hashed_pt.insert_base h ~vpn ~ppn ~attr
-                  | C c -> Clustered_pt.Table.insert_base c ~vpn ~ppn ~attr)
+                (fun vpn -> insert_raw t ~vpn ~ppn:(ppn_of vpn) ~attr)
                 group);
           sections + 1)
     0 (range_groups t region)
@@ -530,12 +509,7 @@ let unmap_range t region =
       | [] -> sections
       | rep :: _ ->
           write_section t ~vpn:rep ~default:() (fun () ->
-              List.iter
-                (fun vpn ->
-                  match t.backend with
-                  | H h -> Baselines.Hashed_pt.remove h ~vpn
-                  | C c -> Clustered_pt.Table.remove c ~vpn)
-                group);
+              List.iter (fun vpn -> remove_raw t ~vpn) group);
           sections + 1)
     0 (range_groups t region)
 
@@ -549,61 +523,52 @@ let protect_range t region ~writable =
           write_section t ~vpn:rep ~default:() (fun () ->
               List.iter
                 (fun vpn ->
-                  let sub = Addr.Region.make ~first_vpn:vpn ~pages:1 in
-                  match t.backend with
-                  | H h -> ignore (Baselines.Hashed_pt.set_attr_range h sub ~f)
-                  | C c -> ignore (Clustered_pt.Table.set_attr_range c sub ~f))
+                  ignore
+                    (set_attr_raw t
+                       (Addr.Region.make ~first_vpn:vpn ~pages:1)
+                       ~f))
                 group);
           sections + 1)
     0 (range_groups t region)
 
 (* Range protect.  This is where lock granularity diverges (the
-   Section 3.1 claim the tests verify): clustered takes one write lock
-   per page *block*, hashed one per base *page*.  Under the global
-   lock both take a single acquisition for the whole range. *)
+   Section 3.1 claim the tests verify): one write lock per lock
+   section — a page *block* on clustered, a base *page* on hashed.
+   Under the global lock both take a single acquisition for the whole
+   range. *)
 let protect t region ~writable =
   let f attr = { attr with Pte.Attr.writable } in
   match t.locks with
   | Global_lock _ ->
       (* representative vpn only selects the (single) lock *)
       write_section t ~vpn:region.Addr.Region.first_vpn ~default:0 (fun () ->
-          match t.backend with
-          | H h -> Baselines.Hashed_pt.set_attr_range h region ~f
-          | C c -> Clustered_pt.Table.set_attr_range c region ~f)
-  | Striped_lock _ | Seqlock_lock _ -> (
-      match t.backend with
-      | C c ->
-          let blocks =
-            Addr.Region.blocks ~subblock_factor:t.subblock_factor region
+          set_attr_raw t region ~f)
+  | Striped_lock _ | Seqlock_lock _ ->
+      (* one write section per run of pages that share a section *)
+      let (Concurrent ((module T), tbl)) = t.table in
+      let pages = Int64.of_int (T.pages_per_section tbl) in
+      let rec go vpn left searches =
+        if left = 0 then searches
+        else
+          let run =
+            min left (Int64.to_int (Int64.sub pages (Int64.rem vpn pages)))
           in
-          List.fold_left
-            (fun acc (vpbn, first_boff, count) ->
-              let first_vpn =
-                Int64.add
-                  (Int64.mul vpbn (Int64.of_int t.subblock_factor))
-                  (Int64.of_int first_boff)
-              in
-              let sub = Addr.Region.make ~first_vpn ~pages:count in
-              acc
-              + write_section t ~vpn:first_vpn ~default:0 (fun () ->
-                    Clustered_pt.Table.set_attr_range c sub ~f))
-            0 blocks
-      | H h ->
-          Addr.Region.fold_vpns region ~init:0 ~f:(fun acc vpn ->
-              let sub = Addr.Region.make ~first_vpn:vpn ~pages:1 in
-              acc
-              + write_section t ~vpn ~default:0 (fun () ->
-                    Baselines.Hashed_pt.set_attr_range h sub ~f)))
+          let sub = Addr.Region.make ~first_vpn:vpn ~pages:run in
+          go
+            (Int64.add vpn (Int64.of_int run))
+            (left - run)
+            (searches
+            + write_section t ~vpn ~default:0 (fun () -> set_attr_raw t sub ~f))
+      in
+      go region.Addr.Region.first_vpn region.Addr.Region.pages 0
 
 let population t =
-  match t.backend with
-  | H h -> Baselines.Hashed_pt.population h
-  | C c -> Clustered_pt.Table.population c
+  let (Concurrent ((module T), tbl)) = t.table in
+  T.population tbl
 
 let size_bytes t =
-  match t.backend with
-  | H h -> Baselines.Hashed_pt.size_bytes h
-  | C c -> Clustered_pt.Table.size_bytes c
+  let (Concurrent ((module T), tbl)) = t.table in
+  T.size_bytes tbl
 
 type lock_stats = {
   read_acquisitions : int;
@@ -665,43 +630,30 @@ let reader_epoch t =
   | Global_lock _ | Striped_lock _ -> None
 
 let limbo_nodes t =
-  match t.backend with
-  | H h -> Baselines.Hashed_pt.limbo_nodes h
-  | C c -> Clustered_pt.Table.limbo_nodes c
+  let (Concurrent ((module T), tbl)) = t.table in
+  T.limbo_nodes tbl
 
 let quiesce t =
   match t.locks with
   | Global_lock _ | Striped_lock _ -> ()
-  | Seqlock_lock s -> (
-      let upto = Exec.Epoch.safe_before s.epoch in
-      match t.backend with
-      | H h -> Baselines.Hashed_pt.reclaim h ~upto
-      | C c -> Clustered_pt.Table.reclaim c ~upto)
+  | Seqlock_lock s ->
+      let (Concurrent ((module T), tbl)) = t.table in
+      T.reclaim tbl ~upto:(Exec.Epoch.safe_before s.epoch)
 
 let probe ?into t =
-  match t.backend with
-  | H h -> Obs.Probe.hashed ?into h
-  | C c -> Obs.Probe.clustered ?into c
+  let (Concurrent ((module T), tbl)) = t.table in
+  Obs.Probe.table (module T) ?into tbl
 
 (* --- integrity (fsck) front-end --- *)
 
-let as_fsck t =
-  match t.backend with
-  | H h -> Fsck.Hashed h
-  | C c -> Fsck.Clustered c
+let fsck_table t = t.table
 
-let fsck_table = as_fsck
-
-let fsck t = Fsck.check (as_fsck t)
+let fsck t = Fsck.check t.table
 
 let repair t =
-  let r = Fsck.repair (as_fsck t) in
+  let r = Fsck.repair t.table in
   Fault.note_repair ();
   bump "fault.repairs";
   if Obs.Tracer.enabled () then
     Obs.Tracer.instant Obs.Tracer.ev_fault_repair r.Fsck.dropped;
   r
-
-let corruption_kinds t = Fsck.corruption_kinds (as_fsck t)
-
-let corrupt t name = Fsck.corrupt_by_name (as_fsck t) name

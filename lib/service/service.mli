@@ -186,9 +186,11 @@ val heal_attempts : int
 (** Attempt budget per operation (including the first try). *)
 
 val fsck_table : t -> Fsck.table
-(** The backing table as an {!Fsck} subject — what the cross-replica
-    agreement check ([Fsck.check_replicas]) consumes when the same
-    logical table is replicated across NUMA nodes. *)
+(** The backing table, packed with its implementation, as an {!Fsck}
+    subject: what the cross-replica agreement check
+    ([Fsck.check_replicas]) consumes when the same logical table is
+    replicated across NUMA nodes, and what [Fsck.corrupt_by_name]
+    damages. *)
 
 val fsck : t -> Fsck.report
 (** Integrity-check the backing table. *)
@@ -196,11 +198,3 @@ val fsck : t -> Fsck.report
 val repair : t -> Fsck.repair_outcome
 (** Rebuild the backing table from its surviving mappings; afterwards
     {!fsck} reports clean.  Tallied as a repair. *)
-
-val corruption_kinds : t -> string list
-(** Corruption classes injectable into this backend (for tests and
-    the [fsck --corrupt] CLI). *)
-
-val corrupt : t -> string -> bool
-(** Deliberately corrupt the backing table (see
-    {!Fsck.corrupt_by_name}). *)

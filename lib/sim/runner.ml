@@ -1608,10 +1608,23 @@ type inspect_row = {
 let inspect ?(options = default_options) ?domains
     ?(org = `Clustered) () =
   let specs = trace_specs options in
-  let factor = match org with `Clustered -> 16 | `Hashed -> 1 in
-  let org_name =
-    match org with `Clustered -> "clustered" | `Hashed -> "hashed"
+  let make, lines_at =
+    match org with
+    | `Clustered ->
+        ( (fun () ->
+            Pt_common.Intf.Concurrent
+              ( (module Clustered_pt.Table),
+                Clustered_pt.Table.create (Clustered_pt.Config.make ()) )),
+          Analytic.clustered_lines )
+    | `Hashed ->
+        ( (fun () ->
+            Pt_common.Intf.Concurrent
+              ((module Baselines.Hashed_pt), Baselines.Hashed_pt.create ())),
+          Analytic.hashed_lines )
   in
+  (* an empty table names the organization and its block size *)
+  let (Concurrent ((module T), sample)) = make () in
+  let factor = T.pages_per_section sample in
   let rows =
     par_map ?domains
       (fun spec ->
@@ -1629,36 +1642,16 @@ let inspect ?(options = default_options) ?domains
         and buckets = ref 0 in
         List.iter
           (fun a ->
-            match org with
-            | `Clustered ->
-                let table =
-                  Clustered_pt.Table.create (Clustered_pt.Config.make ())
-                in
-                let pt =
-                  Pt_common.Intf.Instance ((module Clustered_pt.Table), table)
-                in
-                Builder.populate pt a ~policy:`Base;
-                ignore (Obs.Probe.clustered ~into:report table);
-                nodes := !nodes + Clustered_pt.Table.node_count table;
-                buckets := !buckets + Clustered_pt.Table.buckets table
-            | `Hashed ->
-                let table = Baselines.Hashed_pt.create () in
-                let pt =
-                  Pt_common.Intf.Instance ((module Baselines.Hashed_pt), table)
-                in
-                Builder.populate pt a ~policy:`Base;
-                ignore (Obs.Probe.hashed ~into:report table);
-                nodes := !nodes + Baselines.Hashed_pt.node_count table;
-                buckets := !buckets + Baselines.Hashed_pt.buckets table)
+            let (Concurrent ((module T), table)) = make () in
+            Builder.populate (Instance ((module T), table)) a ~policy:`Base;
+            ignore (Obs.Probe.table (module T) ~into:report table);
+            nodes := !nodes + T.node_count table;
+            buckets := !buckets + T.buckets table)
           assignments;
         let alpha =
           float_of_int (nactive snap factor) /. float_of_int !buckets
         in
-        let lines =
-          match org with
-          | `Clustered -> Analytic.clustered_lines ~load_factor:alpha
-          | `Hashed -> Analytic.hashed_lines ~load_factor:alpha
-        in
+        let lines = lines_at ~load_factor:alpha in
         (* export under a per-workload prefix so --metrics-out carries
            the same distributions the report prints *)
         Obs.Probe.to_metrics (Obs.Ambient.get ())
@@ -1676,7 +1669,7 @@ let inspect ?(options = default_options) ?domains
       specs
   in
   Printf.printf "\n== Structure: %s tables built per Table 1 workload ==\n"
-    org_name;
+    T.name;
   List.iter
     (fun row ->
       Printf.printf "\n-- %s (%d nodes over %d buckets) --\n" row.ins_workload
@@ -1685,7 +1678,7 @@ let inspect ?(options = default_options) ?domains
     rows;
   Report.print_table
     ~title:
-      (Printf.sprintf "Chain length vs appendix load factor (%s)" org_name)
+      (Printf.sprintf "Chain length vs appendix load factor (%s)" T.name)
     ~header:
       [ "workload"; "mean chain"; "analytic alpha"; "delta"; "lines/miss" ]
     ~rows:

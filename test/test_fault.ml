@@ -34,7 +34,7 @@ let build_clustered () =
   CT.insert_superpage t ~vpn:0x80000L ~size:Addr.Page_size.kb256 ~ppn:0x2000L
     ~attr;
   CT.insert_psb t ~vpbn:0x3000L ~vmask:0b101 ~ppn:0x4000L ~attr;
-  Fsck.Clustered t
+  Pt_common.Intf.Concurrent ((module CT), t)
 
 let build_hashed () =
   let t =
@@ -46,7 +46,7 @@ let build_hashed () =
     let ppn = Int64.logand (Int64.shift_right_logical r 16) 0xFFFFFL in
     HT.insert_base t ~vpn ~ppn ~attr
   done;
-  Fsck.Hashed t
+  Pt_common.Intf.Concurrent ((module HT), t)
 
 let builders = [ ("clustered", build_clustered); ("hashed", build_hashed) ]
 
@@ -146,6 +146,17 @@ let test_fsck_detects_and_repairs () =
         kinds)
     builders
 
+(* replicas of different organizations cannot agree: the org names
+   come from each table's own [name] *)
+let test_fsck_replica_org () =
+  let report = Fsck.check_replicas [| build_hashed (); build_clustered () |] in
+  Alcotest.(check string) "report names the primary" "hashed"
+    report.Fsck.r_org;
+  Alcotest.(check (list (pair string string)))
+    "one replica_org finding"
+    [ ("replica_org", "replica 1 is clustered, primary is hashed") ]
+    (List.map (fun f -> (f.Fsck.code, f.Fsck.detail)) report.Fsck.findings)
+
 (* --- qcheck: an interrupted churn prefix, repaired, equals the
    committed prefix (outside the torn page) --- *)
 
@@ -177,26 +188,24 @@ let ops_arbitrary =
                 | Rem v -> Printf.sprintf "R(%Ld)" v)
               ops)))
 
-let apply_table table op =
-  match (table, op) with
-  | Fsck.Clustered t, Ins (vpn, ppn) -> CT.insert_base t ~vpn ~ppn ~attr
-  | Fsck.Clustered t, Rem vpn -> CT.remove t ~vpn
-  | Fsck.Hashed t, Ins (vpn, ppn) -> HT.insert_base t ~vpn ~ppn ~attr
-  | Fsck.Hashed t, Rem vpn -> HT.remove t ~vpn
+let apply_table (Pt_common.Intf.Concurrent ((module T), t)) = function
+  | Ins (vpn, ppn) -> T.insert_base t ~vpn ~ppn ~attr
+  | Rem vpn -> T.remove t ~vpn
 
-let present table vpn =
-  match table with
-  | Fsck.Clustered t -> fst (CT.lookup t ~vpn) <> None
-  | Fsck.Hashed t -> fst (HT.lookup t ~vpn) <> None
+let present (Pt_common.Intf.Concurrent ((module T), t)) vpn =
+  fst (T.lookup t ~vpn) <> None
 
-let fresh = function
+let fresh : string -> Fsck.table = function
   | "clustered" ->
-      Fsck.Clustered
-        (CT.create
-           (Clustered_pt.Config.make ~buckets:64 ~subblock_factor:16 ()))
+      Concurrent
+        ( (module CT),
+          CT.create
+            (Clustered_pt.Config.make ~buckets:64 ~subblock_factor:16 ()) )
   | _ ->
-      Fsck.Hashed
-        (HT.create ~buckets:64 ~subblock_factor:16 ~mode:HT.No_superpages ())
+      Concurrent
+        ( (module HT),
+          HT.create ~buckets:64 ~subblock_factor:16 ~mode:HT.No_superpages ()
+        )
 
 let prop_prefix_repair name =
   QCheck.Test.make
@@ -217,9 +226,8 @@ let prop_prefix_repair name =
       for i = 0 to cut - 1 do
         apply_table committed ops.(i)
       done;
-      (match interrupted with
-      | Fsck.Clustered t -> ignore (CT.corrupt t (CT.C_torn torn_vpn))
-      | Fsck.Hashed t -> ignore (HT.corrupt t (HT.C_torn torn_vpn)));
+      (let (Concurrent ((module T), t)) = interrupted in
+       ignore (T.tear t ~vpn:torn_vpn));
       let _ = Fsck.repair interrupted in
       if not (Fsck.clean (Fsck.check interrupted)) then
         QCheck.Test.fail_report "not clean after repair";
@@ -461,6 +469,8 @@ let suite =
         test_fsck_no_false_positives;
       Alcotest.test_case "fsck: detects and repairs every corruption" `Quick
         test_fsck_detects_and_repairs;
+      Alcotest.test_case "fsck: mixed-org replicas report replica_org" `Quick
+        test_fsck_replica_org;
       QCheck_alcotest.to_alcotest (prop_prefix_repair "clustered");
       QCheck_alcotest.to_alcotest (prop_prefix_repair "hashed");
       Alcotest.test_case "pool reports every plain failure" `Quick

@@ -441,7 +441,7 @@ let test_probe_hashed () =
     Baselines.Hashed_pt.insert_base t ~vpn:(Int64.of_int (i * 97))
       ~ppn:(Int64.of_int i) ~attr
   done;
-  let r = Obs.Probe.hashed t in
+  let r = Obs.Probe.table (module Baselines.Hashed_pt) t in
   Alcotest.(check int)
     "one chain observation per bucket" 64
     (H.count r.Obs.Probe.chain_length);
@@ -473,7 +473,7 @@ let test_probe_clustered () =
       Clustered_pt.Table.insert_base t ~vpn ~ppn:vpn ~attr
     done
   done;
-  let r = Obs.Probe.clustered t in
+  let r = Obs.Probe.table (module Clustered_pt.Table) t in
   Alcotest.(check int)
     "one chain observation per bucket" 64
     (H.count r.Obs.Probe.chain_length);
