@@ -123,15 +123,17 @@ let tlb_bench make_tlb =
   let vpns = Lazy.force sample_vpns in
   let n = Array.length vpns in
   let i = ref 0 in
+  let acc = Mem.Walk_acc.create () in
   Staged.stage (fun () ->
       let vpn = vpns.(!i) in
       i := (!i + 1) mod n;
       match Tlb.Intf.access tlb ~vpn with
       | `Hit -> ()
       | `Block_miss | `Subblock_miss -> (
-          match Intf.lookup pt ~vpn with
-          | Some tr, _ -> Tlb.Intf.fill tlb tr
-          | None, _ -> ()))
+          Mem.Walk_acc.reset acc;
+          match Intf.lookup_into pt acc ~vpn with
+          | Some tr -> Tlb.Intf.fill tlb tr
+          | None -> ()))
 
 let grouped name elts = Test.make_grouped ~name ~fmt:"%s/%s" elts
 
@@ -229,17 +231,30 @@ let run_micro () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in
-  Printf.printf "\n== Microbenchmarks (ns per operation) ==\n%!";
+  Printf.printf
+    "\n== Microbenchmarks (ns and minor-heap words per operation) ==\n%!";
+  let estimate instance m =
+    match Analyze.OLS.estimates (Analyze.one ols instance m) with
+    | Some (x :: _) -> Some x
+    | _ -> None
+  in
   List.concat_map
     (fun test ->
       List.filter_map
         (fun elt ->
-          let m = Benchmark.run cfg Instance.[ monotonic_clock ] elt in
-          let est = Analyze.one ols Instance.monotonic_clock m in
-          match Analyze.OLS.estimates est with
-          | Some (t :: _) ->
-              Printf.printf "%-36s %10.1f ns/op\n%!" (Test.Elt.name elt) t;
-              Some (Test.Elt.name elt, t)
+          let m =
+            Benchmark.run cfg
+              Instance.[ monotonic_clock; minor_allocated ]
+              elt
+          in
+          match
+            ( estimate Instance.monotonic_clock m,
+              estimate Instance.minor_allocated m )
+          with
+          | Some ns, Some words ->
+              Printf.printf "%-36s %10.1f ns/op %8.1f words/op\n%!"
+                (Test.Elt.name elt) ns words;
+              Some (Test.Elt.name elt, ns, words)
           | _ ->
               Printf.printf "%-36s (no estimate)\n%!" (Test.Elt.name elt);
               None)
@@ -367,9 +382,10 @@ let emit_json path ~quick ~domains ~experiments_s ~churn_s ~churn_rows
   Printf.fprintf oc "}\n  },\n";
   Printf.fprintf oc "  \"micro_ns_per_op\": [\n";
   List.iteri
-    (fun i (name, ns) ->
-      Printf.fprintf oc "    { \"name\": %s, \"ns\": %.1f }%s\n"
-        (json_string name) ns
+    (fun i (name, ns, words) ->
+      Printf.fprintf oc
+        "    { \"name\": %s, \"ns\": %.1f, \"minor_words\": %.1f }%s\n"
+        (json_string name) ns words
         (if i = List.length micro - 1 then "" else ","))
     micro;
   Printf.fprintf oc "  ]\n}\n";

@@ -42,9 +42,13 @@ let align_up x shift =
 
 let is_aligned x shift = Int64.logand x (mask shift) = 0L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let hash_index key ~shift =
+  if shift >= 64 then 0
+  else Int64.to_int (Int64.shift_right_logical (mix64 (Int64.of_int key)) shift)
 
 let pp_hex ppf w = Format.fprintf ppf "0x%Lx" w

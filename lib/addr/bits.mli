@@ -51,5 +51,12 @@ val mix64 : int64 -> int64
     a bare multiplicative hash form aliasing arithmetic progressions
     that systematically double chain lengths. *)
 
+val hash_index : int -> shift:int -> int
+(** [hash_index key ~shift] is the top [64 - shift] bits of
+    [mix64 (Int64.of_int key)]: the bucket of [key] in a table of
+    [2^(64 - shift)] buckets, or 0 when [shift >= 64] (one bucket).
+    Takes and returns immediates, so a hash table's probe never boxes;
+    the table computes [shift] once, at create. *)
+
 val pp_hex : Format.formatter -> int64 -> unit
 (** Print as [0x%Lx]. *)

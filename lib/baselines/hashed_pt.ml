@@ -5,12 +5,19 @@ type sp_mode =
   | Two_tables of { coarse_first : bool }
   | Superpage_index
 
+(* The clustered table's chain layout: the tag (a VPN, VPBN or block
+   base, all far below 2^62) and the simulated address are immediates,
+   and links are direct [node] pointers ending at the [nil] sentinel.
+   A probe compares two ints and follows one pointer; no [node option]
+   or boxed [int64] sits between a node and its successor. *)
 type node = {
-  mutable tag : int64;
+  mutable tag : int;
   mutable word : int64;
-  addr : int64;
-  mutable next : node option;
+  addr : int;
+  mutable next : node;
 }
+
+let rec nil = { tag = min_int; word = 0L; addr = -1; next = nil }
 
 (* Deferred-reclamation limbo (see the clustered table for the full
    story): a side list of unlinked nodes whose [next] pointers stay
@@ -33,13 +40,14 @@ type t = {
   factor_bits : int;
   node_bytes : int;
   node_align : int;
-  fine : node option array;
-  fine_heads_addr : int64;
+  hash_shift : int;  (* 64 - log2 buckets, fixed at create *)
+  fine : node array;  (* nil = empty bucket *)
+  fine_heads_addr : int;
       (* the bucket array embeds first nodes (Figure 4: "an array of
          hash nodes"), so probing an empty bucket still reads a line *)
   (* Two_tables mode only; empty array otherwise *)
-  coarse : node option array;
-  coarse_heads_addr : int64;
+  coarse : node array;
+  coarse_heads_addr : int;
   (* atomic: concurrent mutators serialize per bucket (lib/service),
      and the node counts are the only cross-bucket mutable state *)
   fine_nodes : int Atomic.t;
@@ -70,7 +78,7 @@ let create ?arena ?(buckets = 4096) ?(subblock_factor = 16) ?(packed = false)
   let coarse, coarse_heads_addr =
     match mode with
     | Two_tables _ ->
-        ( Array.make buckets None,
+        ( Array.make buckets nil,
           Mem.Sim_memory.alloc arena ~bytes:(buckets * node_bytes) ~align:4096
         )
     | No_superpages | Superpage_index -> ([||], 0L)
@@ -83,10 +91,11 @@ let create ?arena ?(buckets = 4096) ?(subblock_factor = 16) ?(packed = false)
     factor_bits = Addr.Bits.log2_exact subblock_factor;
     node_bytes;
     node_align = node_align_default;
-    fine = Array.make buckets None;
-    fine_heads_addr;
+    hash_shift = 64 - Addr.Bits.log2_exact buckets;
+    fine = Array.make buckets nil;
+    fine_heads_addr = Int64.to_int fine_heads_addr;
     coarse;
-    coarse_heads_addr;
+    coarse_heads_addr = Int64.to_int coarse_heads_addr;
     fine_nodes = Atomic.make 0;
     coarse_nodes = Atomic.make 0;
     reclaim_hook = None;
@@ -97,11 +106,9 @@ let create ?arena ?(buckets = 4096) ?(subblock_factor = 16) ?(packed = false)
 
 let mode t = t.mode
 
-let hash t key =
-  let bits = Addr.Bits.log2_exact t.buckets in
-  if bits = 0 then 0
-  else
-    Int64.to_int (Int64.shift_right_logical (Addr.Bits.mix64 key) (64 - bits))
+(* [key] is a node tag: a VPN in the fine table, a VPBN in the coarse
+   one and the superpage index *)
+let hash t key = Addr.Bits.hash_index key ~shift:t.hash_shift
 
 let vpbn t vpn = Int64.shift_right_logical vpn t.factor_bits
 
@@ -116,10 +123,10 @@ let alloc_node t ~coarse:_ ~tag ~word =
   let addr =
     Mem.Sim_memory.alloc t.arena ~bytes:t.node_bytes ~align:t.node_align
   in
-  { tag; word; addr; next = None }
+  { tag; word; addr = Int64.to_int addr; next = nil }
 
 let release_node t n =
-  Mem.Sim_memory.free t.arena ~addr:n.addr ~bytes:t.node_bytes
+  Mem.Sim_memory.free t.arena ~addr:(Int64.of_int n.addr) ~bytes:t.node_bytes
     ~align:t.node_align
 
 (* --- deferred reclamation (lock-free readers) --- *)
@@ -128,7 +135,7 @@ let release_node t n =
    base) is non-negative, so this can never match a reader's key: a
    doomed reader walking through a retired node skips it and follows
    the intact [next] pointer. *)
-let limbo_tag = Int64.min_int
+let limbo_tag = min_int
 
 let retire_node t n stamp_of =
   n.tag <- limbo_tag;
@@ -177,14 +184,14 @@ let translation_of_word t ~vpn word =
 (* Does a node in the coarse or superpage-index table match [vpn]? *)
 let node_matches t ~vpn n =
   match Pte.Word.decode n.word with
-  | Pte.Word.Base b -> b.valid && Int64.equal n.tag vpn
+  | Pte.Word.Base b -> b.valid && n.tag = Int64.to_int vpn
   | Pte.Word.Superpage sp ->
       sp.valid
       &&
       let sz = Addr.Page_size.sz_code sp.size in
-      Int64.equal n.tag (Addr.Bits.align_down vpn sz)
+      n.tag = Int64.to_int (Addr.Bits.align_down vpn sz)
   | Pte.Word.Psb p ->
-      Int64.equal n.tag (block_base t vpn)
+      n.tag = Int64.to_int (block_base t vpn)
       && Pte.Psb_pte.valid_at p ~boff:(boff t vpn)
 
 (* --- chain search, charging reads into the caller's accumulator --- *)
@@ -192,80 +199,71 @@ let node_matches t ~vpn n =
 (* A probe reads a node's tag and next pointer (16 bytes); interpreting
    the mapping reads its word (8 more bytes in the same node). *)
 let probe acc n =
-  Mem.Walk_acc.read acc ~addr:n.addr ~bytes:16;
+  Mem.Walk_acc.read_int acc ~addr:n.addr ~bytes:16;
   Mem.Walk_acc.probe acc
 
-let read_word acc n = Mem.Walk_acc.read acc ~addr:(Int64.add n.addr 16L) ~bytes:8
+let read_word acc n = Mem.Walk_acc.read_int acc ~addr:(n.addr + 16) ~bytes:8
 
 (* An empty bucket still costs one read of its embedded head node. *)
 let charge_empty_head t ~heads_addr ~bucket acc =
-  Mem.Walk_acc.read acc
-    ~addr:(Int64.add heads_addr (Int64.of_int (bucket * t.node_bytes)))
+  Mem.Walk_acc.read_int acc ~addr:(heads_addr + (bucket * t.node_bytes))
     ~bytes:16;
   Mem.Walk_acc.probe acc
 
+(* Search a chain for [key] (a VPN or a VPBN), from [n] on.  The probe
+   loop compares immediates only and, being top level, allocates no
+   closure; the word is interpreted once a tag matches. *)
+let rec search_chain t acc ~key ~vpn n =
+  if n == nil then None
+  else begin
+    probe acc n;
+    if n.tag = key then begin
+      read_word acc n;
+      match translation_of_word t ~vpn n.word with
+      | Some _ as tr -> tr
+      | None -> search_chain t acc ~key ~vpn n.next
+    end
+    else search_chain t acc ~key ~vpn n.next
+  end
+
+let search_keyed t acc table ~heads_addr ~key ~vpn =
+  let bucket = hash t key in
+  let head = table.(bucket) in
+  if head == nil then begin
+    charge_empty_head t ~heads_addr ~bucket acc;
+    None
+  end
+  else search_chain t acc ~key ~vpn head
+
 let search_fine t acc ~vpn =
-  let rec go chain =
-    match chain with
-    | None -> None
-    | Some n ->
-        probe acc n;
-        if Int64.equal n.tag vpn then begin
-          read_word acc n;
-          match translation_of_word t ~vpn n.word with
-          | Some _ as tr -> tr
-          | None -> go n.next
-        end
-        else go n.next
-  in
-  let bucket = hash t vpn in
-  match t.fine.(bucket) with
-  | None ->
-      charge_empty_head t ~heads_addr:t.fine_heads_addr ~bucket acc;
-      None
-  | chain -> go chain
+  search_keyed t acc t.fine ~heads_addr:t.fine_heads_addr
+    ~key:(Int64.to_int vpn) ~vpn
 
 let search_coarse t acc ~vpn =
-  let rec go chain =
-    match chain with
-    | None -> None
-    | Some n ->
-        probe acc n;
-        if Int64.equal n.tag (vpbn t vpn) then begin
-          read_word acc n;
-          match translation_of_word t ~vpn n.word with
-          | Some _ as tr -> tr
-          | None -> go n.next
-        end
-        else go n.next
-  in
-  let bucket = hash t (vpbn t vpn) in
-  match t.coarse.(bucket) with
-  | None ->
-      charge_empty_head t ~heads_addr:t.coarse_heads_addr ~bucket acc;
-      None
-  | chain -> go chain
+  search_keyed t acc t.coarse ~heads_addr:t.coarse_heads_addr
+    ~key:(Int64.to_int (vpbn t vpn)) ~vpn
 
 let search_spindex t acc ~vpn =
-  let rec go chain =
-    match chain with
-    | None -> None
-    | Some n ->
-        probe acc n;
-        if node_matches t ~vpn n then begin
-          read_word acc n;
-          match translation_of_word t ~vpn n.word with
-          | Some _ as tr -> tr
-          | None -> go n.next
-        end
-        else go n.next
+  let rec go n =
+    if n == nil then None
+    else begin
+      probe acc n;
+      if node_matches t ~vpn n then begin
+        read_word acc n;
+        match translation_of_word t ~vpn n.word with
+        | Some _ as tr -> tr
+        | None -> go n.next
+      end
+      else go n.next
+    end
   in
-  let bucket = hash t (vpbn t vpn) in
-  match t.fine.(bucket) with
-  | None ->
-      charge_empty_head t ~heads_addr:t.fine_heads_addr ~bucket acc;
-      None
-  | chain -> go chain
+  let bucket = hash t (Int64.to_int (vpbn t vpn)) in
+  let head = t.fine.(bucket) in
+  if head == nil then begin
+    charge_empty_head t ~heads_addr:t.fine_heads_addr ~bucket acc;
+    None
+  end
+  else go head
 
 let lookup_into t acc ~vpn =
   match t.mode with
@@ -350,17 +348,17 @@ let lookup_block t ~vpn ~subblock_factor =
 
 let insert_node t ~coarse ~tag ~word =
   let table = if coarse then t.coarse else t.fine in
+  let tag = Int64.to_int tag in
   let bucket = hash t tag in
-  let rec find = function
-    | None -> None
-    | Some n -> if Int64.equal n.tag tag then Some n else find n.next
+  let rec find n =
+    if n == nil then None else if n.tag = tag then Some n else find n.next
   in
   match find table.(bucket) with
   | Some n -> n.word <- word
   | None ->
       let n = alloc_node t ~coarse ~tag ~word in
       n.next <- table.(bucket);
-      table.(bucket) <- Some n;
+      table.(bucket) <- n;
       ignore
         (Atomic.fetch_and_add
            (if coarse then t.coarse_nodes else t.fine_nodes)
@@ -369,7 +367,8 @@ let insert_node t ~coarse ~tag ~word =
 (* In superpage-index mode, tags of different kinds coexist in a
    bucket; replace only a node of the same tag AND kind. *)
 let insert_node_spindex t ~bucket_key ~tag ~word =
-  let bucket = hash t bucket_key in
+  let bucket = hash t (Int64.to_int bucket_key) in
+  let tag = Int64.to_int tag in
   let same_kind a b =
     match (Pte.Word.decode a, Pte.Word.decode b) with
     | Pte.Word.Base _, Pte.Word.Base _ -> true
@@ -378,18 +377,17 @@ let insert_node_spindex t ~bucket_key ~tag ~word =
     | Pte.Word.Psb _, Pte.Word.Psb _ -> true
     | _ -> false
   in
-  let rec find = function
-    | None -> None
-    | Some n ->
-        if Int64.equal n.tag tag && same_kind n.word word then Some n
-        else find n.next
+  let rec find n =
+    if n == nil then None
+    else if n.tag = tag && same_kind n.word word then Some n
+    else find n.next
   in
   match find t.fine.(bucket) with
   | Some n -> n.word <- word
   | None ->
       let n = alloc_node t ~coarse:false ~tag ~word in
       n.next <- t.fine.(bucket);
-      t.fine.(bucket) <- Some n;
+      t.fine.(bucket) <- n;
       ignore (Atomic.fetch_and_add t.fine_nodes 1)
 
 let insert_base t ~vpn ~ppn ~attr =
@@ -439,10 +437,10 @@ let insert_psb t ~vpbn:block ~vmask ~ppn ~attr =
       invalid_arg "Hashed_pt: partial-subblocks unsupported in this mode"
   | Two_tables _ ->
       let table = t.coarse in
-      let bucket = hash t block in
-      let rec find = function
-        | None -> None
-        | Some n -> if Int64.equal n.tag block then Some n else find n.next
+      let key = Int64.to_int block in
+      let bucket = hash t key in
+      let rec find n =
+        if n == nil then None else if n.tag = key then Some n else find n.next
       in
       (match find table.(bucket) with
       | Some n -> n.word <- merge_into n.word
@@ -450,15 +448,15 @@ let insert_psb t ~vpbn:block ~vmask ~ppn ~attr =
           insert_node t ~coarse:true ~tag:block
             ~word:Pte.Psb_pte.(encode (make ~vmask ~ppn ~attr)))
   | Superpage_index ->
-      let bucket = hash t block in
-      let rec find = function
-        | None -> None
-        | Some n -> (
-            if not (Int64.equal n.tag tag) then find n.next
-            else
-              match Pte.Word.decode n.word with
-              | Pte.Word.Psb _ -> Some n
-              | _ -> find n.next)
+      let bucket = hash t (Int64.to_int block) in
+      let key = Int64.to_int tag in
+      let rec find n =
+        if n == nil then None
+        else if n.tag <> key then find n.next
+        else
+          match Pte.Word.decode n.word with
+          | Pte.Word.Psb _ -> Some n
+          | _ -> find n.next
       in
       (match find t.fine.(bucket) with
       | Some n -> n.word <- merge_into n.word
@@ -469,23 +467,22 @@ let insert_psb t ~vpbn:block ~vmask ~ppn ~attr =
 (* --- removal --- *)
 
 let remove_in_chain t table bucket ~select ~coarse =
-  let rec go chain =
-    match chain with
-    | None -> (None, false)
-    | Some n -> (
-        match select n with
-        | `Unlink ->
-            unlink_node t n;
-            ignore
-              (Atomic.fetch_and_add
-                 (if coarse then t.coarse_nodes else t.fine_nodes)
-                 (-1));
-            (n.next, true)
-        | `Updated -> (Some n, true)
-        | `Skip ->
-            let rest, removed = go n.next in
-            n.next <- rest;
-            (Some n, removed))
+  let rec go n =
+    if n == nil then (nil, false)
+    else
+      match select n with
+      | `Unlink ->
+          unlink_node t n;
+          ignore
+            (Atomic.fetch_and_add
+               (if coarse then t.coarse_nodes else t.fine_nodes)
+               (-1));
+          (n.next, true)
+      | `Updated -> (n, true)
+      | `Skip ->
+          let rest, removed = go n.next in
+          n.next <- rest;
+          (n, removed)
   in
   let chain, removed = go table.(bucket) in
   table.(bucket) <- chain;
@@ -493,18 +490,20 @@ let remove_in_chain t table bucket ~select ~coarse =
 
 let select_for_remove t ~vpn n =
   match Pte.Word.decode n.word with
-  | Pte.Word.Base b when b.valid && Int64.equal n.tag vpn -> `Unlink
+  | Pte.Word.Base b when b.valid && n.tag = Int64.to_int vpn -> `Unlink
   | Pte.Word.Superpage sp when sp.valid -> (
       let sz = Addr.Page_size.sz_code sp.size in
       (* a fine-table sp node is tagged by vpn_base; a coarse node by
          vpbn — accept either tag form *)
       let vpn_base = Addr.Bits.align_down vpn sz in
-      if Int64.equal n.tag vpn_base || Int64.equal n.tag (vpbn t vpn) then
+      if n.tag = Int64.to_int vpn_base || n.tag = Int64.to_int (vpbn t vpn)
+      then
         `Unlink
       else `Skip)
   | Pte.Word.Psb p -> (
       let tag_matches =
-        Int64.equal n.tag (block_base t vpn) || Int64.equal n.tag (vpbn t vpn)
+        n.tag = Int64.to_int (block_base t vpn)
+        || n.tag = Int64.to_int (vpbn t vpn)
       in
       let b = boff t vpn in
       if tag_matches && Pte.Psb_pte.valid_at p ~boff:b then begin
@@ -519,28 +518,25 @@ let select_for_remove t ~vpn n =
   | Pte.Word.Base _ | Pte.Word.Superpage _ -> `Skip
 
 let remove t ~vpn =
+  let key = Int64.to_int vpn and block = Int64.to_int (vpbn t vpn) in
   let removed_fine =
     match t.mode with
     | Superpage_index ->
-        remove_in_chain t t.fine
-          (hash t (vpbn t vpn))
+        remove_in_chain t t.fine (hash t block)
           ~select:(select_for_remove t ~vpn) ~coarse:false
     | No_superpages | Two_tables _ ->
-        remove_in_chain t t.fine (hash t vpn)
+        remove_in_chain t t.fine (hash t key)
           ~select:(fun n ->
-            if Int64.equal n.tag vpn then select_for_remove t ~vpn n else `Skip)
+            if n.tag = key then select_for_remove t ~vpn n else `Skip)
           ~coarse:false
   in
   if not removed_fine then
     match t.mode with
     | Two_tables _ ->
         ignore
-          (remove_in_chain t t.coarse
-             (hash t (vpbn t vpn))
+          (remove_in_chain t t.coarse (hash t block)
              ~select:(fun n ->
-               if Int64.equal n.tag (vpbn t vpn) then
-                 select_for_remove t ~vpn n
-               else `Skip)
+               if n.tag = block then select_for_remove t ~vpn n else `Skip)
              ~coarse:true)
     | No_superpages | Superpage_index -> ()
 
@@ -551,48 +547,28 @@ let set_attr_range t region ~f =
   let searches = ref 0 in
   Addr.Region.iter_vpns region (fun vpn ->
       incr searches;
-      let update_chain table bucket want_tag =
-        let rec go = function
-          | None -> ()
-          | Some n ->
-              (if Int64.equal n.tag want_tag && node_matches t ~vpn n then
-                 match Pt_common.Decode.reencode_attr n.word ~f with
-                 | Some w -> n.word <- w
-                 | None -> ());
-              go n.next
+      let key = Int64.to_int vpn and block = Int64.to_int (vpbn t vpn) in
+      (* re-encode every node of [table]'s bucket for [key] that maps
+         [vpn] and passes [want] *)
+      let update_chain table key ~want =
+        let rec go n =
+          if n != nil then begin
+            (if want n && node_matches t ~vpn n then
+               match Pt_common.Decode.reencode_attr n.word ~f with
+               | Some w -> n.word <- w
+               | None -> ());
+            go n.next
+          end
         in
-        go table.(bucket)
+        go table.(hash t key)
       in
       match t.mode with
-      | No_superpages -> update_chain t.fine (hash t vpn) vpn
-      | Superpage_index ->
-          let bucket = hash t (vpbn t vpn) in
-          let rec go = function
-            | None -> ()
-            | Some n ->
-                (if node_matches t ~vpn n then
-                   match Pt_common.Decode.reencode_attr n.word ~f with
-                   | Some w -> n.word <- w
-                   | None -> ());
-                go n.next
-          in
-          go t.fine.(bucket)
+      | No_superpages -> update_chain t.fine key ~want:(fun n -> n.tag = key)
+      | Superpage_index -> update_chain t.fine block ~want:(fun _ -> true)
       | Two_tables _ ->
-          update_chain t.fine (hash t vpn) vpn;
+          update_chain t.fine key ~want:(fun n -> n.tag = key);
           incr searches;
-          let rec go = function
-            | None -> ()
-            | Some n ->
-                (if
-                   Int64.equal n.tag (vpbn t vpn)
-                   && node_matches t ~vpn n
-                 then
-                   match Pt_common.Decode.reencode_attr n.word ~f with
-                   | Some w -> n.word <- w
-                   | None -> ());
-                go n.next
-          in
-          go t.coarse.(hash t (vpbn t vpn)));
+          update_chain t.coarse block ~want:(fun n -> n.tag = block));
   !searches
 
 (* --- accounting --- *)
@@ -607,18 +583,18 @@ let bucket_of t ~vpn =
      for [vpn].  Two-table modes also probe a coarse bucket and need
      coarser exclusion than one stripe. *)
   match t.mode with
-  | No_superpages | Two_tables _ -> hash t vpn
-  | Superpage_index -> hash t (vpbn t vpn)
+  | No_superpages | Two_tables _ -> hash t (Int64.to_int vpn)
+  | Superpage_index -> hash t (Int64.to_int (vpbn t vpn))
 
 let iter_nodes t f =
   let iter_table table =
     Array.iter
       (fun chain ->
-        let rec go = function
-          | None -> ()
-          | Some n ->
-              f n;
-              go n.next
+        let rec go n =
+          if n != nil then begin
+            f n;
+            go n.next
+          end
         in
         go chain)
       table
@@ -652,9 +628,9 @@ let clear t =
       shard.l_entries <- [];
       shard.l_count <- 0)
     t.limbo;
-  Array.fill t.fine 0 (Array.length t.fine) None;
+  Array.fill t.fine 0 (Array.length t.fine) nil;
   if Array.length t.coarse > 0 then
-    Array.fill t.coarse 0 (Array.length t.coarse) None;
+    Array.fill t.coarse 0 (Array.length t.coarse) nil;
   Atomic.set t.fine_nodes 0;
   Atomic.set t.coarse_nodes 0
 
@@ -665,15 +641,15 @@ let subblock_factor t = t.factor
 let pages_per_section _ = 1
 
 let chain_length t ~bucket =
-  let rec go acc = function None -> acc | Some n -> go (acc + 1) n.next in
+  let rec go acc n = if n == nil then acc else go (acc + 1) n.next in
   go 0 t.fine.(bucket)
 
 let iter_chain t ~bucket f =
-  let rec go = function
-    | None -> ()
-    | Some n ->
-        f n;
-        go n.next
+  let rec go n =
+    if n != nil then begin
+      f n;
+      go n.next
+    end
   in
   go t.fine.(bucket)
 
@@ -685,9 +661,8 @@ let iter_node_util t ~bucket f =
 let iter_mappings t f =
   for bucket = 0 to t.buckets - 1 do
     iter_chain t ~bucket (fun n ->
-        match lookup t ~vpn:n.tag with
-        | Some tr, _ -> f n.tag tr
-        | None, _ -> ())
+        let vpn = Int64.of_int n.tag in
+        match lookup t ~vpn with Some tr, _ -> f vpn tr | None, _ -> ())
   done
 
 let load_factor t =
@@ -766,18 +741,17 @@ let sz_of_sp (sp : Pte.Superpage_pte.t) = Addr.Page_size.sz_code sp.size
    superpage covering block [block]. *)
 let find_sp_replica_h t block =
   let visited = Hashtbl.create 8 in
-  let rec go = function
-    | None -> None
-    | Some n ->
-        if Hashtbl.mem visited n.addr then None
-        else begin
-          Hashtbl.add visited n.addr ();
-          if Int64.equal n.tag block then
-            match Pte.Word.decode n.word with
-            | Pte.Word.Superpage sp when sp.valid -> Some n.word
-            | _ -> go n.next
-          else go n.next
-        end
+  let block = Int64.to_int block in
+  let rec go n =
+    if n == nil || Hashtbl.mem visited n.addr then None
+    else begin
+      Hashtbl.add visited n.addr ();
+      if n.tag = block then
+        match Pte.Word.decode n.word with
+        | Pte.Word.Superpage sp when sp.valid -> Some n.word
+        | _ -> go n.next
+      else go n.next
+    end
   in
   go t.coarse.(hash t block)
 
@@ -794,7 +768,7 @@ let check t =
   let add v = out := v :: !out in
   (* every chained node across both tables, for the limbo disjointness
      pass: addr -> bucket *)
-  let live_seen : (int64, int) Hashtbl.t = Hashtbl.create 256 in
+  let live_seen : (int, int) Hashtbl.t = Hashtbl.create 256 in
   let coverage : (int64, unit) Hashtbl.t = Hashtbl.create 256 in
   let claim_coverage vpn pages =
     for i = 0 to pages - 1 do
@@ -806,37 +780,37 @@ let check t =
   (* check one table; [expected_bucket]/[check_node] give the per-mode
      residency and word rules *)
   let scan_table ~coarse table recorded ~expected_bucket ~check_node =
-    let seen : (int64, int) Hashtbl.t = Hashtbl.create 256 in
+    let seen : (int, int) Hashtbl.t = Hashtbl.create 256 in
     let counted = ref 0 in
     Array.iteri
       (fun b head ->
         let chain_seen = Hashtbl.create 8 in
         let tags_seen = ref [] in
-        let rec walk = function
-          | None -> ()
-          | Some n ->
-              if Hashtbl.mem chain_seen n.addr then
-                add (Chain_cycle { coarse; bucket = b })
-              else (
-                match Hashtbl.find_opt seen n.addr with
-                | Some first_bucket ->
-                    add (Cross_link { coarse; bucket = b; first_bucket })
-                | None ->
-                    Hashtbl.add chain_seen n.addr ();
-                    Hashtbl.add seen n.addr b;
-                    Hashtbl.replace live_seen n.addr b;
-                    incr counted;
-                    if expected_bucket n <> b then
-                      add (Wrong_bucket { coarse; bucket = b; tag = n.tag });
-                    let kind = node_kind n.word in
-                    if
-                      List.exists
-                        (fun (tg, k) -> Int64.equal tg n.tag && k = kind)
-                        !tags_seen
-                    then add (Dup_node { coarse; bucket = b; tag = n.tag })
-                    else tags_seen := (n.tag, kind) :: !tags_seen;
-                    check_node b n;
-                    walk n.next)
+        let rec walk n =
+          if n == nil then ()
+          else if Hashtbl.mem chain_seen n.addr then
+            add (Chain_cycle { coarse; bucket = b })
+          else
+            match Hashtbl.find_opt seen n.addr with
+            | Some first_bucket ->
+                add (Cross_link { coarse; bucket = b; first_bucket })
+            | None ->
+                Hashtbl.add chain_seen n.addr ();
+                Hashtbl.add seen n.addr b;
+                Hashtbl.replace live_seen n.addr b;
+                incr counted;
+                let tag = Int64.of_int n.tag in
+                if expected_bucket n <> b then
+                  add (Wrong_bucket { coarse; bucket = b; tag });
+                let kind = node_kind n.word in
+                if
+                  List.exists
+                    (fun (tg, k) -> tg = n.tag && k = kind)
+                    !tags_seen
+                then add (Dup_node { coarse; bucket = b; tag })
+                else tags_seen := (n.tag, kind) :: !tags_seen;
+                check_node b n;
+                walk n.next
         in
         walk head)
       table;
@@ -844,25 +818,29 @@ let check t =
       add
         (Node_count_mismatch { coarse; counted = !counted; recorded })
   in
-  let bad ~coarse b n = add (Bad_word { coarse; bucket = b; tag = n.tag }) in
+  let bad ~coarse b n =
+    add (Bad_word { coarse; bucket = b; tag = Int64.of_int n.tag })
+  in
   (* fine table of the single-page-size modes: base words tagged by vpn *)
   let check_fine_base b n =
+    let tag = Int64.of_int n.tag in
     match Pte.Word.decode n.word with
     | Pte.Word.Base bw ->
         if not bw.valid then bad ~coarse:false b n
-        else claim_coverage n.tag 1
+        else claim_coverage tag 1
     | Pte.Word.Psb _ | Pte.Word.Superpage _ ->
         (* a torn multi-word update leaves a non-base word here *)
         bad ~coarse:false b n
   in
   (* coarse table (Two_tables): superpage / psb words tagged by vpbn *)
   let check_coarse b n =
+    let tag = Int64.of_int n.tag in
     match Pte.Word.decode n.word with
     | Pte.Word.Base _ -> bad ~coarse:true b n
     | Pte.Word.Psb p ->
         if p.vmask land factor_mask t = 0 then bad ~coarse:true b n
         else begin
-          let block_vpn = Int64.shift_left n.tag t.factor_bits in
+          let block_vpn = Int64.shift_left tag t.factor_bits in
           for i = 0 to t.factor - 1 do
             if p.vmask land (1 lsl i) <> 0 then
               claim_coverage (Int64.add block_vpn (Int64.of_int i)) 1
@@ -873,49 +851,50 @@ let check t =
           bad ~coarse:true b n
         else begin
           (* each replica serves exactly its own block *)
-          claim_coverage (Int64.shift_left n.tag t.factor_bits) t.factor;
+          claim_coverage (Int64.shift_left tag t.factor_bits) t.factor;
           let n_blocks = 1 lsl (sz_of_sp sp - t.factor_bits) in
           if n_blocks > 1 then begin
             let first =
-              Int64.logand n.tag (Int64.lognot (Int64.of_int (n_blocks - 1)))
+              Int64.logand tag (Int64.lognot (Int64.of_int (n_blocks - 1)))
             in
-            if Int64.equal n.tag first then
+            if Int64.equal tag first then
               for i = 1 to n_blocks - 1 do
                 let sib = Int64.add first (Int64.of_int i) in
                 match find_sp_replica_h t sib with
                 | Some w when Int64.equal w n.word -> ()
-                | _ -> add (Torn_replica { bucket = b; tag = n.tag })
+                | _ -> add (Torn_replica { bucket = b; tag })
               done
             else
               match find_sp_replica_h t first with
               | Some w when Int64.equal w n.word -> ()
-              | _ -> add (Torn_replica { bucket = b; tag = n.tag })
+              | _ -> add (Torn_replica { bucket = b; tag })
           end
         end
   in
   (* superpage-index fine table: mixed tag kinds, one bucket per block *)
   let check_spindex b n =
+    let tag = Int64.of_int n.tag in
     match Pte.Word.decode n.word with
     | Pte.Word.Base bw ->
-        if not bw.valid then bad ~coarse:false b n else claim_coverage n.tag 1
+        if not bw.valid then bad ~coarse:false b n else claim_coverage tag 1
     | Pte.Word.Psb p ->
         if
           p.vmask land factor_mask t = 0
-          || not (Addr.Bits.is_aligned n.tag t.factor_bits)
+          || not (Addr.Bits.is_aligned tag t.factor_bits)
         then bad ~coarse:false b n
         else
           for i = 0 to t.factor - 1 do
             if p.vmask land (1 lsl i) <> 0 then
-              claim_coverage (Int64.add n.tag (Int64.of_int i)) 1
+              claim_coverage (Int64.add tag (Int64.of_int i)) 1
           done
     | Pte.Word.Superpage sp ->
         let sz = sz_of_sp sp in
         if
           (not sp.valid)
           || sz > t.factor_bits
-          || not (Addr.Bits.is_aligned n.tag sz)
+          || not (Addr.Bits.is_aligned tag sz)
         then bad ~coarse:false b n
-        else claim_coverage n.tag (1 lsl sz)
+        else claim_coverage tag (1 lsl sz)
   in
   (match t.mode with
   | No_superpages | Two_tables _ ->
@@ -926,7 +905,7 @@ let check t =
   | Superpage_index ->
       scan_table ~coarse:false t.fine
         (Atomic.get t.fine_nodes)
-        ~expected_bucket:(fun n -> hash t (vpbn t n.tag))
+        ~expected_bucket:(fun n -> hash t (n.tag lsr t.factor_bits))
         ~check_node:check_spindex);
   (match t.mode with
   | Two_tables _ ->
@@ -945,7 +924,7 @@ let check t =
       List.iter
         (fun (n, _) ->
           incr limbo_counted;
-          if not (Int64.equal n.tag limbo_tag) then add Limbo_live_tag;
+          if n.tag <> limbo_tag then add Limbo_live_tag;
           match Hashtbl.find_opt live_seen n.addr with
           | Some bucket -> add (Limbo_live_overlap { bucket })
           | None -> ())
@@ -966,11 +945,12 @@ let repair t =
   let cand c = cands := c :: !cands in
   let sp_seen : (int64, int64) Hashtbl.t = Hashtbl.create 16 in
   let harvest_node ~fine n =
+    let tag = Int64.of_int n.tag in
     match Pte.Word.decode n.word with
     | Pte.Word.Base bw ->
         (* base words are fine-table-only in every mode *)
         if bw.valid then
-          if fine then cand (`Base (n.tag, bw.ppn, bw.attr))
+          if fine then cand (`Base (tag, bw.ppn, bw.attr))
           else incr dropped
     | Pte.Word.Psb p -> (
         let vmask = p.vmask land factor_mask t in
@@ -978,10 +958,10 @@ let repair t =
         else
           match t.mode with
           | Two_tables _ when not fine ->
-              cand (`Psb (n.tag, vmask, p.ppn, p.attr))
+              cand (`Psb (tag, vmask, p.ppn, p.attr))
           | Superpage_index
-            when fine && Addr.Bits.is_aligned n.tag t.factor_bits ->
-              cand (`Psb (vpbn t n.tag, vmask, p.ppn, p.attr))
+            when fine && Addr.Bits.is_aligned tag t.factor_bits ->
+              cand (`Psb (vpbn t tag, vmask, p.ppn, p.attr))
           | _ -> incr dropped)
     | Pte.Word.Superpage sp ->
         if not sp.valid then incr dropped
@@ -989,7 +969,7 @@ let repair t =
           let sz = sz_of_sp sp in
           match t.mode with
           | Two_tables _ when (not fine) && sz >= t.factor_bits -> (
-              let block_vpn = Int64.shift_left n.tag t.factor_bits in
+              let block_vpn = Int64.shift_left tag t.factor_bits in
               let vpn_base = Addr.Bits.align_down block_vpn sz in
               match Hashtbl.find_opt sp_seen vpn_base with
               | Some w0 when Int64.equal w0 n.word -> ()
@@ -998,9 +978,9 @@ let repair t =
                   Hashtbl.add sp_seen vpn_base n.word;
                   cand (`Sp (vpn_base, sp.size, sp.ppn, sp.attr)))
           | Superpage_index
-            when fine && sz <= t.factor_bits && Addr.Bits.is_aligned n.tag sz
+            when fine && sz <= t.factor_bits && Addr.Bits.is_aligned tag sz
             ->
-              cand (`Sp (n.tag, sp.size, sp.ppn, sp.attr))
+              cand (`Sp (tag, sp.size, sp.ppn, sp.attr))
           | _ -> incr dropped
         end
   in
@@ -1008,15 +988,13 @@ let repair t =
   let harvest_table ~fine table =
     Array.iter
       (fun head ->
-        let rec walk = function
-          | None -> ()
-          | Some n ->
-              if Hashtbl.mem visited n.addr then ()
-              else begin
-                Hashtbl.add visited n.addr ();
-                harvest_node ~fine n;
-                walk n.next
-              end
+        let rec walk n =
+          if n == nil || Hashtbl.mem visited n.addr then ()
+          else begin
+            Hashtbl.add visited n.addr ();
+            harvest_node ~fine n;
+            walk n.next
+          end
         in
         walk head)
       table
@@ -1062,9 +1040,9 @@ let repair t =
     free
   in
   let survivors = List.rev !cands in
-  Array.fill t.fine 0 (Array.length t.fine) None;
+  Array.fill t.fine 0 (Array.length t.fine) nil;
   if Array.length t.coarse > 0 then
-    Array.fill t.coarse 0 (Array.length t.coarse) None;
+    Array.fill t.coarse 0 (Array.length t.coarse) nil;
   Atomic.set t.fine_nodes 0;
   Atomic.set t.coarse_nodes 0;
   (* abandon limbo with the rest of the old nodes: corruption may have
@@ -1092,12 +1070,11 @@ let repair t =
 
 (* --- fine-bucket snapshots (the service's undo journal) --- *)
 
-type bucket_image = (int64 * int64) list
+type bucket_image = (int * int64) list
 
 let snapshot_bucket t ~bucket =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some n -> go ((n.tag, n.word) :: acc) n.next
+  let rec go acc n =
+    if n == nil then List.rev acc else go ((n.tag, n.word) :: acc) n.next
   in
   go [] t.fine.(bucket)
 
@@ -1106,22 +1083,22 @@ let restore_bucket t ~bucket image =
   (* rollback runs under the bucket's write lock, but optimistic
      readers may still be walking the dropped nodes: retire, don't
      recycle *)
-  let rec drop = function
-    | None -> ()
-    | Some n ->
-        let next = n.next in
-        unlink_node t n;
-        incr removed;
-        drop next
+  let rec drop n =
+    if n != nil then begin
+      let next = n.next in
+      unlink_node t n;
+      incr removed;
+      drop next
+    end
   in
   drop t.fine.(bucket);
-  t.fine.(bucket) <- None;
+  t.fine.(bucket) <- nil;
   let added = ref 0 in
   List.iter
     (fun (tag, word) ->
       let n = alloc_node t ~coarse:false ~tag ~word in
       n.next <- t.fine.(bucket);
-      t.fine.(bucket) <- Some n;
+      t.fine.(bucket) <- n;
       incr added)
     (List.rev image);
   ignore (Atomic.fetch_and_add t.fine_nodes (!added - !removed))
@@ -1142,12 +1119,13 @@ let torn_garbage_word =
 let first_nonempty_fine t =
   let rec go b =
     if b >= t.buckets then None
-    else match t.fine.(b) with Some n -> Some (b, n) | None -> go (b + 1)
+    else if t.fine.(b) != nil then Some (b, t.fine.(b))
+    else go (b + 1)
   in
   go 0
 
 let fine_tail n =
-  let rec go n = match n.next with None -> n | Some m -> go m in
+  let rec go n = if n.next == nil then n else go n.next in
   go n
 
 let inject t kind =
@@ -1156,7 +1134,7 @@ let inject t kind =
       match first_nonempty_fine t with
       | None -> false
       | Some (_, head) ->
-          (fine_tail head).next <- Some head;
+          (fine_tail head).next <- head;
           true)
   | C_cross_link -> (
       match first_nonempty_fine t with
@@ -1164,15 +1142,13 @@ let inject t kind =
       | Some (b, head) -> (
           let rec next_nonempty b' =
             if b' >= t.buckets then None
-            else
-              match t.fine.(b') with
-              | Some n -> Some n
-              | None -> next_nonempty (b' + 1)
+            else if t.fine.(b') != nil then Some t.fine.(b')
+            else next_nonempty (b' + 1)
           in
           match next_nonempty (b + 1) with
           | None -> false
           | Some head2 ->
-              (fine_tail head).next <- Some head2;
+              (fine_tail head).next <- head2;
               true))
   | C_misplace -> (
       if t.buckets < 2 then false
@@ -1183,7 +1159,7 @@ let inject t kind =
             t.fine.(b) <- n.next;
             let b2 = (b + 1) mod t.buckets in
             n.next <- t.fine.(b2);
-            t.fine.(b2) <- Some n;
+            t.fine.(b2) <- n;
             true)
   | C_duplicate -> (
       match first_nonempty_fine t with
@@ -1191,16 +1167,17 @@ let inject t kind =
       | Some (b, n) ->
           let clone = alloc_node t ~coarse:false ~tag:n.tag ~word:n.word in
           clone.next <- t.fine.(b);
-          t.fine.(b) <- Some clone;
+          t.fine.(b) <- clone;
           ignore (Atomic.fetch_and_add t.fine_nodes 1);
           true)
   | C_torn vpn ->
       (* what a torn multi-word update leaves in a fine bucket: a
          non-base word where only base words belong *)
-      let bucket = hash t vpn in
-      let n = alloc_node t ~coarse:false ~tag:vpn ~word:torn_garbage_word in
+      let tag = Int64.to_int vpn in
+      let bucket = hash t tag in
+      let n = alloc_node t ~coarse:false ~tag ~word:torn_garbage_word in
       n.next <- t.fine.(bucket);
-      t.fine.(bucket) <- Some n;
+      t.fine.(bucket) <- n;
       ignore (Atomic.fetch_and_add t.fine_nodes 1);
       true
   | C_count ->

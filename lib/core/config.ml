@@ -26,9 +26,6 @@ let block_node_bytes t = 16 + (8 * t.subblock_factor)
 
 let single_node_bytes = 24
 
-let hash t vpbn =
-  let bits = Addr.Bits.log2_exact t.buckets in
-  if bits = 0 then 0
-  else
-    Int64.to_int
-      (Int64.shift_right_logical (Addr.Bits.mix64 vpbn) (64 - bits))
+let hash_shift t = 64 - Addr.Bits.log2_exact t.buckets
+
+let hash t vpbn = Addr.Bits.hash_index (Int64.to_int vpbn) ~shift:(hash_shift t)

@@ -38,4 +38,9 @@ val single_node_bytes : int
 (** 24: tag + next + one word (partial-subblock or superpage node). *)
 
 val hash : t -> int64 -> int
-(** Bucket index for a VPBN (full-avalanche SplitMix64 mix). *)
+(** Bucket index for a VPBN (full-avalanche SplitMix64 mix):
+    [Addr.Bits.hash_index] of the VPBN as a node tag. *)
+
+val hash_shift : t -> int
+(** The [~shift] of {!Addr.Bits.hash_index} for this bucket count; a
+    table computes it once, at create. *)

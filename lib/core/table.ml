@@ -5,18 +5,20 @@ module Types = Pt_common.Types
    integer compare instead of [Int64.equal] on two boxed values, and
    links are direct [node] pointers terminated by the [nil] sentinel
    instead of [node option], so traversal never pattern-matches an
-   allocation. *)
+   allocation.  The simulated address is an immediate too (arena
+   addresses are far below 2^62): charging a read of the node neither
+   chases a boxed [int64] nor allocates one. *)
 type node = {
   mutable tag : int;
       (* mutable so a reclaimed node can be retagged on reuse; live
          nodes never change tag in place *)
   mutable words : int64 array;
-  addr : int64;
+  addr : int;
   node_bytes : int;
   mutable next : node;
 }
 
-let rec nil = { tag = min_int; words = [||]; addr = -1L; node_bytes = 0; next = nil }
+let rec nil = { tag = min_int; words = [||]; addr = -1; node_bytes = 0; next = nil }
 
 let empty_tag = min_int
 
@@ -43,9 +45,10 @@ type t = {
          OCaml mirror of the [heads_addr] embedding below: a probe of
          the bucket decides "empty / head matches / walk the chain"
          without dereferencing any node *)
-  heads_addr : int64;
+  heads_addr : int;
       (* bucket array embedding the first nodes: an empty bucket's
          probe still reads one line *)
+  hash_shift : int;  (* 64 - log2 buckets, fixed at create *)
   unit_shift : int;  (* page_shift - 12: base pages per table unit *)
   factor_bits : int;
   sz_code_block : int;  (* SZ code of a whole page block *)
@@ -87,9 +90,11 @@ let create ?arena config =
     heads = Array.make config.Config.buckets nil;
     head_tags = Array.make config.Config.buckets empty_tag;
     heads_addr =
-      Mem.Sim_memory.alloc arena
-        ~bytes:(config.Config.buckets * 16)
-        ~align:4096;
+      Int64.to_int
+        (Mem.Sim_memory.alloc arena
+           ~bytes:(config.Config.buckets * 16)
+           ~align:4096);
+    hash_shift = Config.hash_shift config;
     unit_shift;
     factor_bits;
     sz_code_block = unit_shift + factor_bits;
@@ -122,9 +127,12 @@ let factor_mask t = (1 lsl t.config.Config.subblock_factor) - 1
 
 let buckets t = Array.length t.heads
 
+(* [Config.hash] with the shift computed once, keyed by the node tag *)
+let hash t tag = Addr.Bits.hash_index tag ~shift:t.hash_shift
+
 let bucket_of t ~vpn =
   let vpbn, _ = split t vpn in
-  Config.hash t.config vpbn
+  hash t (Int64.to_int vpbn)
 
 (* --- node management --- *)
 
@@ -165,7 +173,7 @@ let alloc_node t ~tag ~words =
       Mem.Sim_memory.alloc t.arena ~bytes:node_bytes
         ~align:t.config.Config.node_align
     in
-    { tag; words; addr; node_bytes; next = nil }
+    { tag; words; addr = Int64.to_int addr; node_bytes; next = nil }
 
 let park_free t n =
   Mutex.lock t.free_lock;
@@ -240,7 +248,7 @@ let limbo_nodes t =
 
 (* really return a node's bytes to the arena (only [clear] does) *)
 let arena_free t n =
-  Mem.Sim_memory.free t.arena ~addr:n.addr ~bytes:n.node_bytes
+  Mem.Sim_memory.free t.arena ~addr:(Int64.of_int n.addr) ~bytes:n.node_bytes
     ~align:t.config.Config.node_align
 
 let set_head t bucket n =
@@ -269,16 +277,13 @@ let classify t n =
   | Pte.Word.Superpage _ | Pte.Word.Base _ -> Block
 
 (* decode-free classification for the hot paths: reads only the S and
-   SZ bits *)
+   SZ bits, with shifts (an invalid S code still raises) *)
 let is_single t n =
-  match Pte.Layout.read_s n.words.(0) with
-  | Pte.Layout.S_base -> false
-  | Pte.Layout.S_partial_subblock -> true
-  | Pte.Layout.S_superpage ->
-      Int64.to_int
-        (Addr.Bits.extract n.words.(0) ~lo:Pte.Layout.sz_lo
-           ~width:Pte.Layout.sz_width)
-      >= t.sz_code_block
+  let w0 = n.words.(0) in
+  match Pte.Layout.s_code w0 with
+  | 0 -> false
+  | 1 -> true
+  | _ -> Pte.Layout.sz_code w0 >= t.sz_code_block
 
 (* --- translations --- *)
 
@@ -326,44 +331,57 @@ let node_translation t n ~vpn ~boff =
 
 (* --- lookup --- *)
 
-let word_addr n i = Int64.add n.addr (Int64.of_int (16 + (8 * i)))
+let word_addr n i = n.addr + 16 + (8 * i)
 
 let charge_empty_head_acc t ~bucket acc =
-  Mem.Walk_acc.read acc
-    ~addr:(Int64.add t.heads_addr (Int64.of_int (bucket * 16)))
-    ~bytes:16;
+  Mem.Walk_acc.read_int acc ~addr:(t.heads_addr + (bucket * 16)) ~bytes:16;
   Mem.Walk_acc.probe acc
 
+(* The miss handler's chain walk, from [n] on.  Top level, so a walk
+   allocates no closure.  A base word at Boff of a base-format node
+   becomes its translation straight from the bits; every other format
+   takes [node_translation]. *)
+let rec walk_chain t acc ~vpn ~tag ~boff n =
+  if n == nil then None
+  else begin
+    (* tag and next pointer: the first sixteen bytes of the node *)
+    Mem.Walk_acc.read_int acc ~addr:n.addr ~bytes:16;
+    Mem.Walk_acc.probe acc;
+    if n.tag <> tag then walk_chain t acc ~vpn ~tag ~boff n.next
+    else begin
+      (* the S check always reads mapping[0] (Figure 8) ... *)
+      Mem.Walk_acc.read_int acc ~addr:(word_addr n 0) ~bytes:8;
+      let tr =
+        if is_single t n then node_translation t n ~vpn ~boff
+        else begin
+          (* ... and a base-format node then reads mapping[Boff] *)
+          if boff <> 0 then
+            Mem.Walk_acc.read_int acc ~addr:(word_addr n boff) ~bytes:8;
+          let w = n.words.(boff) in
+          if Pte.Layout.s_code w <> 0 then node_translation t n ~vpn ~boff
+          else if t.unit_shift = 0 then
+            Pt_common.Decode.base_word_translation ~vpn w
+          else None
+        end
+      in
+      match tr with
+      | Some _ -> tr
+      | None -> walk_chain t acc ~vpn ~tag ~boff n.next
+    end
+  end
+
+(* Tag, block offset and bucket come straight from shifts, without
+   building the [split] pair. *)
 let lookup_into t acc ~vpn =
-  let vpbn, boff = split t vpn in
-  let tag = Int64.to_int vpbn in
-  let bucket = Config.hash t.config vpbn in
+  let uvpn = Int64.shift_right_logical vpn t.unit_shift in
+  let tag = Int64.to_int (Int64.shift_right_logical uvpn t.factor_bits) in
+  let boff = Int64.to_int uvpn land ((1 lsl t.factor_bits) - 1) in
+  let bucket = hash t tag in
   if t.head_tags.(bucket) = empty_tag then begin
     charge_empty_head_acc t ~bucket acc;
     None
   end
-  else begin
-    let rec go n =
-      if n == nil then None
-      else begin
-        (* tag and next pointer: the first sixteen bytes of the node *)
-        Mem.Walk_acc.read acc ~addr:n.addr ~bytes:16;
-        Mem.Walk_acc.probe acc;
-        if n.tag <> tag then go n.next
-        else begin
-          (* the S check always reads mapping[0] (Figure 8) ... *)
-          Mem.Walk_acc.read acc ~addr:(word_addr n 0) ~bytes:8;
-          (* ... and a base-format node then reads mapping[Boff] *)
-          if boff <> 0 && not (is_single t n) then
-            Mem.Walk_acc.read acc ~addr:(word_addr n boff) ~bytes:8;
-          match node_translation t n ~vpn ~boff with
-          | Some _ as tr -> tr
-          | None -> go n.next
-        end
-      end
-    in
-    go t.heads.(bucket)
-  end
+  else walk_chain t acc ~vpn ~tag ~boff t.heads.(bucket)
 
 let lookup t ~vpn =
   let acc = Mem.Walk_acc.create ~capacity:8 () in
@@ -383,11 +401,11 @@ let lookup_block t ~vpn ~subblock_factor =
     let rec go n =
       if n == nil then ()
       else begin
-        Mem.Walk_acc.read acc ~addr:n.addr ~bytes:16;
+        Mem.Walk_acc.read_int acc ~addr:n.addr ~bytes:16;
         Mem.Walk_acc.probe acc;
         if n.tag <> tag then go n.next
         else begin
-          Mem.Walk_acc.read acc ~addr:(word_addr n 0)
+          Mem.Walk_acc.read_int acc ~addr:(word_addr n 0)
             ~bytes:(8 * Array.length n.words);
           for i = 0 to subblock_factor - 1 do
             if found.(i) = None then
@@ -400,7 +418,7 @@ let lookup_block t ~vpn ~subblock_factor =
         end
       end
     in
-    let bucket = Config.hash t.config vpbn in
+    let bucket = hash t tag in
     if t.head_tags.(bucket) = empty_tag then
       charge_empty_head_acc t ~bucket acc
     else go t.heads.(bucket);
@@ -443,8 +461,8 @@ let find_block_node t bucket tag =
   go t.heads.(bucket)
 
 let get_or_create_block_node t vpbn =
-  let bucket = Config.hash t.config vpbn in
   let tag = Int64.to_int vpbn in
+  let bucket = hash t tag in
   match find_block_node t bucket tag with
   | Some n -> n
   | None ->
@@ -476,8 +494,8 @@ let insert_superpage t ~vpn ~size ~ppn ~attr =
     let first_vpbn, _ = split t vpn in
     for i = 0 to n_blocks - 1 do
       let vpbn = Int64.add first_vpbn (Int64.of_int i) in
-      let bucket = Config.hash t.config vpbn in
       let tag = Int64.to_int vpbn in
+      let bucket = hash t tag in
       let rec find n =
         if n == nil then None
         else if n.tag <> tag then find n.next
@@ -507,8 +525,8 @@ let insert_psb t ~vpbn ~vmask ~ppn ~attr =
     invalid_arg "Clustered_pt: partial-subblocks only in base-page tables";
   if vmask land lnot (factor_mask t) <> 0 then
     invalid_arg "Clustered_pt.insert_psb: vmask exceeds subblock factor";
-  let bucket = Config.hash t.config vpbn in
   let tag = Int64.to_int vpbn in
+  let bucket = hash t tag in
   let rec find n =
     if n == nil then None
     else if n.tag <> tag then find n.next
@@ -567,7 +585,7 @@ let remove_from_node t n ~boff =
 let remove t ~vpn =
   let vpbn, boff = split t vpn in
   let tag = Int64.to_int vpbn in
-  let bucket = Config.hash t.config vpbn in
+  let bucket = hash t tag in
   let rec go n =
     if n == nil then nil
     else if n.tag <> tag then begin
@@ -606,8 +624,8 @@ let set_attr_range t region ~f =
     List.iter
       (fun (vpbn, first_boff, count) ->
         incr searches;
-        let bucket = Config.hash t.config vpbn in
         let tag = Int64.to_int vpbn in
+        let bucket = hash t tag in
         let rec go n =
           if n == nil then ()
           else begin
@@ -764,7 +782,7 @@ type block_summary = {
 let block_summary t ~vpn =
   let vpbn, _ = split t vpn in
   let tag = Int64.to_int vpbn in
-  let bucket = Config.hash t.config vpbn in
+  let bucket = hash t tag in
   let base_vmask = ref 0 and psb_vmask = ref 0 and sp_pages = ref 0 in
   let base_words = Array.make t.config.Config.subblock_factor None in
   let rec go n =
@@ -887,7 +905,7 @@ let demote_block t ~vpn =
   else
     let vpbn, _ = split t vpn in
     let tag = Int64.to_int vpbn in
-    let bucket = Config.hash t.config vpbn in
+    let bucket = hash t tag in
     let rec find n =
       if n == nil then None
       else if n.tag <> tag then find n.next
@@ -1039,8 +1057,8 @@ let lowest_bit m =
    ([addr] is unique per allocation), so a corrupted chain cannot trap
    the checker itself. *)
 let find_sp_replica t vpbn =
-  let bucket = Config.hash t.config vpbn in
   let tag = Int64.to_int vpbn in
+  let bucket = hash t tag in
   let visited = Hashtbl.create 8 in
   let rec go n =
     if n == nil || Hashtbl.mem visited n.addr then None
@@ -1074,7 +1092,7 @@ let check t =
   let add v = out := v :: !out in
   let factor = t.config.Config.subblock_factor in
   (* node identity -> first bucket that reached it *)
-  let seen : (int64, int) Hashtbl.t = Hashtbl.create 256 in
+  let seen : (int, int) Hashtbl.t = Hashtbl.create 256 in
   let counted = ref 0 and counted_bytes = ref 0 in
   let check_block_words b n (agg : tag_agg) =
     let tag64 = Int64.of_int n.tag in
@@ -1163,7 +1181,7 @@ let check t =
             (if n.tag = empty_tag then add (Stale_tag { bucket = b })
              else begin
                let tag64 = Int64.of_int n.tag in
-               if Config.hash t.config tag64 <> b then
+               if hash t n.tag <> b then
                  add (Wrong_bucket { bucket = b; tag = tag64 });
                let agg = agg_for n.tag in
                let len = Array.length n.words in
@@ -1248,7 +1266,7 @@ let check t =
                }))
       (List.rev !aggs)
   done;
-  let free_seen : (int64, unit) Hashtbl.t = Hashtbl.create 16 in
+  let free_seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let check_free ~single head recorded =
     let visited = Hashtbl.create 16 in
     let count = ref 0 in
@@ -1713,7 +1731,7 @@ let inject t kind =
                     encode (make ~vmask:(1 lsl i) ~ppn:0L ~attr:Pte.Attr.default))
                 in
                 let node = alloc_node t ~tag ~words:[| word |] in
-                link t (Config.hash t.config (Int64.of_int tag)) node;
+                link t (hash t tag) node;
                 true
           end)
 

@@ -28,15 +28,24 @@ let distinct_lines ~line_size accesses =
 
 type counter = {
   line_size : int;
+  line_shift : int;
   mutable walks : int;
   mutable total_lines : int;
-  mutable scratch : int64 array;
-      (* line numbers of the walk being counted; reused across walks *)
+  mutable scratch : int array;
+      (* line numbers of the walk being counted; reused across walks.
+         A line number is an address over the line size, so it fits an
+         [int] exactly like the address does. *)
 }
 
 let create_counter ?(line_size = default_line_size) () =
   check_line_size line_size;
-  { line_size; walks = 0; total_lines = 0; scratch = Array.make 64 0L }
+  {
+    line_size;
+    line_shift = Addr.Bits.log2_exact line_size;
+    walks = 0;
+    total_lines = 0;
+    scratch = Array.make 64 0;
+  }
 
 let record_walk c accesses =
   let n = distinct_lines ~line_size:c.line_size accesses in
@@ -49,32 +58,27 @@ let record_walk c accesses =
    scratch array, insertion-sort it (walks touch a handful of lines),
    and count unique entries. *)
 let record_acc c (acc : Walk_acc.t) =
-  let shift = Addr.Bits.log2_exact c.line_size in
+  let shift = c.line_shift in
   let m = ref 0 in
   for i = 0 to Walk_acc.count acc - 1 do
-    let addr = Walk_acc.addr acc i and bytes = Walk_acc.bytes acc i in
+    let addr = Walk_acc.addr_int acc i and bytes = Walk_acc.bytes acc i in
     if bytes <= 0 then invalid_arg "Cache_model: access bytes";
-    let first = Int64.shift_right_logical addr shift in
-    let last =
-      Int64.shift_right_logical (Int64.add addr (Int64.of_int (bytes - 1))) shift
-    in
-    let l = ref first in
-    while Int64.compare !l last <= 0 do
+    let last = (addr + bytes - 1) lsr shift in
+    for l = addr lsr shift to last do
       if !m = Array.length c.scratch then begin
-        let bigger = Array.make (2 * !m) 0L in
+        let bigger = Array.make (2 * !m) 0 in
         Array.blit c.scratch 0 bigger 0 !m;
         c.scratch <- bigger
       end;
-      c.scratch.(!m) <- !l;
-      incr m;
-      l := Int64.succ !l
+      c.scratch.(!m) <- l;
+      incr m
     done
   done;
   let lines = c.scratch and n = !m in
   for i = 1 to n - 1 do
     let v = lines.(i) in
     let j = ref i in
-    while !j > 0 && Int64.compare lines.(!j - 1) v > 0 do
+    while !j > 0 && lines.(!j - 1) > v do
       lines.(!j) <- lines.(!j - 1);
       decr j
     done;
@@ -82,7 +86,7 @@ let record_acc c (acc : Walk_acc.t) =
   done;
   let distinct = ref (if n = 0 then 0 else 1) in
   for i = 1 to n - 1 do
-    if not (Int64.equal lines.(i) lines.(i - 1)) then incr distinct
+    if lines.(i) <> lines.(i - 1) then incr distinct
   done;
   c.walks <- c.walks + 1;
   c.total_lines <- c.total_lines + !distinct;

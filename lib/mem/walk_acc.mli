@@ -3,7 +3,9 @@
     Replaces the list-building walk representation in replay loops:
     allocate one accumulator per loop, [reset] it per miss, and let the
     page table's [lookup_into] append reads and probes into the
-    preallocated arrays.  Steady state allocates nothing. *)
+    preallocated arrays.  Steady state allocates nothing: addresses are
+    held unboxed (a simulated physical address is below 2^62), so
+    recording a read never boxes. *)
 
 type t
 
@@ -22,7 +24,13 @@ val rewind : t -> count:int -> probes:int -> nested_misses:int -> unit
     [count] exceeds the current {!count}. *)
 
 val read : t -> addr:int64 -> bytes:int -> unit
-(** Append one memory read. *)
+(** Append one memory read.  Raises [Invalid_argument] if [addr] is
+    negative or does not fit a native [int]. *)
+
+val read_int : t -> addr:int -> bytes:int -> unit
+(** {!read} with the address as a native [int]: the page tables' miss
+    paths keep node addresses unboxed and record them through this.
+    Raises [Invalid_argument] if [addr] is negative. *)
 
 val probe : t -> unit
 (** Count one more node/level visit. *)
@@ -39,7 +47,10 @@ val nested_misses : t -> int
 
 val addr : t -> int -> int64
 (** [addr t i] is the address of the [i]th read, in chronological
-    order. *)
+    order.  Raises [Invalid_argument] unless [0 <= i < count t]. *)
+
+val addr_int : t -> int -> int
+(** {!addr} unboxed. *)
 
 val bytes : t -> int -> int
 

@@ -1,35 +1,49 @@
+(* A base word's translation straight from its bits: the V test, the
+   PPN field and the shared attribute record, with no intermediate
+   [Base_pte.t].  The same fields [Base_pte.decode] reads. *)
+let base_word_translation ~vpn w =
+  if Addr.Bits.test_bit w Pte.Layout.valid_bit then
+    let ppn =
+      Int64.logand
+        (Int64.shift_right_logical w Pte.Layout.ppn_lo)
+        (Int64.of_int ((1 lsl Pte.Layout.ppn_width) - 1))
+    in
+    Some (Types.base_translation ~vpn ~ppn ~attr:(Pte.Attr.of_bits w))
+  else None
+
 let translation_of_word ~subblock_factor ~vpn word =
-  let factor_bits = Addr.Bits.log2_exact subblock_factor in
-  match Pte.Word.decode word with
-  | Pte.Word.Base b when b.valid ->
-      Some (Types.base_translation ~vpn ~ppn:b.ppn ~attr:b.attr)
-  | Pte.Word.Superpage sp when sp.valid ->
-      let sz = Addr.Page_size.sz_code sp.size in
-      let vpn_base = Addr.Bits.align_down vpn sz in
-      Some
-        {
-          Types.vpn;
-          ppn = Int64.add sp.ppn (Int64.sub vpn vpn_base);
-          vpn_base;
-          ppn_base = sp.ppn;
-          kind = Types.Superpage sp.size;
-          attr = sp.attr;
-        }
-  | Pte.Word.Psb p ->
-      let boff = Addr.Vaddr.boff_of_vpn ~subblock_factor vpn in
-      if Pte.Psb_pte.valid_at p ~boff then
+  if Pte.Layout.s_code word = 0 then base_word_translation ~vpn word
+  else
+    match Pte.Word.decode word with
+    | Pte.Word.Superpage sp when sp.valid ->
+        let sz = Addr.Page_size.sz_code sp.size in
+        let vpn_base = Addr.Bits.align_down vpn sz in
         Some
           {
             Types.vpn;
-            ppn = Pte.Psb_pte.ppn_for p ~boff;
-            vpn_base = Addr.Bits.align_down vpn factor_bits;
-            ppn_base = p.ppn;
-            kind =
-              Types.Partial_subblock (p.vmask land ((1 lsl subblock_factor) - 1));
-            attr = p.attr;
+            ppn = Int64.add sp.ppn (Int64.sub vpn vpn_base);
+            vpn_base;
+            ppn_base = sp.ppn;
+            kind = Types.Superpage sp.size;
+            attr = sp.attr;
           }
-      else None
-  | Pte.Word.Base _ | Pte.Word.Superpage _ -> None
+    | Pte.Word.Psb p ->
+        let boff = Addr.Vaddr.boff_of_vpn ~subblock_factor vpn in
+        if Pte.Psb_pte.valid_at p ~boff then
+          Some
+            {
+              Types.vpn;
+              ppn = Pte.Psb_pte.ppn_for p ~boff;
+              vpn_base =
+                Addr.Bits.align_down vpn (Addr.Bits.log2_exact subblock_factor);
+              ppn_base = p.ppn;
+              kind =
+                Types.Partial_subblock
+                  (p.vmask land ((1 lsl subblock_factor) - 1));
+              attr = p.attr;
+            }
+        else None
+    | Pte.Word.Base _ | Pte.Word.Superpage _ -> None
 
 let translation_in_block ~subblock_factor ~vpn ~words =
   let factor_bits = Addr.Bits.log2_exact subblock_factor in

@@ -10,9 +10,17 @@ val translation_of_word :
   vpn:int64 ->
   int64 ->
   Types.translation option
-(** Decodes by S field.  For a superpage word the VPN base is the
-    faulting VPN aligned down to the superpage size; for a
-    partial-subblock word the block offset's valid bit decides. *)
+(** Decodes by S field.  A base word takes {!base_word_translation};
+    the other formats go through {!Pte.Word.decode}.  For a superpage
+    word the VPN base is the faulting VPN aligned down to the superpage
+    size; for a partial-subblock word the block offset's valid bit
+    decides.  Raises [Invalid_argument] on the reserved S code 3. *)
+
+val base_word_translation : vpn:int64 -> int64 -> Types.translation option
+(** The translation of a word whose S field is base, read straight from
+    its V, PPN and attribute bits (the attribute record is shared, see
+    {!Pte.Attr.of_bits}): [None] when V is clear.  Allocates only the
+    returned translation.  The caller has checked the S field. *)
 
 val translation_in_block :
   subblock_factor:int ->

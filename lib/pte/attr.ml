@@ -54,18 +54,26 @@ let to_bits t =
       bit t.locked 7;
     ]
 
-let of_bits w =
+let decode_field bits =
+  let b i = (bits lsr i) land 1 = 1 in
   {
-    referenced = Addr.Bits.test_bit w 0;
-    modified = Addr.Bits.test_bit w 1;
-    writable = Addr.Bits.test_bit w 2;
-    executable = Addr.Bits.test_bit w 3;
-    user = Addr.Bits.test_bit w 4;
-    cacheable = Addr.Bits.test_bit w 5;
-    global = Addr.Bits.test_bit w 6;
-    locked = Addr.Bits.test_bit w 7;
-    soft = Int64.to_int (Addr.Bits.extract w ~lo:8 ~width:4);
+    referenced = b 0;
+    modified = b 1;
+    writable = b 2;
+    executable = b 3;
+    user = b 4;
+    cacheable = b 5;
+    global = b 6;
+    locked = b 7;
+    soft = (bits lsr 8) land 0xF;
   }
+
+(* Every 12-bit field decodes to one of 4096 records; decoding indexes
+   this table instead of allocating a fresh record per PTE read.  The
+   records are immutable, so sharing them is invisible to callers. *)
+let table = Array.init (1 lsl width) decode_field
+
+let of_bits w = table.(Int64.to_int w land ((1 lsl width) - 1))
 
 let equal a b = a = b
 

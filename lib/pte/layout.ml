@@ -23,7 +23,15 @@ let s_class_of_code = function
   | 2L -> S_superpage
   | _ -> invalid_arg "Layout.s_class_of_code"
 
-let read_s w = s_class_of_code (Addr.Bits.extract w ~lo:s_lo ~width:s_width)
+let s_code w =
+  let c = Int64.to_int (Int64.shift_right_logical w s_lo) land 3 in
+  if c = 3 then invalid_arg "Layout.s_class_of_code";
+  c
+
+let read_s w =
+  match s_code w with 0 -> S_base | 1 -> S_partial_subblock | _ -> S_superpage
+
+let sz_code w = Int64.to_int (Int64.shift_right_logical w sz_lo) land 0xF
 
 let pte_bytes = 8
 let tag_bytes = 8

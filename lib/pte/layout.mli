@@ -60,6 +60,15 @@ val s_class_of_code : int64 -> s_class
 val read_s : int64 -> s_class
 (** Classify a PTE word by its S field. *)
 
+val s_code : int64 -> int
+(** The S field as an [int] (0 base, 1 partial-subblock, 2 superpage)
+    read with shifts alone: the miss handlers' decode-free classifier.
+    Raises [Invalid_argument] on the reserved code 3, like
+    {!s_class_of_code}. *)
+
+val sz_code : int64 -> int
+(** The 4-bit SZ field of a superpage word, read with shifts alone. *)
+
 val pte_bytes : int
 (** 8: every mapping word is eight bytes (paper, Section 2). *)
 

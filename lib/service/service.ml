@@ -430,10 +430,17 @@ let lookup_into t acc ~vpn =
       let (Concurrent ((module T), tbl)) = t.table in
       T.lookup_into tbl acc ~vpn <> None)
 
+(* [find] wants only the translation, so its walk goes into a
+   per-domain scratch accumulator, reset on every attempt (optimistic
+   retry or healing retry), and no walk list is built. *)
+let find_scratch = Domain.DLS.new_key (fun () -> Mem.Walk_acc.create ())
+
 let find t ~vpn =
+  let acc = Domain.DLS.get find_scratch in
   read_section t ~vpn ~default:None (fun () ->
+      Mem.Walk_acc.reset acc;
       let (Concurrent ((module T), tbl)) = t.table in
-      fst (T.lookup tbl ~vpn))
+      T.lookup_into tbl acc ~vpn)
 
 let lookup t ~vpn = find t ~vpn <> None
 

@@ -1,7 +1,13 @@
 type policy = Lru | Fifo | Random of int64
 
+(* A plain slot array plus occupancy flags: no [option] box per entry
+   and no polymorphic [= None] test per slot.  [slots] stays empty
+   until the first insertion supplies a filler value; afterwards slot
+   [i] holds an entry only where [live.(i)]. *)
 type 'e t = {
-  slots : 'e option array;
+  mutable slots : 'e array;
+  live : bool array;
+  mutable used : int; (* live slots: a full store skips the free-slot scan *)
   stamps : int array; (* last-use (Lru) or insertion (Fifo) ticks *)
   policy : policy;
   mutable rng : int64; (* SplitMix64 state for Random *)
@@ -12,7 +18,9 @@ let create ?(policy = Lru) ~entries () =
   if entries <= 0 then invalid_arg "Assoc.create";
   let rng = match policy with Random seed -> seed | Lru | Fifo -> 0L in
   {
-    slots = Array.make entries None;
+    slots = [||];
+    live = Array.make entries false;
+    used = 0;
     stamps = Array.make entries 0;
     policy;
     rng;
@@ -26,72 +34,79 @@ let next_random t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let entries t = Array.length t.slots
+let entries t = Array.length t.live
 
-let occupied t =
-  Array.fold_left (fun acc s -> if s = None then acc else acc + 1) 0 t.slots
+let occupied t = t.used
+
+let is_live t i = t.live.(i)
+
+let get t i =
+  if not t.live.(i) then invalid_arg "Assoc.get: free slot";
+  t.slots.(i)
+
+let find_slot t ~f =
+  let n = Array.length t.live in
+  let i = ref 0 and found = ref (-1) in
+  while !found < 0 && !i < n do
+    if t.live.(!i) && f t.slots.(!i) then found := !i;
+    incr i
+  done;
+  !found
 
 let find t ~f =
-  let n = Array.length t.slots in
-  let rec go i =
-    if i >= n then None
-    else
-      match t.slots.(i) with
-      | Some e when f e -> Some e
-      | Some _ | None -> go (i + 1)
-  in
-  go 0
+  let i = find_slot t ~f in
+  if i < 0 then None else Some t.slots.(i)
 
 let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-let touch t ~f =
+let touch_slot t i =
   (* FIFO and Random ignore recency *)
-  if t.policy = Lru then begin
-    let n = Array.length t.slots in
-    let rec go i =
-      if i < n then
-        match t.slots.(i) with
-        | Some e when f e -> t.stamps.(i) <- tick t
-        | Some _ | None -> go (i + 1)
-    in
-    go 0
+  match t.policy with Lru -> t.stamps.(i) <- tick t | Fifo | Random _ -> ()
+
+let claim t =
+  let n = Array.length t.live in
+  (* the lowest free slot first, otherwise the policy's victim *)
+  if t.used < n then begin
+    let free = ref 0 in
+    while t.live.(!free) do
+      incr free
+    done;
+    !free
   end
+  else
+    match t.policy with
+    | Lru | Fifo ->
+        (* stamp semantics differ; the min is the victim (live stamps are
+           distinct ticks) *)
+        let victim = ref 0 in
+        for i = n - 1 downto 1 do
+          if t.stamps.(i) < t.stamps.(!victim) then victim := i
+        done;
+        !victim
+    | Random _ ->
+        Int64.to_int
+          (Int64.rem
+             (Int64.shift_right_logical (next_random t) 3)
+             (Int64.of_int n))
+
+let set t i e =
+  if Array.length t.slots = 0 then
+    t.slots <- Array.make (Array.length t.live) e;
+  t.slots.(i) <- e;
+  if not t.live.(i) then t.used <- t.used + 1;
+  t.live.(i) <- true;
+  t.stamps.(i) <- tick t
 
 let insert t e =
-  let n = Array.length t.slots in
-  (* a free slot first, otherwise the policy's victim *)
-  let free = ref None and victim = ref 0 in
-  for i = n - 1 downto 0 do
-    if t.slots.(i) = None then free := Some i
-    else if t.stamps.(i) < t.stamps.(!victim) || t.slots.(!victim) = None then
-      victim := i
-  done;
-  (match t.policy with
-  | Lru | Fifo -> () (* stamp semantics differ; the min is the victim *)
-  | Random _ ->
-      if !free = None then
-        victim :=
-          Int64.to_int
-            (Int64.rem
-               (Int64.shift_right_logical (next_random t) 3)
-               (Int64.of_int n)));
-  match !free with
-  | Some i ->
-      t.slots.(i) <- Some e;
-      t.stamps.(i) <- tick t;
-      None
-  | None ->
-      let old = t.slots.(!victim) in
-      t.slots.(!victim) <- Some e;
-      t.stamps.(!victim) <- tick t;
-      old
-
-let iter t f =
-  Array.iter (function Some e -> f e | None -> ()) t.slots
+  let i = claim t in
+  let old = if t.live.(i) then Some t.slots.(i) else None in
+  set t i e;
+  old
 
 let flush t =
-  Array.fill t.slots 0 (Array.length t.slots) None;
+  Array.fill t.live 0 (Array.length t.live) false;
+  t.used <- 0;
   Array.fill t.stamps 0 (Array.length t.stamps) 0;
   t.clock <- 0

@@ -39,44 +39,45 @@ let access t ~vpn =
   t.stats.Stats.accesses <- t.stats.Stats.accesses + 1;
   let vpbn, boff = split t vpn in
   let covers e = Int64.equal e.vpbn vpbn && e.vmask land (1 lsl boff) <> 0 in
-  match Assoc.find t.store ~f:covers with
-  | Some e ->
-      Assoc.touch t.store ~f:covers;
-      t.stats.Stats.hits <- t.stats.Stats.hits + 1;
-      if e.sp_mask land (1 lsl boff) <> 0 then
-        t.stats.Stats.sp_hits <- t.stats.Stats.sp_hits + 1
-      else t.stats.Stats.base_hits <- t.stats.Stats.base_hits + 1;
-      `Hit
-  | None ->
-      if Assoc.find t.store ~f:(fun e -> Int64.equal e.vpbn vpbn) <> None then begin
-        t.stats.Stats.subblock_misses <- t.stats.Stats.subblock_misses + 1;
-        `Subblock_miss
-      end
-      else begin
-        t.stats.Stats.block_misses <- t.stats.Stats.block_misses + 1;
-        `Block_miss
-      end
+  let i = Assoc.find_slot t.store ~f:covers in
+  if i >= 0 then begin
+    Assoc.touch_slot t.store i;
+    t.stats.Stats.hits <- t.stats.Stats.hits + 1;
+    if (Assoc.get t.store i).sp_mask land (1 lsl boff) <> 0 then
+      t.stats.Stats.sp_hits <- t.stats.Stats.sp_hits + 1
+    else t.stats.Stats.base_hits <- t.stats.Stats.base_hits + 1;
+    `Hit
+  end
+  else if Assoc.find_slot t.store ~f:(fun e -> Int64.equal e.vpbn vpbn) >= 0
+  then begin
+    t.stats.Stats.subblock_misses <- t.stats.Stats.subblock_misses + 1;
+    `Subblock_miss
+  end
+  else begin
+    t.stats.Stats.block_misses <- t.stats.Stats.block_misses + 1;
+    `Block_miss
+  end
 
 let get_or_insert_entry t vpbn =
-  let same e = Int64.equal e.vpbn vpbn in
-  match Assoc.find t.store ~f:same with
-  | Some e ->
-      Assoc.touch t.store ~f:same;
-      e
-  | None ->
-      let e =
-        {
-          vpbn;
-          vmask = 0;
-          sp_mask = 0;
-          ppns = Array.make t.factor 0L;
-          attrs = Array.make t.factor Pte.Attr.default;
-        }
-      in
-      (match Assoc.insert t.store e with
-      | Some _ -> t.stats.Stats.evictions <- t.stats.Stats.evictions + 1
-      | None -> ());
-      e
+  let i = Assoc.find_slot t.store ~f:(fun e -> Int64.equal e.vpbn vpbn) in
+  if i >= 0 then begin
+    Assoc.touch_slot t.store i;
+    Assoc.get t.store i
+  end
+  else
+    let e =
+      {
+        vpbn;
+        vmask = 0;
+        sp_mask = 0;
+        ppns = Array.make t.factor 0L;
+        attrs = Array.make t.factor Pte.Attr.default;
+      }
+    in
+    (match Assoc.insert t.store e with
+    | Some _ -> t.stats.Stats.evictions <- t.stats.Stats.evictions + 1
+    | None -> ());
+    e
 
 let set_slot e ~sp ~boff ~ppn ~attr =
   e.vmask <- e.vmask lor (1 lsl boff);

@@ -39,23 +39,24 @@ let access t ~vpn =
   t.stats.Stats.accesses <- t.stats.Stats.accesses + 1;
   let vpbn, boff = split t vpn in
   let covers e = Int64.equal e.vpbn vpbn && e.vmask land (1 lsl boff) <> 0 in
-  match Assoc.find t.store ~f:covers with
-  | Some e ->
-      Assoc.touch t.store ~f:covers;
-      t.stats.Stats.hits <- t.stats.Stats.hits + 1;
-      if e.sp_mask land (1 lsl boff) <> 0 then
-        t.stats.Stats.sp_hits <- t.stats.Stats.sp_hits + 1
-      else t.stats.Stats.base_hits <- t.stats.Stats.base_hits + 1;
-      `Hit
-  | None ->
-      if Assoc.find t.store ~f:(fun e -> Int64.equal e.vpbn vpbn) <> None then begin
-        t.stats.Stats.subblock_misses <- t.stats.Stats.subblock_misses + 1;
-        `Subblock_miss
-      end
-      else begin
-        t.stats.Stats.block_misses <- t.stats.Stats.block_misses + 1;
-        `Block_miss
-      end
+  let i = Assoc.find_slot t.store ~f:covers in
+  if i >= 0 then begin
+    Assoc.touch_slot t.store i;
+    t.stats.Stats.hits <- t.stats.Stats.hits + 1;
+    if (Assoc.get t.store i).sp_mask land (1 lsl boff) <> 0 then
+      t.stats.Stats.sp_hits <- t.stats.Stats.sp_hits + 1
+    else t.stats.Stats.base_hits <- t.stats.Stats.base_hits + 1;
+    `Hit
+  end
+  else if Assoc.find_slot t.store ~f:(fun e -> Int64.equal e.vpbn vpbn) >= 0
+  then begin
+    t.stats.Stats.subblock_misses <- t.stats.Stats.subblock_misses + 1;
+    `Subblock_miss
+  end
+  else begin
+    t.stats.Stats.block_misses <- t.stats.Stats.block_misses + 1;
+    `Block_miss
+  end
 
 let insert t e =
   match Assoc.insert t.store e with
@@ -69,15 +70,17 @@ let fill_bits t ~sp ~vpbn ~vmask ~ppn_base ~attr =
   let compatible e =
     Int64.equal e.vpbn vpbn && Int64.equal e.ppn_base ppn_base
   in
-  match Assoc.find t.store ~f:compatible with
-  | Some e ->
-      e.vmask <- e.vmask lor vmask;
-      if sp then e.sp_mask <- e.sp_mask lor vmask
-      else e.sp_mask <- e.sp_mask land lnot vmask;
-      Assoc.touch t.store ~f:compatible
-  | None ->
-      insert t
-        { vpbn; vmask; sp_mask = (if sp then vmask else 0); ppn_base; attr }
+  let i = Assoc.find_slot t.store ~f:compatible in
+  if i >= 0 then begin
+    let e = Assoc.get t.store i in
+    e.vmask <- e.vmask lor vmask;
+    if sp then e.sp_mask <- e.sp_mask lor vmask
+    else e.sp_mask <- e.sp_mask land lnot vmask;
+    Assoc.touch_slot t.store i
+  end
+  else
+    insert t
+      { vpbn; vmask; sp_mask = (if sp then vmask else 0); ppn_base; attr }
 
 let fill t (tr : Pt_common.Types.translation) =
   let vpbn, boff = split t tr.vpn in

@@ -20,17 +20,19 @@ let covers e vpn =
 
 let access t ~vpn =
   t.stats.Stats.accesses <- t.stats.Stats.accesses + 1;
-  let matches e = covers e vpn in
-  match Assoc.find t.store ~f:matches with
-  | Some e ->
-      Assoc.touch t.store ~f:matches;
-      t.stats.Stats.hits <- t.stats.Stats.hits + 1;
-      if e.pages > 1 then t.stats.Stats.sp_hits <- t.stats.Stats.sp_hits + 1
-      else t.stats.Stats.base_hits <- t.stats.Stats.base_hits + 1;
-      `Hit
-  | None ->
-      t.stats.Stats.block_misses <- t.stats.Stats.block_misses + 1;
-      `Block_miss
+  let i = Assoc.find_slot t.store ~f:(fun e -> covers e vpn) in
+  if i >= 0 then begin
+    Assoc.touch_slot t.store i;
+    t.stats.Stats.hits <- t.stats.Stats.hits + 1;
+    if (Assoc.get t.store i).pages > 1 then
+      t.stats.Stats.sp_hits <- t.stats.Stats.sp_hits + 1
+    else t.stats.Stats.base_hits <- t.stats.Stats.base_hits + 1;
+    `Hit
+  end
+  else begin
+    t.stats.Stats.block_misses <- t.stats.Stats.block_misses + 1;
+    `Block_miss
+  end
 
 let fill t (tr : Pt_common.Types.translation) =
   let e =
