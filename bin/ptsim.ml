@@ -79,6 +79,20 @@ let strict_enum ~flag ~cmd choices =
   in
   Arg.conv (parse, print)
 
+(* a count that must be >= 1, under the same contract: zero or garbage
+   is named on stderr, never run as a soak that does nothing or never
+   ends *)
+let positive_int ~what ~cmd =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+        Printf.eprintf "invalid %s %S for %s (want an integer >= 1)\n%!" what
+          s cmd;
+        exit 2
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* comma-separated fault sites, under the same contract *)
 let strict_sites ~cmd =
   let have = String.concat ", " (List.map Fault.site_name Fault.all_sites) in
@@ -1053,12 +1067,14 @@ let () =
     in
     let streams =
       Arg.(
-        value & opt int 4
+        value
+        & opt (positive_int ~what:"stream count" ~cmd:"faultsim") 4
         & info [ "streams" ] ~docv:"N" ~doc:"Logical operation streams.")
     in
     let ops =
       Arg.(
-        value & opt int 2_000
+        value
+        & opt (positive_int ~what:"op count" ~cmd:"faultsim") 2_000
         & info [ "ops" ] ~docv:"N" ~doc:"Operations per stream.")
     in
     let org =
@@ -1164,13 +1180,13 @@ let () =
     let streams =
       Arg.(
         value
-        & opt (some int) None
+        & opt (some (positive_int ~what:"stream count" ~cmd:"numa")) None
         & info [ "streams" ] ~docv:"N" ~doc:"Logical streams per node.")
     in
     let rounds =
       Arg.(
         value
-        & opt (some int) None
+        & opt (some (positive_int ~what:"round count" ~cmd:"numa")) None
         & info [ "rounds" ] ~docv:"N" ~doc:"Write/read phase rounds.")
     in
     let reads =
@@ -1255,28 +1271,28 @@ let () =
     let tenants =
       Arg.(
         value
-        & opt (some int) None
+        & opt (some (positive_int ~what:"tenant count" ~cmd:"fleet")) None
         & info [ "tenants" ] ~docv:"N"
             ~doc:"Tenant address spaces (default 12; 8 --quick).")
     in
     let shards =
       Arg.(
         value
-        & opt (some int) None
+        & opt (some (positive_int ~what:"shard count" ~cmd:"fleet")) None
         & info [ "shards" ] ~docv:"N"
             ~doc:"Service shards the tenants are dealt over (default 4).")
     in
     let streams =
       Arg.(
         value
-        & opt (some int) None
+        & opt (some (positive_int ~what:"stream count" ~cmd:"fleet")) None
         & info [ "streams" ] ~docv:"N"
             ~doc:"Logical streams multiplexing the tenants (default 4).")
     in
     let rounds =
       Arg.(
         value
-        & opt (some int) None
+        & opt (some (positive_int ~what:"round count" ~cmd:"fleet")) None
         & info [ "rounds" ] ~docv:"N"
             ~doc:"Rounds between frame-budget enforcements.")
     in
@@ -1289,7 +1305,7 @@ let () =
     let switch =
       Arg.(
         value
-        & opt (some int) None
+        & opt (some (positive_int ~what:"switch quantum" ~cmd:"fleet")) None
         & info [ "switch-every" ] ~docv:"N"
             ~doc:"Context-switch quantum, in events (default 48).")
     in
@@ -1386,14 +1402,14 @@ let () =
     let tenants =
       Arg.(
         value
-        & opt (some int) None
+        & opt (some (positive_int ~what:"tenant count" ~cmd:"chaos")) None
         & info [ "tenants" ] ~docv:"N"
             ~doc:"Tenant address spaces (default 8; 6 --quick).")
     in
     let shards =
       Arg.(
         value
-        & opt (some int) None
+        & opt (some (positive_int ~what:"shard count" ~cmd:"chaos")) None
         & info [ "shards" ] ~docv:"N"
             ~doc:
               "Durable shards, one write-ahead log each (default 4).  Also \
@@ -1404,7 +1420,7 @@ let () =
     let rounds =
       Arg.(
         value
-        & opt (some int) None
+        & opt (some (positive_int ~what:"round count" ~cmd:"chaos")) None
         & info [ "rounds" ] ~docv:"N"
             ~doc:
               "Rounds between supervision barriers (recovery, checkpoints).")
@@ -1418,30 +1434,14 @@ let () =
     let switch =
       Arg.(
         value
-        & opt (some int) None
+        & opt (some (positive_int ~what:"switch quantum" ~cmd:"chaos")) None
         & info [ "switch-every" ] ~docv:"N"
             ~doc:"Context-switch quantum, in events (default 48).")
-    in
-    (* the same exit-2 contract as the enum flags: garbage is named on
-       stderr, never silently clamped *)
-    let cadence_conv =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> Ok n
-        | _ ->
-            Printf.eprintf
-              "invalid checkpoint cadence %S for chaos (want an integer >= \
-               1)\n\
-               %!"
-              s;
-            exit 2
-      in
-      Arg.conv (parse, Format.pp_print_int)
     in
     let ckpt =
       Arg.(
         value
-        & opt cadence_conv 1
+        & opt (positive_int ~what:"checkpoint cadence" ~cmd:"chaos") 1
         & info [ "checkpoint-every" ] ~docv:"ROUNDS"
             ~doc:
               "Checkpoint cadence: snapshot every shard's live mapping set \

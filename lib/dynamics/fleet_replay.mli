@@ -41,9 +41,6 @@ type tally = {
           range_pages] is the amortisation the batched path buys *)
 }
 
-val tally_zero : unit -> tally
-(** A fresh all-zero tally (an accumulator for summing tallies). *)
-
 type t
 (** A cursor over one trace: interpretation state (per-pid live sets)
     plus a running {!tally}.  Step it from exactly one domain at a
@@ -67,6 +64,30 @@ val tally : t -> tally
 
 val run : ops -> Workload.Trace.t -> tally
 (** One-shot interpretation of the whole trace. *)
+
+val interleave :
+  t array ->
+  tenants:int list ->
+  round:int ->
+  rounds:int ->
+  switch_every:int ->
+  switch:(int -> unit) ->
+  event:(int -> t -> unit) ->
+  unit
+(** One stream's share of round [round] (of [rounds]): tenant [t] of
+    [tenants] advances its cursor [cursors.(t)] to
+    [length * (round + 1) / rounds] events, a fixed slice, so a round
+    barrier cuts every trace identically for any interleaving.  The
+    tenants take round-robin turns of at most [switch_every] events
+    until every slice is done.  [switch t] runs at the start of each
+    turn (a context switch); [event t cursor] runs once per event and
+    must interpret exactly one event, i.e. call
+    [step cursor ~max_events:1] bracketed by whatever per-event work
+    the driver needs.  Raises [Invalid_argument] if
+    [switch_every < 1]. *)
+
+val tally_sum : t array -> tally
+(** The field-by-field sum of the cursors' tallies. *)
 
 val local_key : pid:int -> vpn:int64 -> int64
 (** The tenant-local key: [vpn] with [pid] folded into bits 32..43. *)

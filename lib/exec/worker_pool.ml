@@ -60,6 +60,10 @@ let () =
                    fs)))
     | _ -> None)
 
+let supervised = function
+  | Fault.Injected { site = Fault.Domain_crash | Fault.Shard_crash; _ } -> true
+  | _ -> false
+
 (* [birth_epoch] is the last epoch already dealt with when the worker
    was spawned — 0 at [create], the crashed job's epoch at a respawn —
    and must be read by the {e spawner}: the new domain's body may only
@@ -82,14 +86,7 @@ let worker_body t index ~birth_epoch =
       let job = Option.get t.job in
       Mutex.unlock t.m;
       let outcome = match job index with () -> None | exception e -> Some e in
-      let crash =
-        match outcome with
-        | Some
-            (Fault.Injected
-              { site = Fault.Domain_crash | Fault.Shard_crash; _ }) ->
-            true
-        | _ -> false
-      in
+      let crash = match outcome with Some e -> supervised e | None -> false in
       Mutex.lock t.m;
       (match outcome with
       | Some e -> t.failures <- (index, e) :: t.failures
@@ -122,17 +119,8 @@ let worker_at t index ~birth_epoch () =
   | [] -> worker_body t index ~birth_epoch
   | epochs -> with_registered epochs (fun () -> worker_body t index ~birth_epoch)
 
-let epoch_list ?epoch ?epochs () =
-  match (epoch, epochs) with
-  | None, None -> []
-  | Some e, None -> [ e ]
-  | None, Some es -> es
-  | Some _, Some _ ->
-      invalid_arg "Worker_pool: pass either ?epoch or ?epochs, not both"
-
-let create ?epoch ?epochs ~domains () =
+let create ?(epochs = []) ~domains () =
   if domains < 1 then invalid_arg "Worker_pool.create: domains must be >= 1";
-  let reader_epochs = epoch_list ?epoch ?epochs () in
   let t =
     {
       n = domains;
@@ -147,7 +135,7 @@ let create ?epoch ?epochs ~domains () =
       restarts_total = 0;
       stopping = false;
       workers = [||];
-      reader_epochs;
+      reader_epochs = epochs;
     }
   in
   t.workers <-
@@ -211,8 +199,8 @@ let shutdown t =
   Array.iter Domain.join t.workers;
   t.workers <- [||]
 
-let with_pool ?epoch ?epochs ~domains f =
-  let t = create ?epoch ?epochs ~domains () in
+let with_pool ?epochs ~domains f =
+  let t = create ?epochs ~domains () in
   match f t with
   | v ->
       shutdown t;

@@ -17,21 +17,19 @@ exception Worker_failed of (int * exn) list
     two workers failing the same job both appear.  The run always
     waits for every worker to finish first, so the list is complete. *)
 
-val create : ?epoch:Epoch.t -> ?epochs:Epoch.t list -> domains:int -> unit -> t
+val create : ?epochs:Epoch.t list -> domains:int -> unit -> t
 (** Spawn [domains] worker domains, parked awaiting work.  The calling
     domain never executes jobs: with [domains:n], exactly [n] workers
     run each job, so scaling measurements compare like with like.
     Raises [Invalid_argument] if [domains < 1].
 
-    With [?epoch], every worker registers with the epoch manager for
-    its whole lifetime (and unregisters on the way out, even via an
-    injected crash — a supervised respawn registers its replacement),
-    so optimistic readers pin pre-registered slots and a dead domain
-    never stalls reclamation.  [?epochs] is the plural form for
-    NUMA-replicated services, whose per-node replicas each own a
-    reclamation domain: workers register with every manager in list
-    order and unregister in reverse.  Passing both [?epoch] and
-    [?epochs] raises [Invalid_argument]. *)
+    Every worker registers with each epoch manager in [?epochs]
+    (default none), in list order, for its whole lifetime, and
+    unregisters in reverse on the way out, even via an injected crash
+    (a supervised respawn registers its replacement).  So optimistic
+    readers pin pre-registered slots and a dead domain never stalls
+    reclamation.  A NUMA-replicated service passes one manager per
+    replica. *)
 
 val size : t -> int
 
@@ -40,12 +38,15 @@ val run : t -> (int -> unit) -> unit
     [0 .. size t - 1], and returns once all have completed.  Not
     reentrant: one job at a time per pool.
 
-    Supervision: a worker whose job dies of an injected
-    [Fault.Injected { site = Domain_crash | Shard_crash; _ }]
+    Supervision: a worker whose job dies of a {!supervised} crash
     terminates its domain for real.  [run] joins each such domain and respawns a fresh worker
     in its slot {e before} raising {!Worker_failed}, so the pool is
     back at full strength for the next job; every respawn is tallied
     (see {!restarts} and [Fault.restarts]). *)
+
+val supervised : exn -> bool
+(** [Fault.Injected] at [Domain_crash] or [Shard_crash]: the crashes
+    {!run} supervises. *)
 
 val restarts : t -> int
 (** Worker domains respawned by supervision since {!create}. *)
@@ -54,6 +55,5 @@ val shutdown : t -> unit
 (** Stop and join all workers.  Idempotent; {!run} after [shutdown]
     raises [Invalid_argument]. *)
 
-val with_pool :
-  ?epoch:Epoch.t -> ?epochs:Epoch.t list -> domains:int -> (t -> 'a) -> 'a
+val with_pool : ?epochs:Epoch.t list -> domains:int -> (t -> 'a) -> 'a
 (** [create], apply, [shutdown] — also on exception. *)

@@ -188,6 +188,17 @@ let armed site =
       let c = Domain.DLS.get context_dls in
       c.key >= 0 && decide p ~site ~key:c.key ~attempt:c.attempt
 
+(* bit position = the site's index in [all_sites]; [armed] does not
+   tally, so this records the plan's decision without consuming it *)
+let armed_mask () =
+  if not (active ()) then 0
+  else
+    List.fold_left
+      (fun (mask, bit) site ->
+        ((if armed site then mask lor bit else mask), bit lsl 1))
+      (0, 1) all_sites
+    |> fst
+
 let trip site =
   armed site
   &&

@@ -23,7 +23,7 @@ type site =
   | Alloc_node  (** page-table node acquisition ({!Clustered_pt.Table}) *)
   | Alloc_phys  (** physical frame allocation ({!Mem.Phys_alloc}) *)
   | Lock_timeout  (** lock acquisition ({!Clustered_pt.Bucket_lock.Real}) *)
-  | Domain_crash  (** worker-domain death ({!Exec.Worker_pool} jobs) *)
+  | Domain_crash  (** worker-domain death ({!Exec.Soak} streams) *)
   | Torn_write  (** a multi-word PTE update torn halfway (service) *)
   | Seqlock_stall
       (** a writer held mid-bump of a bucket sequence counter, forcing
@@ -105,6 +105,12 @@ val suspended : (unit -> 'a) -> 'a
 val armed : site -> bool
 (** Whether the active plan arms [site] for the calling domain's
     current (key, attempt).  False when no plan or no context. *)
+
+val armed_mask : unit -> int
+(** Bitmask of the sites {!armed} for the calling domain's current
+    (key, attempt) context, bit position = the site's index in
+    {!all_sites}; 0 with no active plan.  A pure query, for recording
+    the plan's decision in flight-recorder events. *)
 
 val trip : site -> bool
 (** {!armed}, plus: when armed, tally the injection and return true.

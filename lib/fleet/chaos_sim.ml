@@ -10,7 +10,8 @@
    acknowledged-operation oracle exactly, and the final fleet must be
    fsck-clean and lookup-equivalent to a run that never crashed.
 
-   Determinism contract (byte-identical JSON for any --domains):
+   What keeps the JSON byte-identical for any --domains, beyond the
+   {!Exec.Soak} contract:
 
    - One stream per shard: tenant [asid] runs on stream
      [asid mod shards], so each shard's WAL is appended by exactly one
@@ -25,11 +26,9 @@
      supervisor after recovery, so cursors always advance and the
      fleet converges on the full trace.
    - Crash handling, recovery, checkpoints and the convergence audit
-     all run on the coordinating domain between rounds, with workers
-     parked at the pool barrier.
+     all run at the round barrier.
 
-   Outputs deliberately omit the domain count; timing fields appear
-   only with [~timing:true] (the bench report). *)
+   Timing fields appear only with [~timing:true] (the bench report). *)
 
 module Service = Pt_service.Service
 module Wal = Durable.Wal
@@ -121,11 +120,6 @@ let ppn_of vpn = Int64.logand vpn 0xFFF_FFFFL
 
 let bump name = Obs.Metrics.incr (Obs.Ambient.counter name)
 
-let lock_code = function
-  | Service.Global -> Obs.Recorder.l_global
-  | Service.Striped -> Obs.Recorder.l_striped
-  | Service.Seqlock -> Obs.Recorder.l_seqlock
-
 (* --- per-shard chaos state --- *)
 
 type shard_state = {
@@ -212,8 +206,8 @@ let submit_guarded cfg st ~stream ~lock op =
 
 (* Submit one op; park it instead of losing it when the shard is down.
    [note_crash] is the stream's crash latch — the exception is
-   re-raised at the end of the stream's job so the worker domain
-   really dies and the pool's supervision respawns it. *)
+   re-raised once the stream has finished its slice, so the worker
+   domain really dies and the pool's supervision respawns it. *)
 let perform cfg st ~stream ~lock ~note_crash op =
   match submit_guarded cfg st ~stream ~lock op with
   | sections ->
@@ -379,15 +373,8 @@ type row = {
 
 (* --- one org run --- *)
 
-let iter_streams ~streams ~domains index f =
-  let s = ref index in
-  while !s < streams do
-    f !s;
-    s := !s + domains
-  done
-
 let run_one cfg ~org =
-  let lock = lock_code cfg.locking in
+  let lock = Service.lock_code cfg.locking in
   let state =
     Array.init cfg.shards (fun sx ->
         {
@@ -432,8 +419,8 @@ let run_one cfg ~org =
   let intents =
     Array.init cfg.tenants (fun _ -> (Hashtbl.create 1024 : (int64, bool) Hashtbl.t))
   in
-  (* per-stream crash latch: the first crash the stream hits is
-     re-raised at the end of its job so the worker really dies *)
+  (* per-stream crash latch: the first crash the stream hits in a
+     dispatch is re-raised at the end of its slice *)
   let crash_exns = Array.make cfg.shards None in
   let ops_for t =
     let asid = t + 1 in
@@ -514,73 +501,46 @@ let run_one cfg ~org =
           (fun t -> (t + 1) mod cfg.shards = s)
           (List.init cfg.tenants Fun.id))
   in
-  let target t round =
-    Dynamics.Fleet_replay.length cursors.(t) * (round + 1) / cfg.rounds
-  in
-  let stream_job round index =
-    let my_crash = ref None in
-    iter_streams ~streams:cfg.shards ~domains:cfg.domains index (fun s ->
-        let progressed = ref true in
-        while !progressed do
-          progressed := false;
-          List.iter
-            (fun t ->
-              let cur = cursors.(t) in
-              let left = target t round - Dynamics.Fleet_replay.consumed cur in
-              if left > 0 then begin
-                let quantum = min cfg.switch_every left in
-                for _ = 1 to quantum do
-                  Fault.set_context
-                    ~key:
-                      (((t + 1) * 1_048_576)
-                      + Dynamics.Fleet_replay.consumed cur);
-                  ignore (Dynamics.Fleet_replay.step cur ~max_events:1)
-                done;
-                Fault.clear_context ();
-                if target t round - Dynamics.Fleet_replay.consumed cur > 0
-                then progressed := true
-              end)
-            stream_tenants.(s)
-        done;
-        if Option.is_none !my_crash then
-          match crash_exns.(s) with
-          | Some e -> my_crash := Some e
-          | None -> ());
+  let stream round s =
+    (* cleared per dispatch: after a crash the round is dispatched
+       again, and this stream, its slice done, must then do nothing *)
+    crash_exns.(s) <- None;
+    Dynamics.Fleet_replay.interleave cursors ~tenants:stream_tenants.(s)
+      ~round ~rounds:cfg.rounds ~switch_every:cfg.switch_every ~switch:ignore
+      ~event:(fun t cur ->
+        Fault.set_context
+          ~key:(((t + 1) * 1_048_576) + Dynamics.Fleet_replay.consumed cur);
+        ignore (Dynamics.Fleet_replay.step cur ~max_events:1));
+    Fault.clear_context ();
     (* the stream finished its whole slice first — other shards lose
        nothing — and only now does the crash kill the worker *)
-    match !my_crash with Some e -> raise e | None -> ()
+    Option.iter raise crash_exns.(s)
   in
   let series_label = Printf.sprintf "chaos:%s" (Service.org_name org) in
-  let t_start = ref 0. and t_stop = ref 0. in
   let body () =
-    Exec.Worker_pool.with_pool ~domains:cfg.domains (fun pool ->
-        t_start := Unix.gettimeofday ();
-        for round = 0 to cfg.rounds - 1 do
-          Array.fill crash_exns 0 cfg.shards None;
-          (match Exec.Worker_pool.run pool (stream_job round) with
-          | () -> ()
-          | exception Exec.Worker_pool.Worker_failed failures ->
-              (* only shard crashes are expected out of a job; anything
-                 else is a real bug and must fail the run *)
-              List.iter
-                (fun (_, e) ->
-                  match e with
-                  | Fault.Injected { site = Fault.Shard_crash; _ } -> ()
-                  | e -> raise e)
-                failures);
-          supervise cfg state ~lock ~recovery_crash_armed;
-          checkpoint_shards cfg state ~round ~lock ~ckpt_crash_armed;
-          Obs.Series.mark ~label:series_label ~index:round
-        done;
-        t_stop := Unix.gettimeofday ());
-    finalize cfg state ~lock ~recovery_crash_armed
+    let elapsed =
+      Exec.Soak.with_streams ~domains:cfg.domains ~streams:cfg.shards
+      @@ fun soak ->
+      let t0 = Unix.gettimeofday () in
+      for round = 0 to cfg.rounds - 1 do
+        Exec.Soak.each soak (stream round);
+        supervise cfg state ~lock ~recovery_crash_armed;
+        checkpoint_shards cfg state ~round ~lock ~ckpt_crash_armed;
+        Obs.Series.mark ~label:series_label ~index:round
+      done;
+      Unix.gettimeofday () -. t0
+    in
+    finalize cfg state ~lock ~recovery_crash_armed;
+    elapsed
   in
-  (match cfg.sites with
-  | [] -> body ()
-  | sites ->
-      Fault.with_plan
-        (Fault.plan ~rate_ppm:cfg.rate_ppm ~sites ~seed:cfg.seed ())
-        body);
+  let elapsed =
+    match cfg.sites with
+    | [] -> body ()
+    | sites ->
+        Fault.with_plan
+          (Fault.plan ~rate_ppm:cfg.rate_ppm ~sites ~seed:cfg.seed ())
+          body
+  in
   Array.iter (fun st -> Service.quiesce (Shard.service st.ds)) state;
   (* the full-trace oracle: every tenant's intent books, shard by
      shard, must equal both the acknowledged state and the table *)
@@ -604,21 +564,7 @@ let run_one cfg ~org =
         && agrees st)
       state
   in
-  let tally = Dynamics.Fleet_replay.tally_zero () in
-  Array.iter
-    (fun cur ->
-      let y = Dynamics.Fleet_replay.tally cur in
-      tally.Dynamics.Fleet_replay.events <- tally.events + y.events;
-      tally.mmaps <- tally.mmaps + y.mmaps;
-      tally.munmaps <- tally.munmaps + y.munmaps;
-      tally.protects <- tally.protects + y.protects;
-      tally.touches <- tally.touches + y.touches;
-      tally.touch_hits <- tally.touch_hits + y.touch_hits;
-      tally.touch_faults <- tally.touch_faults + y.touch_faults;
-      tally.pages_mapped <- tally.pages_mapped + y.pages_mapped;
-      tally.pages_unmapped <- tally.pages_unmapped + y.pages_unmapped;
-      tally.range_pages <- tally.range_pages + y.range_pages)
-    cursors;
+  let tally = Dynamics.Fleet_replay.tally_sum cursors in
   let sum f = Array.fold_left (fun acc st -> acc + f st) 0 state in
   let placement =
     Fsck.check_shards ~asid_shift:Sharded.asid_shift
@@ -628,7 +574,6 @@ let run_one cfg ~org =
   let fsck_clean =
     Array.for_all (fun st -> Fsck.clean (Service.fsck (Shard.service st.ds))) state
   in
-  let elapsed = !t_stop -. !t_start in
   {
     c_org = org;
     c_locking = cfg.locking;

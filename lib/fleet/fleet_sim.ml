@@ -1,27 +1,22 @@
 (* The `ptsim fleet` / bench driver: N tenants of churn dealt over M
-   shards, interleaved on fixed streams in context-switch quanta, with
-   ASID-tagged vs flush-on-switch TLBs side by side and a global frame
-   budget enforced between rounds.
+   shards, interleaved on {!Exec.Soak} streams in context-switch
+   quanta, with ASID-tagged vs flush-on-switch TLBs side by side and a
+   global frame budget enforced between rounds.
 
-   Determinism contract (bit-identical output for any --domains):
+   What keeps the output identical for any --domains, beyond the soak
+   contract:
 
-   - Fixed logical streams: tenant [t] runs on stream [t mod streams],
-     stream [s] on worker [s mod domains].  A tenant's event sequence,
+   - Tenant [t] runs on stream [t mod streams]; its event sequence,
      switch quanta and round slices are pure functions of the config,
      so every per-tenant tally, per-stream TLB stat and per-shard
      write-lock total is interleaving-invariant.
    - Tenants touch disjoint keys (the ASID prefix), so cross-tenant
      interleaving inside a shard cannot change any tenant-visible
      state — only contention, which the outputs omit.
-   - Budget enforcement runs on the main domain between rounds, with
-     every worker parked at the pool barrier; victim selection reads
-     the merged Obs touch counters, which are barrier-stable and
-     domain-count invariant.
+   - Budget enforcement runs at the round barrier; victim selection
+     reads the merged Obs touch counters, which are barrier-stable.
    - Per-op latencies go to an Obs histogram for the human/bench
-     report; the deterministic JSON omits them (CI byte-diffs
-     --domains 1 against --domains 4).
-
-   Outputs deliberately omit the domain count. *)
+     report; the deterministic JSON omits them. *)
 
 module Service = Pt_service.Service
 
@@ -134,19 +129,7 @@ let retained_hits r = r.f_tagged_hits - r.f_flush_hits
 
 (* --- one (org, mode) run --- *)
 
-let iter_streams ~streams ~domains index f =
-  let s = ref index in
-  while !s < streams do
-    f !s;
-    s := !s + domains
-  done
-
 let touch_counter_name asid = Printf.sprintf "fleet.touch.%d" asid
-
-let lock_code = function
-  | Service.Global -> Obs.Recorder.l_global
-  | Service.Striped -> Obs.Recorder.l_striped
-  | Service.Seqlock -> Obs.Recorder.l_seqlock
 
 let run_one cfg ~org ~mode =
   let fleet =
@@ -181,7 +164,7 @@ let run_one cfg ~org ~mode =
     touch_base.(asid) <-
       Obs.Metrics.value (Obs.Metrics.counter m0 (touch_counter_name asid))
   done;
-  let lock = lock_code cfg.locking in
+  let lock = Service.lock_code cfg.locking in
   let ops_for t =
     let asid = t + 1 in
     let s = t mod cfg.streams in
@@ -253,40 +236,20 @@ let run_one cfg ~org ~mode =
           (fun t -> t mod cfg.streams = s)
           (List.init cfg.tenants Fun.id))
   in
-  (* round r lets tenant t advance to this cursor position: fixed
-     slices, so a barrier cuts every trace identically for any
-     interleaving *)
-  let target t round =
-    Dynamics.Fleet_replay.length cursors.(t) * (round + 1) / cfg.rounds
-  in
-  let stream_job round index =
-    iter_streams ~streams:cfg.streams ~domains:cfg.domains index (fun s ->
-        let hist = Obs.Ambient.hist hist_name in
-        let progressed = ref true in
-        while !progressed do
-          progressed := false;
-          List.iter
-            (fun t ->
-              let st = cursors.(t) in
-              let left = target t round - Dynamics.Fleet_replay.consumed st in
-              if left > 0 then begin
-                (* context switch: tags survive, the baseline flushes *)
-                Tlb.Tagged_tlb.set_context tagged.(s) ~asid:(t + 1);
-                Tlb.Intf.flush flushed.(s);
-                switches.(s) <- switches.(s) + 1;
-                let quantum = min cfg.switch_every left in
-                for _ = 1 to quantum do
-                  let t0 = Unix.gettimeofday () in
-                  ignore (Dynamics.Fleet_replay.step st ~max_events:1);
-                  let t1 = Unix.gettimeofday () in
-                  Obs.Hist.observe hist
-                    (int_of_float ((t1 -. t0) *. 1e9))
-                done;
-                if target t round - Dynamics.Fleet_replay.consumed st > 0 then
-                  progressed := true
-              end)
-            stream_tenants.(s)
-        done)
+  let stream round s =
+    let hist = Obs.Ambient.hist hist_name in
+    Dynamics.Fleet_replay.interleave cursors ~tenants:stream_tenants.(s)
+      ~round ~rounds:cfg.rounds ~switch_every:cfg.switch_every
+      ~switch:(fun t ->
+        (* context switch: tags survive, the baseline flushes *)
+        Tlb.Tagged_tlb.set_context tagged.(s) ~asid:(t + 1);
+        Tlb.Intf.flush flushed.(s);
+        switches.(s) <- switches.(s) + 1)
+      ~event:(fun _ cur ->
+        let t0 = Unix.gettimeofday () in
+        ignore (Dynamics.Fleet_replay.step cur ~max_events:1);
+        let t1 = Unix.gettimeofday () in
+        Obs.Hist.observe hist (int_of_float ((t1 -. t0) *. 1e9)))
   in
   let evictions = ref 0 and evicted_pages = ref 0 and shootdowns = ref 0 in
   let enforce () =
@@ -309,43 +272,27 @@ let run_one cfg ~org ~mode =
       end
     end
   in
-  let t_start = ref 0. and t_stop = ref 0. in
-  Exec.Worker_pool.with_pool
-    ~epochs:(Sharded.reader_epochs fleet)
-    ~domains:cfg.domains
-    (fun pool ->
-      let series_label =
-        Printf.sprintf "fleet:%s/%s" (Service.org_name org)
-          (Sharded.range_mode_name mode)
-      in
-      t_start := Unix.gettimeofday ();
-      for round = 0 to cfg.rounds - 1 do
-        Exec.Worker_pool.run pool (stream_job round);
-        (* workers parked at the barrier: enforcement is sequential,
-           and the series point sees a domain-invariant merge *)
-        enforce ();
-        Obs.Series.mark ~label:series_label ~index:round
-      done;
-      t_stop := Unix.gettimeofday ());
+  let series_label =
+    Printf.sprintf "fleet:%s/%s" (Service.org_name org)
+      (Sharded.range_mode_name mode)
+  in
+  let elapsed =
+    Exec.Soak.with_streams
+      ~epochs:(Sharded.reader_epochs fleet)
+      ~domains:cfg.domains ~streams:cfg.streams
+    @@ fun soak ->
+    let t0 = Unix.gettimeofday () in
+    for round = 0 to cfg.rounds - 1 do
+      Exec.Soak.each soak (stream round);
+      (* workers parked at the barrier: enforcement is sequential,
+         and the series point sees a domain-invariant merge *)
+      enforce ();
+      Obs.Series.mark ~label:series_label ~index:round
+    done;
+    Unix.gettimeofday () -. t0
+  in
   Sharded.quiesce fleet;
-  let tally = Dynamics.Fleet_replay.tally_zero () in
-  Array.iter
-    (fun st ->
-      let y = Dynamics.Fleet_replay.tally st in
-      tally.Dynamics.Fleet_replay.events <- tally.events + y.events;
-      tally.mmaps <- tally.mmaps + y.mmaps;
-      tally.munmaps <- tally.munmaps + y.munmaps;
-      tally.protects <- tally.protects + y.protects;
-      tally.touches <- tally.touches + y.touches;
-      tally.touch_hits <- tally.touch_hits + y.touch_hits;
-      tally.touch_faults <- tally.touch_faults + y.touch_faults;
-      tally.forks <- tally.forks + y.forks;
-      tally.exits <- tally.exits + y.exits;
-      tally.pages_mapped <- tally.pages_mapped + y.pages_mapped;
-      tally.pages_unmapped <- tally.pages_unmapped + y.pages_unmapped;
-      tally.range_pages <- tally.range_pages + y.range_pages;
-      tally.range_sections <- tally.range_sections + y.range_sections)
-    cursors;
+  let tally = Dynamics.Fleet_replay.tally_sum cursors in
   let sum_stats field arr stats_of =
     Array.fold_left (fun acc x -> acc + field (stats_of x)) 0 arr
   in
@@ -360,7 +307,6 @@ let run_one cfg ~org ~mode =
   in
   let flush_misses = sum_stats Tlb.Stats.misses flushed Tlb.Intf.stats in
   let fsck = Sharded.fsck fleet in
-  let elapsed = !t_stop -. !t_start in
   let hist = Obs.Metrics.hist (Obs.Ambient.merged ()) hist_name in
   {
     f_mode = mode;

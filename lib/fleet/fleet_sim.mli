@@ -3,12 +3,11 @@
     quanta, with ASID-tagged vs flush-on-switch TLBs side by side and
     a global frame budget enforced between rounds.
 
-    Determinism: tenant [t] runs on stream [t mod streams], stream [s]
-    on worker [s mod domains]; tenants touch disjoint ASID-prefixed
-    keys, so cross-tenant interleaving inside a shard cannot change
-    tenant-visible state; budget enforcement runs on the main domain
-    at round barriers, with victims selected from merged Obs touch
-    counters.  {!outcome_to_json} deliberately omits the domain count
+    Determinism: the streams run on {!Exec.Soak}; tenant [t] runs on
+    stream [t mod streams]; tenants touch disjoint ASID-prefixed keys,
+    so cross-tenant interleaving inside a shard cannot change
+    tenant-visible state; budget enforcement runs at round barriers,
+    with victims selected from merged Obs touch counters.  {!outcome_to_json} deliberately omits the domain count
     and all timing, and is byte-identical for any [domains]; timing
     (ops/s, p99 from the Obs latency histogram) appears only with
     [~timing:true] (the bench report) and in {!pp_outcome}. *)

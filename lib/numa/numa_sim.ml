@@ -1,13 +1,12 @@
 (* The `ptsim numa` / bench driver: throughput-style phased rounds
-   over a NUMA-replicated service, plus the per-address-space policy
-   experiment.
+   over a NUMA-replicated service on {!Exec.Soak} streams, plus the
+   per-address-space policy experiment.
 
-   Determinism contract (bit-identical output for any --domains):
+   What keeps the output identical for any --domains, beyond the soak
+   contract:
 
-   - Fixed logical streams, dealt round-robin over worker domains
-     (stream [s] runs on worker [s mod domains]) and pinned to node
-     [s mod nodes] — stream-to-node binding never depends on the
-     domain count.
+   - Stream [s] is pinned to node [s mod nodes], so stream-to-node
+     binding never depends on the domain count.
    - Bucket-partitioned key pools: stream [s] only uses VPNs whose
      primary-table bucket satisfies [bucket mod streams = s].  Every
      chain holds one stream's mappings in that stream's program order,
@@ -15,15 +14,11 @@
      on 256-byte boundaries and 256-byte model lines — are
      interleaving-invariant, the property the shared-pool throughput
      driver deliberately gives up.
-   - Phased rounds with barriers: each round is a write phase, a
-     staleness probe on the idle main domain, then a read phase.
-     Catch-up work observed by a read phase is fixed by the preceding
-     write phases, not by scheduling.
+   - Each round is a write phase, a staleness probe on the idle main
+     domain, then a read phase.  Catch-up work observed by a read
+     phase is fixed by the preceding write phases, not by scheduling.
    - Fault injection (the replica-write soak) keys every op by
-     (stream, op ordinal), so plans fire identically for any domain
-     count.
-
-   Outputs deliberately omit the domain count. *)
+     (stream, op ordinal). *)
 
 module Service = Pt_service.Service
 
@@ -146,18 +141,6 @@ let ppn_for vpn = Int64.logand vpn 0xFFF_FFFFL
 
 (* --- one (org, mode, nodes) run --- *)
 
-let iter_streams ~streams ~domains index f =
-  let s = ref index in
-  while !s < streams do
-    f !s;
-    s := !s + domains
-  done
-
-let lock_code = function
-  | Service.Global -> Obs.Recorder.l_global
-  | Service.Striped -> Obs.Recorder.l_striped
-  | Service.Seqlock -> Obs.Recorder.l_seqlock
-
 let run_one cfg ~org ~mode ~nodes =
   let machine =
     Machine.make ~local_cost:cfg.local_cost ~remote_cost:cfg.remote_cost
@@ -186,10 +169,10 @@ let run_one cfg ~org ~mode ~nodes =
   let hits = Array.make streams 0 in
   (* flight-recorder events: stream-owned rings, asid = the stream's
      node, fault = the armed-site bitmask for the op's context *)
-  let lock = lock_code cfg.locking in
+  let lock = Service.lock_code cfg.locking in
   let rec_op ~s ~kind ~node ~vpn ~lat =
     Obs.Recorder.record ~stream:s ~kind ~asid:node ~vpn:(Int64.to_int vpn)
-      ~pages:1 ~lock ~attempt:0 ~fault:(Pt_service.Faultsim.armed_mask ())
+      ~pages:1 ~lock ~attempt:0 ~fault:(Fault.armed_mask ())
       ~lat
   in
   let prepopulate s =
@@ -254,19 +237,20 @@ let run_one cfg ~org ~mode ~nodes =
       (Replicated.mode_name mode)
       (Service.org_name org)
   in
-  let phases pool =
-    Exec.Worker_pool.run pool (fun index ->
-        iter_streams ~streams ~domains:cfg.domains index prepopulate);
+  let body () =
+    Exec.Soak.with_streams
+      ~epochs:(Replicated.reader_epochs repl)
+      ~domains:cfg.domains ~streams
+    @@ fun soak ->
+    Exec.Soak.each soak prepopulate;
     Replicated.sync repl;
     Replicated.reset_stats repl;
     let prev = ref (Replicated.stats repl) in
     for round = 0 to cfg.rounds - 1 do
-      Exec.Worker_pool.run pool (fun index ->
-          iter_streams ~streams ~domains:cfg.domains index (write_phase round));
+      Exec.Soak.each soak (write_phase round);
       let stale_now = Replicated.stale_buckets repl in
       stale_pairs := !stale_pairs + stale_now;
-      Exec.Worker_pool.run pool (fun index ->
-          iter_streams ~streams ~domains:cfg.domains index (read_phase round));
+      Exec.Soak.each soak (read_phase round);
       (* workers parked: the round's stat deltas are barrier-stable *)
       let s = Replicated.stats repl in
       let p = !prev in
@@ -282,11 +266,6 @@ let run_one cfg ~org ~mode ~nodes =
         ];
       prev := s
     done
-  in
-  let body () =
-    Exec.Worker_pool.with_pool
-      ~epochs:(Replicated.reader_epochs repl)
-      ~domains:cfg.domains phases
   in
   (if cfg.fault_rate_ppm > 0 then
      Fault.with_plan
@@ -501,6 +480,9 @@ let run cfg =
   if cfg.domains < 1 then invalid_arg "Numa_sim.run: domains must be >= 1";
   if cfg.node_counts = [] then
     invalid_arg "Numa_sim.run: need at least one node count";
+  if cfg.streams_per_node < 1 then
+    invalid_arg "Numa_sim.run: streams per node must be >= 1";
+  if cfg.rounds < 1 then invalid_arg "Numa_sim.run: rounds must be >= 1";
   let max_streams =
     List.fold_left (fun acc n -> max acc (n * cfg.streams_per_node)) 1
       cfg.node_counts

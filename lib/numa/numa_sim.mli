@@ -2,7 +2,7 @@
     over {!Replicated} across a (node count x mode x organization)
     matrix, plus the per-address-space {!Policy} experiment.
 
-    Determinism: fixed logical streams pinned to nodes (never to
+    Determinism: {!Exec.Soak} streams pinned to nodes (never to
     domains), bucket-partitioned key pools (each hash chain belongs to
     exactly one stream, so chain order — hence walk line counts — is
     interleaving-invariant), and barriered write/read phases (catch-up
@@ -97,7 +97,9 @@ val run_policy : config -> org:Pt_service.Service.org -> nodes:int -> policy_row
 
 val run : config -> outcome
 (** The full matrix: [node_counts x orgs x modes] throughput rows,
-    then one policy row per [node_counts x orgs]. *)
+    then one policy row per [node_counts x orgs].  Raises
+    [Invalid_argument] if [domains], [streams_per_node] or [rounds] is
+    below 1, or [node_counts] is empty. *)
 
 val outcome_to_json : config -> outcome -> string
 (** Deterministic; omits the domain count (CI diffs runs across

@@ -1,23 +1,14 @@
-(* A deterministic fault soak over the shared service.
+(* A deterministic fault soak over the shared service, run on
+   {!Exec.Soak} streams.
 
-   The driver runs [streams] logical operation streams against one
-   service.  Streams — not domains — are the unit of work: stream [s]
-   owns the disjoint VPN window [s * span, (s+1) * span), every
-   operation is a pure function of [(seed, stream, op index)], and the
-   fault context key is [stream * ops + op].  Because streams never
-   touch each other's pages and every fault decision is a pure
-   function of (site, key, attempt), the committed mappings, the
-   injection tallies and the final fsck report are identical for any
-   [--domains] count — the invariance the CI gate diffs.
-
-   Worker domains deal streams round-robin ([s mod domains]).  At each
-   op start the driver fires the [Domain_crash] site; a crash kills
-   the worker domain for real, {!Exec.Worker_pool} supervises it back,
-   and this driver re-runs the pool until every stream completes —
-   per-stream cursors make re-runs resume exactly where the crash
-   interrupted.  All other sites are healed inside {!Service}.  The
-   soak ends with an fsck, repairing first if (contrary to the
-   self-healing contract) findings appear. *)
+   Stream [s] owns the disjoint VPN window [s * span, (s+1) * span),
+   every operation is a pure function of [(seed, stream, op index)],
+   and the fault context key is [stream * ops + op].  At each op start
+   the driver fires the [Domain_crash] site; a crash kills the worker
+   domain, the soak dispatches the round again, and per-stream cursors
+   resume exactly where the crash interrupted.  All other sites are
+   healed inside {!Service}.  The soak ends with an fsck, repairing
+   first if (contrary to the self-healing contract) findings appear. *)
 
 type config = {
   seed : int;
@@ -74,26 +65,6 @@ let mix3 seed a b =
   let h = Addr.Bits.mix64 (logxor h (of_int (a + 1))) in
   Addr.Bits.mix64 (logxor h (of_int (b + 1)))
 
-let lock_code = function
-  | Service.Global -> Obs.Recorder.l_global
-  | Service.Striped -> Obs.Recorder.l_striped
-  | Service.Seqlock -> Obs.Recorder.l_seqlock
-
-(* Armed-fault-site bitmask for the current (key, attempt) context,
-   bit position = the site's index in [Fault.all_sites].  [Fault.armed]
-   is a pure query, so this records the plan's decision without
-   consuming it — and is therefore domain-invariant. *)
-let armed_mask () =
-  if not (Fault.active ()) then 0
-  else
-    let mask = ref 0 and bit = ref 1 in
-    List.iter
-      (fun site ->
-        if Fault.armed site then mask := !mask lor !bit;
-        bit := !bit lsl 1)
-      Fault.all_sites;
-    !mask
-
 (* The op mix leans on writes (the faultable paths): 1/2 insert, 1/4
    remove, 1/8 lookup, 1/8 range protect. *)
 let apply_op svc ~seed ~stream ~op ~lock ~fault =
@@ -144,98 +115,74 @@ let run cfg =
     Fault.plan ~rate_ppm:cfg.rate_ppm ~sites:cfg.sites ~seed:cfg.seed ()
   in
   Obs.Recorder.arm ~streams:cfg.streams ~capacity:512;
-  let lock = lock_code cfg.locking in
+  let lock = Service.lock_code cfg.locking in
   let cursors = Array.make cfg.streams 0 in
   let crash_attempts = Array.make cfg.streams 0 in
-  let job w =
-    let s = ref w in
-    while !s < cfg.streams do
-      while cursors.(!s) < cfg.ops do
-        let op = cursors.(!s) in
-        Fault.set_context ~key:((!s * cfg.ops) + op);
-        Fault.set_attempt 0;
-        let fault = armed_mask () in
-        Fault.set_attempt crash_attempts.(!s);
-        if crash_attempts.(!s) < max_crash_attempts && Fault.armed Fault.Domain_crash
-        then begin
-          Obs.Recorder.record ~stream:!s ~kind:Obs.Recorder.k_crash ~asid:!s
-            ~vpn:0 ~pages:0 ~lock ~attempt:crash_attempts.(!s) ~fault ~lat:0;
-          crash_attempts.(!s) <- crash_attempts.(!s) + 1;
-          Fault.fire Fault.Domain_crash
-        end;
-        Fault.set_attempt 0;
-        apply_op svc ~seed:cfg.seed ~stream:!s ~op ~lock ~fault;
-        Fault.clear_context ();
-        crash_attempts.(!s) <- 0;
-        cursors.(!s) <- op + 1
-      done;
-      s := !s + cfg.domains
-    done;
-    Fault.clear_context ()
+  let stream s =
+    while cursors.(s) < cfg.ops do
+      let op = cursors.(s) in
+      Fault.set_context ~key:((s * cfg.ops) + op);
+      Fault.set_attempt 0;
+      let fault = Fault.armed_mask () in
+      Fault.set_attempt crash_attempts.(s);
+      if crash_attempts.(s) < max_crash_attempts && Fault.armed Fault.Domain_crash
+      then begin
+        Obs.Recorder.record ~stream:s ~kind:Obs.Recorder.k_crash ~asid:s
+          ~vpn:0 ~pages:0 ~lock ~attempt:crash_attempts.(s) ~fault ~lat:0;
+        crash_attempts.(s) <- crash_attempts.(s) + 1;
+        Fault.fire Fault.Domain_crash
+      end;
+      Fault.set_attempt 0;
+      apply_op svc ~seed:cfg.seed ~stream:s ~op ~lock ~fault;
+      Fault.clear_context ();
+      crash_attempts.(s) <- 0;
+      cursors.(s) <- op + 1
+    done
   in
-  Fault.install plan;
-  let pool =
-    Exec.Worker_pool.create
-      ?epoch:(Service.reader_epoch svc)
-      ~domains:cfg.domains ()
+  Fault.with_plan plan @@ fun () ->
+  Exec.Soak.with_streams
+    ~epochs:(Option.to_list (Service.reader_epoch svc))
+    ~domains:cfg.domains ~streams:cfg.streams
+  @@ fun soak ->
+  Exec.Soak.each soak stream;
+  let injected =
+    List.map (fun s -> (Fault.site_name s, Fault.injected s)) Fault.all_sites
   in
-  let finished () = Array.for_all (fun c -> c >= cfg.ops) cursors in
-  Fun.protect
-    ~finally:(fun () ->
-      Exec.Worker_pool.shutdown pool;
-      Fault.deactivate ())
-    (fun () ->
-      while not (finished ()) do
-        match Exec.Worker_pool.run pool job with
-        | () -> ()
-        | exception Exec.Worker_pool.Worker_failed failures ->
-            (* crashes are supervised (the pool already respawned the
-               domains); anything else is a real bug — re-raise it *)
-            List.iter
-              (fun (_, e) ->
-                match e with
-                | Fault.Injected { site = Fault.Domain_crash; _ } -> ()
-                | e -> raise e)
-              failures
-      done;
-      let injected =
-        List.map (fun s -> (Fault.site_name s, Fault.injected s)) Fault.all_sites
-      in
-      let retries = Fault.retries () in
-      let aborts = Fault.aborts () in
-      let crashes = Fault.injected Fault.Domain_crash in
-      let restarts = Exec.Worker_pool.restarts pool in
-      (* workers are parked (registered but unpinned), so this drains
-         every limbo node; fsck then checks the drained state *)
-      Service.quiesce svc;
-      let pre = Service.fsck svc in
-      let pre_findings = List.length pre.Fsck.findings in
-      let kept, dropped =
-        if pre_findings = 0 then (0, 0)
-        else
-          let r = Service.repair svc in
-          (r.Fsck.kept, r.Fsck.dropped)
-      in
-      let repairs = Fault.repairs () in
-      let fsck_clean = Fsck.clean (Service.fsck svc) in
-      {
-        o_seed = cfg.seed;
-        o_org = cfg.org;
-        o_locking = cfg.locking;
-        o_streams = cfg.streams;
-        o_ops = cfg.ops;
-        injected;
-        retries;
-        aborts;
-        crashes;
-        restarts;
-        repairs;
-        pre_findings;
-        kept;
-        dropped;
-        fsck_clean;
-        population = Service.population svc;
-      })
+  let retries = Fault.retries () in
+  let aborts = Fault.aborts () in
+  let crashes = Fault.injected Fault.Domain_crash in
+  let restarts = Exec.Soak.restarts soak in
+  (* workers are parked (registered but unpinned), so this drains
+     every limbo node; fsck then checks the drained state *)
+  Service.quiesce svc;
+  let pre = Service.fsck svc in
+  let pre_findings = List.length pre.Fsck.findings in
+  let kept, dropped =
+    if pre_findings = 0 then (0, 0)
+    else
+      let r = Service.repair svc in
+      (r.Fsck.kept, r.Fsck.dropped)
+  in
+  let repairs = Fault.repairs () in
+  let fsck_clean = Fsck.clean (Service.fsck svc) in
+  {
+    o_seed = cfg.seed;
+    o_org = cfg.org;
+    o_locking = cfg.locking;
+    o_streams = cfg.streams;
+    o_ops = cfg.ops;
+    injected;
+    retries;
+    aborts;
+    crashes;
+    restarts;
+    repairs;
+    pre_findings;
+    kept;
+    dropped;
+    fsck_clean;
+    population = Service.population svc;
+  }
 
 (* Deliberately omits the domain count: two runs differing only in
    [--domains] must serialize byte-identically. *)

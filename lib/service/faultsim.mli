@@ -3,9 +3,10 @@
     Drives [streams] logical operation streams — each owning a
     disjoint VPN window — against one service while a {!Fault} plan
     injects allocation failures, lock timeouts, torn PTE updates and
-    worker-domain crashes.  Crashed domains are supervised back by
-    {!Exec.Worker_pool} and the soak resumes them from per-stream
-    cursors; all other faults are healed inside the service.  Every
+    worker-domain crashes.  The streams run on {!Exec.Soak}, which
+    dispatches a round again after a crash; the streams resume from
+    per-stream cursors.  All other faults are healed inside the
+    service.  Every
     operation and every fault decision is a pure function of
     [(seed, stream, op)], so the {!outcome} — committed mappings,
     tallies, fsck verdict — is identical for any [domains] count, and
@@ -22,13 +23,6 @@ type config = {
   ops : int;  (** operations per stream *)
   buckets : int;
 }
-
-val armed_mask : unit -> int
-(** Bitmask of fault sites armed for the calling domain's current
-    (key, attempt) context, bit position = the site's index in
-    {!Fault.all_sites}; 0 with no active plan.  A pure query
-    ({!Fault.armed} does not tally), for recording the plan's decision
-    in flight-recorder events. *)
 
 val default_config : config
 (** seed 1, 2% rate, all sites, clustered/striped, 1 domain,

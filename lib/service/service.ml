@@ -35,6 +35,11 @@ let locking_name = function
   | Striped -> "striped"
   | Seqlock -> "seqlock"
 
+let lock_code = function
+  | Global -> Obs.Recorder.l_global
+  | Striped -> Obs.Recorder.l_striped
+  | Seqlock -> Obs.Recorder.l_seqlock
+
 (* The coarse baseline is one exclusive mutex.  Acquisitions are
    tallied by intent (read for lookups, write for mutations) so its
    accounting lines up with the striped lock's, even though every

@@ -31,6 +31,10 @@ type locking = Global | Striped | Seqlock
 
 val locking_name : locking -> string
 
+val lock_code : locking -> int
+(** The {!Obs.Recorder} lock code of a mode, for flight-recorder
+    events. *)
+
 type t
 
 val create :
@@ -134,9 +138,9 @@ val seqlock_fallbacks : t -> int
     read lock.  0 unless {!Seqlock}. *)
 
 val reader_epoch : t -> Exec.Epoch.t option
-(** The reclamation domain of a {!Seqlock} service — pass it to
-    [Exec.Worker_pool.create ?epoch] so worker domains register for
-    their lifetimes.  [None] for the locked modes. *)
+(** The reclamation domain of a {!Seqlock} service — pass it (via
+    [Option.to_list]) as a worker pool's [?epochs] so worker domains
+    register for their lifetimes.  [None] for the locked modes. *)
 
 val limbo_nodes : t -> int
 (** Nodes retired by removals but not yet proven reader-free (always

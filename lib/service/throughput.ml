@@ -1,13 +1,10 @@
 (* Per-domain throughput benchmark for the shared service.
 
-   The unit of work is a *stream*: a seeded, self-contained
-   lookup/insert/remove/protect loop over its own disjoint VPN range.
-   [streams] logical streams are dealt round-robin over [domains]
-   physical worker domains (stream [s] runs on domain [s mod domains]),
-   so the set of operations issued — and everything derived from a
-   single stream's history — depends only on the stream count, never
-   on how many domains execute them.  [streams = 0] (the default)
-   means one stream per domain: exactly the pre-streams behaviour.
+   The unit of work is an {!Exec.Soak} stream: a seeded,
+   self-contained lookup/insert/remove/protect loop over its own
+   disjoint VPN range, so the set of operations issued depends only on
+   the stream count, never on how many domains execute them.
+   [streams = 0] (the default) means one stream per domain.
 
    Each stream owns a disjoint VPN range — keys never collide, so the
    final table state is independent of interleaving — but ranges hash
@@ -104,16 +101,6 @@ let stream_base cfg stream =
 (* identity placement folded into the PTE's 28-bit PPN field *)
 let ppn_for vpn = Int64.logand vpn 0xFFF_FFFFL
 
-(* streams dealt round-robin: domain [index] runs streams [s] with
-   [s mod domains = index], in increasing [s] *)
-let iter_streams cfg index f =
-  let n = stream_count cfg in
-  let s = ref index in
-  while !s < n do
-    f !s;
-    s := !s + cfg.domains
-  done
-
 let prepopulate svc cfg stream =
   let base = stream_base cfg stream in
   let i = ref 0 in
@@ -179,18 +166,16 @@ let run ~org ~locking cfg =
   let svc = Service.create ~buckets:cfg.buckets ~org ~locking () in
   let hits = Array.make streams 0 in
   let result =
-    Exec.Worker_pool.with_pool
-      ?epoch:(Service.reader_epoch svc)
-      ~domains:cfg.domains
-      (fun pool ->
-        Exec.Worker_pool.run pool (fun index ->
-            iter_streams cfg index (prepopulate svc cfg));
+    Exec.Soak.with_streams
+      ~epochs:(Option.to_list (Service.reader_epoch svc))
+      ~domains:cfg.domains ~streams
+      (fun soak ->
+        Exec.Soak.each soak (prepopulate svc cfg);
         let stats0 = Service.lock_stats svc in
         let sqr0 = Service.seqlock_retries svc in
         let sqf0 = Service.seqlock_fallbacks svc in
         let t0 = Unix.gettimeofday () in
-        Exec.Worker_pool.run pool (fun index ->
-            iter_streams cfg index (fun s -> mixed_loop svc cfg s hits));
+        Exec.Soak.each soak (fun s -> mixed_loop svc cfg s hits);
         let t1 = Unix.gettimeofday () in
         let stats1 = Service.lock_stats svc in
         let total_ops = streams * cfg.ops_per_domain in

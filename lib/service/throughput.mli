@@ -1,13 +1,12 @@
 (** Per-domain throughput benchmark for the shared {!Service}.
 
-    The unit of work is a {e stream}: a seeded, self-contained mixed
-    lookup/insert/remove/protect loop over its own disjoint VPN range.
-    [streams] logical streams are dealt round-robin over [domains]
-    physical worker domains, so everything derived from the streams'
+    The unit of work is an {!Exec.Soak} stream: a seeded,
+    self-contained mixed lookup/insert/remove/protect loop over its
+    own disjoint VPN range, so everything derived from the streams'
     operation histories — including the {!Obs.Ambient} telemetry —
     depends only on the stream count, seed and op count, never on the
     domain count.  [streams = 0] (the default) runs one stream per
-    domain, the original behaviour.
+    domain.
 
     Prepopulation and domain startup happen outside the timed region;
     lookups use the allocation-free path, so the measured loop is

@@ -232,6 +232,52 @@ let test_fleet_replay_local_keys () =
     "books balance" (Hashtbl.length mapped)
     (tally.FR.pages_mapped - tally.FR.pages_unmapped)
 
+let test_fleet_replay_interleave () =
+  let ops =
+    {
+      FR.map = (fun _ -> 1);
+      unmap = (fun _ -> 1);
+      protect = (fun _ ~writable:_ -> 1);
+      touch = (fun _ -> true);
+    }
+  in
+  let trace i =
+    let spec =
+      { Dynamics.Churn.default with Dynamics.Churn.ops = 100 + (50 * i) }
+    in
+    Dynamics.Churn.generate ~spec ~seed:(Int64.of_int (i + 1)) ()
+  in
+  let cursors = Array.init 2 (fun i -> FR.create ops (trace i)) in
+  let turns = ref [] in
+  let round r =
+    FR.interleave cursors ~tenants:[ 0; 1 ] ~round:r ~rounds:2 ~switch_every:7
+      ~switch:(fun t -> turns := (t, 0) :: !turns)
+      ~event:(fun t cur ->
+        (match !turns with
+        | (t', n) :: rest when t' = t -> turns := (t, n + 1) :: rest
+        | _ -> Alcotest.fail "event outside its tenant's turn");
+        ignore (FR.step cur ~max_events:1))
+  in
+  round 0;
+  Array.iter
+    (fun c ->
+      Alcotest.(check int) "round 0 stops at half the trace" (FR.length c / 2)
+        (FR.consumed c))
+    cursors;
+  round 1;
+  Alcotest.(check bool) "round 1 finishes every trace" true
+    (Array.for_all FR.finished cursors);
+  Alcotest.(check bool) "turns are at most switch_every events" true
+    (List.for_all (fun (_, n) -> n >= 1 && n <= 7) !turns);
+  Alcotest.(check int) "the tally sum counts every event"
+    (FR.length cursors.(0) + FR.length cursors.(1))
+    (FR.tally_sum cursors).FR.events;
+  Alcotest.check_raises "a zero quantum never ends, so it is rejected"
+    (Invalid_argument "Fleet_replay.interleave: switch_every must be >= 1")
+    (fun () ->
+      FR.interleave cursors ~tenants:[ 0 ] ~round:0 ~rounds:1 ~switch_every:0
+        ~switch:ignore ~event:(fun _ _ -> ()))
+
 (* --- the driver: 4-domain oracle and JSON invariance --- *)
 
 let tiny =
@@ -304,6 +350,8 @@ let suite =
         test_check_shards_findings;
       Alcotest.test_case "fleet replay local keys" `Quick
         test_fleet_replay_local_keys;
+      Alcotest.test_case "fleet replay interleave" `Quick
+        test_fleet_replay_interleave;
       Alcotest.test_case "fleet driver domain-invariant" `Slow
         test_fleet_sim_domain_invariance;
       Alcotest.test_case "pressure and lock amortisation" `Slow

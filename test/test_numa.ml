@@ -306,7 +306,17 @@ let test_numa_sim_domain_invariance () =
   Alcotest.(check string)
     "JSON byte-identical"
     (NS.outcome_to_json { cfg with NS.domains = 1 } serial)
-    (NS.outcome_to_json { cfg with NS.domains = 4 } parallel)
+    (NS.outcome_to_json { cfg with NS.domains = 4 } parallel);
+  (* a zero count used to run nothing and report a clean outcome *)
+  List.iter
+    (fun (what, bad) ->
+      match NS.run bad with
+      | _ -> Alcotest.failf "%s = 0 must be rejected" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("streams_per_node", { cfg with NS.streams_per_node = 0 });
+      ("rounds", { cfg with NS.rounds = 0 });
+    ]
 
 let test_numa_sim_fault_soak () =
   let cfg =

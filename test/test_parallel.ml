@@ -89,7 +89,7 @@ let test_worker_pool_shutdown_idempotent () =
 
 let test_worker_pool_epoch_lifecycle () =
   let e = Exec.Epoch.create () in
-  Exec.Worker_pool.with_pool ~epoch:e ~domains:3 (fun pool ->
+  Exec.Worker_pool.with_pool ~epochs:[ e ] ~domains:3 (fun pool ->
       Exec.Worker_pool.run pool (fun _ -> ());
       Alcotest.(check int)
         "every worker holds a reader slot for its lifetime" 3
@@ -97,6 +97,67 @@ let test_worker_pool_epoch_lifecycle () =
   Alcotest.(check int) "slots returned at shutdown" 0 (Exec.Epoch.registered e);
   Alcotest.(check int) "no pins outlive the pool" max_int
     (Exec.Epoch.safe_before e)
+
+(* --- Soak: fixed streams dealt over the pool --- *)
+
+(* Which domain ran each stream, in call order, over one [each]. *)
+let soak_placement soak =
+  let m = Mutex.create () in
+  let log = ref [] in
+  Exec.Soak.each soak (fun s ->
+      Mutex.protect m (fun () -> log := ((Domain.self () :> int), s) :: !log));
+  let per_domain = Hashtbl.create 8 in
+  List.iter
+    (fun (d, s) ->
+      Hashtbl.replace per_domain d
+        (s :: Option.value ~default:[] (Hashtbl.find_opt per_domain d)))
+    !log;
+  Hashtbl.fold (fun _ ss acc -> ss :: acc) per_domain [] |> List.sort compare
+
+let test_soak_deals_streams () =
+  List.iter
+    (fun (domains, streams) ->
+      (* worker [w] runs [w; w + domains; ...] in that order *)
+      let expected =
+        List.init (min domains streams) (fun w ->
+            List.filter (fun s -> s mod domains = w) (List.init streams Fun.id))
+      in
+      Exec.Soak.with_streams ~domains ~streams (fun soak ->
+          for _ = 1 to 2 do
+            Alcotest.(check (list (list int)))
+              (Printf.sprintf "%d streams over %d domains" streams domains)
+              expected
+              (soak_placement soak)
+          done))
+    [ (3, 7); (1, 4); (4, 2) ]
+
+let test_soak_redispatches_crash () =
+  let runs = Array.make 4 0 in
+  let crashed = Atomic.make false in
+  Exec.Soak.with_streams ~domains:2 ~streams:4 (fun soak ->
+      Exec.Soak.each soak (fun s ->
+          runs.(s) <- runs.(s) + 1;
+          if s = 1 && not (Atomic.exchange crashed true) then
+            raise (Fault.Injected { site = Fault.Domain_crash; key = s }));
+      (* stream 1's crash cut worker 1 short before stream 3; the
+         second dispatch ran every stream *)
+      Alcotest.(check (array int)) "round dispatched again" [| 2; 2; 2; 1 |] runs;
+      Alcotest.(check int) "the crashed worker was respawned" 1
+        (Exec.Soak.restarts soak))
+
+let test_soak_reraises_other () =
+  Exec.Soak.with_streams ~domains:2 ~streams:4 (fun soak ->
+      match
+        Exec.Soak.each soak (fun s ->
+            if s = 1 then
+              raise (Fault.Injected { site = Fault.Shard_crash; key = s });
+            if s = 2 then failwith "boom")
+      with
+      | () -> Alcotest.fail "expected the failure to be re-raised"
+      | exception Failure m -> Alcotest.(check string) "re-raised" "boom" m);
+  match Exec.Soak.with_streams ~domains:1 ~streams:0 ignore with
+  | () -> Alcotest.fail "zero streams must be rejected"
+  | exception Invalid_argument _ -> ()
 
 (* qcheck: under any pin/refresh/retire interleaving, a stamp handed
    out while a reader is pinned is never strictly below safe_before —
@@ -193,6 +254,12 @@ let suite =
         test_worker_pool_shutdown_idempotent;
       Alcotest.test_case "worker pool epoch lifecycle" `Quick
         test_worker_pool_epoch_lifecycle;
+      Alcotest.test_case "soak deals stream s to worker s mod domains" `Quick
+        test_soak_deals_streams;
+      Alcotest.test_case "soak re-dispatches after a supervised crash" `Quick
+        test_soak_redispatches_crash;
+      Alcotest.test_case "soak re-raises other failures" `Quick
+        test_soak_reraises_other;
       QCheck_alcotest.to_alcotest prop_epoch_pin_blocks_reclaim;
       Alcotest.test_case "figure 9 domain-count invariance" `Slow
         test_figure9_deterministic;

@@ -63,7 +63,7 @@ let oracle ~org ~locking () =
   let svc = Service.create ~org ~locking () in
   let histories = Array.make num_domains [] in
   Exec.Worker_pool.with_pool
-    ?epoch:(Service.reader_epoch svc)
+    ~epochs:(Option.to_list (Service.reader_epoch svc))
     ~domains:num_domains
     (fun pool ->
       Exec.Worker_pool.run pool (fun domain ->

@@ -16,158 +16,17 @@
    changed and the committed baseline must be regenerated consciously.
 
    Exit 0 when equivalent, 1 on drift (each difference on stderr),
-   2 on usage or parse errors.  No dependencies beyond the stdlib. *)
+   2 on usage or parse errors. *)
 
-(* --- a minimal JSON reader (objects keep field order) --- *)
+(* --- JSON: obs_report's reader (objects keep field order) --- *)
 
-type json =
+type json = Obs_report.json =
   | Null
   | Bool of bool
   | Num of float
   | Str of string
   | List of json list
   | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then advance ()
-    else fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          if !pos >= n then fail "unterminated escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              (* the emitter only escapes control characters; decode
-                 the low byte and move past the four hex digits *)
-              if !pos + 4 >= n then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-              Buffer.add_char b (Char.chr (code land 0xFF));
-              pos := !pos + 4
-          | c -> fail (Printf.sprintf "bad escape \\%C" c));
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
 
 (* --- accessors --- *)
 
@@ -264,19 +123,10 @@ let () =
       prerr_endline "usage: bench_diff BASELINE.json CURRENT.json";
       exit 2);
   let load path =
-    let ic =
-      try open_in_bin path
-      with Sys_error e ->
+    match Obs_report.load_file path with
+    | Ok v -> v
+    | Error e ->
         Printf.eprintf "bench_diff: %s\n" e;
-        exit 2
-    in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    match parse s with
-    | v -> v
-    | exception Parse_error e ->
-        Printf.eprintf "bench_diff: %s: %s\n" path e;
         exit 2
   in
   let a = load Sys.argv.(1) and b = load Sys.argv.(2) in
