@@ -1,16 +1,17 @@
-(* Churn replay against one tenant of a fleet.
+(* The churn interpreter.
 
-   {!Service_replay} folds pids into one shared table's keys and
-   replays whole traces per domain.  The fleet layer needs something
-   different: each *tenant* runs its own churn trace against its own
-   address space, many tenants interleave on one worker stream in
-   context-switch quanta, and the layer underneath (shard placement,
-   ASID tagging, TLBs, eviction) belongs to lib/fleet — which this
-   library must not depend on.  So the interpreter here is abstract
-   over an {!ops} record of per-tenant callbacks and exposes a
-   resumable cursor: [step] consumes a bounded number of events, so a
-   stream can round-robin its tenants and a round barrier can cut the
-   trace into deterministic slices.
+   Every churn replay runs through here: each tenant of a fleet
+   (lib/fleet), one shared service ({!Service_replay}) and a
+   NUMA-replicated table set ({!Numa_replay}).  The interpreter is
+   abstract over an {!ops} record of callbacks, so the layer
+   underneath (shard placement, ASID tagging, TLBs, eviction, replica
+   nodes) stays with its owner — lib/fleet in particular, which this
+   library must not depend on.  It exposes a resumable cursor: [step]
+   consumes a bounded number of events, so a stream can round-robin
+   its tenants in context-switch quanta and a round barrier can cut
+   the trace into deterministic slices.  {!run_families} instead
+   splits one trace into process families and replays each on its
+   own soak stream.
 
    Region events become ONE callback per region (the batched range-op
    submission shape); [Fork] and [Exit] coalesce the pid's live pages
@@ -88,10 +89,10 @@ let live_of t pid =
       Hashtbl.add t.live pid s;
       s
 
-(* maximal runs of consecutive vpns, as (first_vpn, pages), sorted —
-   deterministic regardless of Hashtbl iteration order *)
+(* sorting first makes the runs independent of Hashtbl iteration
+   order *)
 let coalesce vpns =
-  let sorted = List.sort compare vpns in
+  let sorted = List.sort_uniq compare vpns in
   let runs = ref [] in
   let flush first count = if count > 0 then runs := (first, count) :: !runs in
   let first = ref 0L and count = ref 0 in
@@ -177,13 +178,6 @@ let step t ~max_events =
   t.tally.events <- t.tally.events + n;
   n
 
-let run ops trace =
-  let t = create ops trace in
-  while not (finished t) do
-    ignore (step t ~max_events:max_int)
-  done;
-  t.tally
-
 let interleave cursors ~tenants ~round ~rounds ~switch_every ~switch ~event =
   if switch_every < 1 then
     invalid_arg "Fleet_replay.interleave: switch_every must be >= 1";
@@ -226,3 +220,71 @@ let tally_sum cursors =
       s.range_sections <- s.range_sections + y.range_sections)
     cursors;
   s
+
+(* --- process families: the unit of concurrent replay --- *)
+
+let pid_of = function
+  | Workload.Trace.Mmap (pid, _, _)
+  | Workload.Trace.Munmap (pid, _, _)
+  | Workload.Trace.Protect (pid, _, _, _)
+  | Workload.Trace.Touch (pid, _)
+  | Workload.Trace.Exit pid
+  | Workload.Trace.Fork (pid, _) ->
+      Some pid
+  | Workload.Trace.Access _ | Workload.Trace.Switch _ -> None
+
+let families (trace : Workload.Trace.t) =
+  (* union-find over Fork edges; the smaller root wins *)
+  let parent = Hashtbl.create 16 in
+  let rec root p =
+    match Hashtbl.find_opt parent p with
+    | None -> p
+    | Some q ->
+        let r = root q in
+        Hashtbl.replace parent p r;
+        r
+  in
+  Array.iter
+    (function
+      | Workload.Trace.Fork (a, b) ->
+          let ra = root a and rb = root b in
+          if ra <> rb then Hashtbl.replace parent (max ra rb) (min ra rb)
+      | _ -> ())
+    trace;
+  (* root -> (index in first-appearance order, events newest first) *)
+  let found = Hashtbl.create 16 in
+  Array.iter
+    (fun ev ->
+      match pid_of ev with
+      | None -> ()
+      | Some pid ->
+          let r = root pid in
+          let _, evs =
+            match Hashtbl.find_opt found r with
+            | Some f -> f
+            | None ->
+                let f = (Hashtbl.length found, ref []) in
+                Hashtbl.add found r f;
+                f
+          in
+          evs := ev :: !evs)
+    trace;
+  let out = Array.make (Hashtbl.length found) [||] in
+  Hashtbl.iter
+    (fun _ (i, evs) -> out.(i) <- Array.of_list (List.rev !evs))
+    found;
+  out
+
+let run_families ~epochs ~domains ops_of trace =
+  if domains < 1 then
+    invalid_arg "Fleet_replay.run_families: domains must be >= 1";
+  let cursors =
+    Array.mapi (fun f evs -> create (ops_of f) evs) (families trace)
+  in
+  (* Exec.Soak needs at least one stream *)
+  if Array.length cursors > 0 then
+    Exec.Soak.with_streams ~epochs ~domains ~streams:(Array.length cursors)
+      (fun soak ->
+        Exec.Soak.each soak (fun f ->
+            ignore (step cursors.(f) ~max_events:max_int)));
+  cursors

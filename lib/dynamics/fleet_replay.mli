@@ -1,8 +1,9 @@
-(** Resumable churn interpretation for one fleet tenant.
+(** The churn interpreter: resumable, over abstract backend callbacks.
 
     Interprets a {!Churn}-style lifecycle trace against an abstract
-    {!ops} record of per-tenant callbacks, so the fleet layer can plug
-    in sharded services, ASID-tagged TLBs and eviction without this
+    {!ops} record of callbacks, so a backend — a fleet tenant's
+    sharded service with ASID-tagged TLBs and eviction, one shared
+    service, a NUMA-replicated table set — plugs in without this
     library depending on it.  Region events ([Mmap]/[Munmap]/[Protect])
     become one callback per region — the batched range-op submission
     shape — and [Fork]/[Exit] coalesce the pid's live pages into
@@ -24,17 +25,21 @@ type ops = {
 }
 
 type tally = {
-  mutable events : int;
+  mutable events : int;  (** events consumed, ignored ones included *)
   mutable mmaps : int;
   mutable munmaps : int;
   mutable protects : int;
   mutable touches : int;
   mutable touch_hits : int;
-  mutable touch_faults : int;
+  mutable touch_faults : int;  (** touches that demand-faulted a page *)
   mutable forks : int;
   mutable exits : int;
   mutable pages_mapped : int;
+      (** pages submitted to [ops.map]: [Mmap] regions, [Fork] copies
+          and demand faults *)
   mutable pages_unmapped : int;
+      (** pages submitted to [ops.unmap]: [Munmap] regions and [Exit]
+          teardown, whether or not the backend still held them *)
   mutable range_pages : int;  (** pages covered by range submissions *)
   mutable range_sections : int;
       (** lock sections those submissions took — [range_sections /
@@ -62,9 +67,6 @@ val length : t -> int
 
 val tally : t -> tally
 
-val run : ops -> Workload.Trace.t -> tally
-(** One-shot interpretation of the whole trace. *)
-
 val interleave :
   t array ->
   tenants:int list ->
@@ -91,3 +93,30 @@ val tally_sum : t array -> tally
 
 val local_key : pid:int -> vpn:int64 -> int64
 (** The tenant-local key: [vpn] with [pid] folded into bits 32..43. *)
+
+val coalesce : int64 list -> (int64 * int) list
+(** Maximal runs of consecutive keys, as [(first, pages)] in ascending
+    order, whatever the order (and duplicates) of the input.  [Fork]
+    and [Exit] submit a pid's live pages this way, and so does fleet
+    eviction. *)
+
+val families : Workload.Trace.t -> Workload.Trace.t array
+(** Partition a trace into process families: pids connected by
+    [Fork] events (union-find).  Families come in the order their
+    first event appears, each holding its events in trace order.
+    [Access] and [Switch] events belong to no family: the interpreter
+    ignores them.  Families touch disjoint pids, hence disjoint keys. *)
+
+val run_families :
+  epochs:Exec.Epoch.t list ->
+  domains:int ->
+  (int -> ops) ->
+  Workload.Trace.t ->
+  t array
+(** Interpret every family of the trace to its end: family [f] runs on
+    {!Exec.Soak} stream [f] against [ops f], in one barriered round on
+    a pool of [domains] workers registered with [epochs].  Returns the
+    finished cursors, one per family (none, and no pool, for a trace
+    without lifecycle events).  Each family's tally is a function of
+    its events and ops alone, so {!tally_sum} of the result does not
+    depend on [domains].  Raises [Invalid_argument] if [domains < 1]. *)

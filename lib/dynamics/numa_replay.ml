@@ -2,11 +2,11 @@
 
    {!Service_replay} drives a lifecycle trace at one shared service;
    this replay drives the same trace at a {!Numa.Replicated} table
-   set: process families (the union-find partition over Fork events)
-   are pinned round-robin to NUMA nodes — a family's mmap/touch/exit
-   traffic originates on its node — and dealt round-robin over worker
-   domains.  The family-to-node binding depends only on the trace,
-   never on the domain count.
+   set.  {!Fleet_replay.run_families} replays family [f] (in
+   first-appearance order) on soak stream [f], and its backend pins
+   the family to node [f mod nodes]: a family's mmap/touch/exit
+   traffic originates on its node.  The family-to-node binding depends
+   only on the trace, never on the domain count.
 
    Determinism: families touch disjoint keys, so per-family tallies
    (inserts, touch hits/faults, ...) and the final mapping set are
@@ -35,196 +35,56 @@ type result = {
   forks : int;
   exits : int;
   logical_writes : int;
-  replica_writes : int;  (** read after quiesce: logical x replicas *)
+  replica_writes : int;
   population : int;
   fsck_clean : bool;
 }
 
-let key ~pid ~vpn = Int64.logor (Int64.shift_left (Int64.of_int pid) 44) vpn
-
-let attr = Pte.Attr.default
-
-module Families = struct
-  type t = { mutable parent : int array }
-
-  let create () = { parent = Array.init 16 (fun i -> i) }
-
-  let ensure t pid =
-    let n = Array.length t.parent in
-    if pid >= n then begin
-      let m = max (pid + 1) (2 * n) in
-      let p = Array.init m (fun i -> if i < n then t.parent.(i) else i) in
-      t.parent <- p
-    end
-
-  let rec find t pid =
-    ensure t pid;
-    if t.parent.(pid) = pid then pid
-    else begin
-      let root = find t t.parent.(pid) in
-      t.parent.(pid) <- root;
-      root
-    end
-
-  let union t a b =
-    let ra = find t a and rb = find t b in
-    if ra <> rb then t.parent.(max ra rb) <- min ra rb
-end
-
-type tally = {
-  mutable t_inserts : int;
-  mutable t_removes : int;
-  mutable t_protects : int;
-  mutable t_hits : int;
-  mutable t_faults : int;
-  mutable t_forks : int;
-  mutable t_exits : int;
-}
-
-let replay_events repl ~node_of events tally =
-  (* per-pid live VPNs; parent and child are always in the same
-     family, so this state never crosses domains *)
-  let live : (int, (int64, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-  let live_of pid =
-    match Hashtbl.find_opt live pid with
-    | Some s -> s
-    | None ->
-        let s = Hashtbl.create 256 in
-        Hashtbl.add live pid s;
-        s
-  in
-  let insert_page ~node pid vpn =
-    let k = key ~pid ~vpn in
-    R.insert ~node repl ~vpn:k ~ppn:(Int64.logand k 0xFFF_FFFFL) ~attr;
-    Hashtbl.replace (live_of pid) vpn ()
-  in
-  let remove_page ~node pid vpn =
-    R.remove ~node repl ~vpn:(key ~pid ~vpn);
-    Hashtbl.remove (live_of pid) vpn
-  in
-  Array.iter
-    (fun ev ->
-      let node = node_of ev in
-      match (ev : Workload.Trace.event) with
-      | Workload.Trace.Mmap (pid, vpn, pages) ->
-          for i = 0 to pages - 1 do
-            insert_page ~node pid (Int64.add vpn (Int64.of_int i))
-          done;
-          tally.t_inserts <- tally.t_inserts + pages
-      | Workload.Trace.Munmap (pid, vpn, pages) ->
-          for i = 0 to pages - 1 do
-            remove_page ~node pid (Int64.add vpn (Int64.of_int i))
-          done;
-          tally.t_removes <- tally.t_removes + pages
-      | Workload.Trace.Protect (pid, vpn, pages, writable) ->
-          for i = 0 to pages - 1 do
-            R.protect_page ~node repl
-              ~vpn:(key ~pid ~vpn:(Int64.add vpn (Int64.of_int i)))
-              ~writable
-          done;
-          tally.t_protects <- tally.t_protects + 1
-      | Workload.Trace.Touch (pid, vpn) ->
-          if R.lookup repl ~node ~vpn:(key ~pid ~vpn) then
-            tally.t_hits <- tally.t_hits + 1
-          else begin
-            (* demand fault *)
-            insert_page ~node pid vpn;
-            tally.t_faults <- tally.t_faults + 1
-          end
-      | Workload.Trace.Fork (parent, child) ->
-          Hashtbl.iter (fun vpn () -> insert_page ~node child vpn)
-            (live_of parent);
-          tally.t_forks <- tally.t_forks + 1
-      | Workload.Trace.Exit pid ->
-          Hashtbl.iter
-            (fun vpn () -> remove_page ~node pid vpn)
-            (Hashtbl.copy (live_of pid));
-          Hashtbl.remove live pid;
-          tally.t_exits <- tally.t_exits + 1
-      | Workload.Trace.Access _ | Workload.Trace.Switch _ -> ())
-    events
-
-let pid_of = function
-  | Workload.Trace.Mmap (pid, _, _)
-  | Workload.Trace.Munmap (pid, _, _)
-  | Workload.Trace.Protect (pid, _, _, _)
-  | Workload.Trace.Touch (pid, _)
-  | Workload.Trace.Access (pid, _)
-  | Workload.Trace.Switch pid
-  | Workload.Trace.Exit pid
-  | Workload.Trace.Fork (pid, _) ->
-      pid
+(* the replicated table takes page-granular writes, one per page *)
+let per_page (r : Addr.Region.t) f =
+  Addr.Region.iter_vpns r f;
+  r.Addr.Region.pages
 
 let run ?(domains = 1) ~machine ~org ~locking ~mode (trace : Workload.Trace.t)
     =
-  if domains < 1 then invalid_arg "Numa_replay.run: domains must be >= 1";
   let nodes = Numa.Machine.nodes machine in
-  let fam = Families.create () in
-  Array.iter
-    (function
-      | Workload.Trace.Fork (parent, child) -> Families.union fam parent child
-      | _ -> ())
-    trace;
-  (* family roots in first-appearance order; a family's slot in that
-     order fixes both its node (mod nodes) and its worker (mod
-     domains) *)
-  let order = Hashtbl.create 16 in
-  Array.iter
-    (fun ev ->
-      let root = Families.find fam (pid_of ev) in
-      if not (Hashtbl.mem order root) then
-        Hashtbl.add order root (Hashtbl.length order))
-    trace;
-  let families = Hashtbl.length order in
-  let slot_of ev = Hashtbl.find order (Families.find fam (pid_of ev)) in
-  (* a family's slot in first-appearance order fixes both its node
-     (mod nodes — never mod domains) and its worker (mod domains) *)
-  let node_of ev = slot_of ev mod nodes in
-  let per_worker = Array.init domains (fun _ -> ref []) in
-  Array.iter
-    (fun ev ->
-      match ev with
-      | Workload.Trace.Access _ | Workload.Trace.Switch _ -> ()
-      | _ ->
-          let w = slot_of ev mod domains in
-          per_worker.(w) := ev :: !(per_worker.(w)))
-    trace;
-  let slots = Array.map (fun l -> Array.of_list (List.rev !l)) per_worker in
   let repl = R.create ~machine ~org ~locking ~mode () in
-  let tallies =
-    Array.init domains (fun _ ->
-        {
-          t_inserts = 0;
-          t_removes = 0;
-          t_protects = 0;
-          t_hits = 0;
-          t_faults = 0;
-          t_forks = 0;
-          t_exits = 0;
-        })
+  let ops f =
+    let node = f mod nodes in
+    {
+      Fleet_replay.map =
+        (fun r ->
+          per_page r (fun vpn ->
+              R.insert ~node repl ~vpn ~ppn:(Int64.logand vpn 0xFFF_FFFFL)
+                ~attr:Pte.Attr.default));
+      unmap = (fun r -> per_page r (fun vpn -> R.remove ~node repl ~vpn));
+      protect =
+        (fun r ~writable ->
+          per_page r (fun vpn -> R.protect_page ~node repl ~vpn ~writable));
+      touch = (fun vpn -> R.lookup repl ~node ~vpn);
+    }
   in
-  Exec.Worker_pool.with_pool ~epochs:(R.reader_epochs repl) ~domains
-    (fun pool ->
-      Exec.Worker_pool.run pool (fun i ->
-          replay_events repl ~node_of slots.(i) tallies.(i)));
+  let cursors =
+    Fleet_replay.run_families ~epochs:(R.reader_epochs repl) ~domains ops
+      trace
+  in
   R.quiesce repl;
+  let y = Fleet_replay.tally_sum cursors in
   let stats = R.stats repl in
-  let clean = Fsck.clean (R.fsck repl) in
-  let sum f = Array.fold_left (fun acc t -> acc + f t) 0 tallies in
   {
     events = Array.length trace;
-    families;
+    families = Array.length cursors;
     nodes;
     mode;
-    inserts = sum (fun t -> t.t_inserts);
-    removes = sum (fun t -> t.t_removes);
-    protects = sum (fun t -> t.t_protects);
-    touch_hits = sum (fun t -> t.t_hits);
-    touch_faults = sum (fun t -> t.t_faults);
-    forks = sum (fun t -> t.t_forks);
-    exits = sum (fun t -> t.t_exits);
+    inserts = y.pages_mapped;
+    removes = y.pages_unmapped;
+    protects = y.protects;
+    touch_hits = y.touch_hits;
+    touch_faults = y.touch_faults;
+    forks = y.forks;
+    exits = y.exits;
     logical_writes = stats.R.logical_writes;
     replica_writes = stats.R.replica_writes;
     population = R.population repl;
-    fsck_clean = clean;
+    fsck_clean = Fsck.clean (R.fsck repl);
   }

@@ -2,11 +2,12 @@
 
     Where {!Service_replay} drives a lifecycle trace at one shared
     {!Pt_service.Service.t}, this replay drives the same trace at a
-    {!Numa.Replicated} table set: process families (pids connected by
-    [Fork]) are pinned round-robin to NUMA nodes — a family's
-    mmap/touch/exit traffic originates on its node — and dealt
-    round-robin over worker domains.  The family-to-node binding
-    depends only on the trace, never on the domain count.
+    {!Numa.Replicated} table set through {!Fleet_replay.run_families}:
+    process family [f] (pids connected by [Fork], in first-appearance
+    order) is pinned to NUMA node [f mod nodes] — its mmap/touch/exit
+    traffic originates on that node — and replayed on soak stream [f].
+    The family-to-node binding depends only on the trace, never on the
+    domain count.
 
     Families touch disjoint keys, so the tallies and final mapping set
     are interleaving-invariant; replica-write totals are read after
@@ -21,11 +22,15 @@
 
 type result = {
   events : int;  (** trace length, including ignored access events *)
-  families : int;  (** independent process families found *)
+  families : int;  (** process families replayed *)
   nodes : int;
   mode : Numa.Replicated.mode;
-  inserts : int;  (** pages mapped by [Mmap] and [Fork] copies *)
-  removes : int;  (** pages unmapped by [Munmap] (not [Exit] teardown) *)
+  inserts : int;
+      (** pages mapped: [Mmap] regions, [Fork] copies and demand
+          faults ([pages_mapped] of {!Fleet_replay.tally}) *)
+  removes : int;
+      (** pages unmapped: [Munmap] regions and [Exit] teardown
+          ([pages_unmapped] of {!Fleet_replay.tally}) *)
   protects : int;  (** [Protect] range operations *)
   touch_hits : int;  (** [Touch] lookups that hit the local replica *)
   touch_faults : int;  (** [Touch] lookups that demand-faulted a page *)
@@ -46,4 +51,5 @@ val run :
   Workload.Trace.t ->
   result
 (** Replay a {!Churn}-generated trace (default [domains:1]).  [Access]
-    and [Switch] events are ignored, as in {!Engine}. *)
+    and [Switch] events are ignored, as in {!Engine}.  Raises
+    [Invalid_argument] if [domains < 1]. *)

@@ -3,17 +3,16 @@
    {!Engine} interprets a lifecycle trace sequentially, one private
    table per process.  This replay drives the same trace at a shared
    {!Pt_service.Service.t}: every process's pages live in ONE table
-   (the pid folded into the key, as a global hashed/clustered table
-   tags PTEs with an address-space id), and independent process
-   families replay on separate domains concurrently.
+   (the pid folded into the key by {!Fleet_replay.local_key}, as a
+   global hashed/clustered table tags PTEs with an address-space id),
+   and {!Fleet_replay.run_families} replays independent process
+   families on separate soak streams.  Region events take the
+   service's batched range path.  Families touch disjoint keys and
+   each replays in trace order, so the result is identical for every
+   [domains] count while the stripes underneath are genuinely
+   contended. *)
 
-   Fork ties parent and child into one family, so a union-find over
-   the trace's [Fork] events partitions pids into families whose
-   event streams touch disjoint keys.  Each family replays in trace
-   order on one domain; cross-family interleaving is arbitrary but
-   irrelevant to the final state, so the replay is deterministic —
-   identical populations and lock totals for every [domains] count —
-   while the stripes underneath are genuinely contended. *)
+module Service = Pt_service.Service
 
 type result = {
   events : int;
@@ -21,7 +20,6 @@ type result = {
   inserts : int;
   removes : int;
   protects : int;
-  protect_searches : int;
   touch_hits : int;
   touch_faults : int;
   forks : int;
@@ -31,183 +29,37 @@ type result = {
   write_locks : int;
 }
 
-(* pid folded into the key's high bits: one shared table, per-process
-   address spaces (the churn generator keeps VPNs far below 2^44) *)
-let key ~pid ~vpn = Int64.logor (Int64.shift_left (Int64.of_int pid) 44) vpn
-
-let attr = Pte.Attr.default
-
-(* union-find over pids, grown on demand *)
-module Families = struct
-  type t = { mutable parent : int array }
-
-  let create () = { parent = Array.init 16 (fun i -> i) }
-
-  let ensure t pid =
-    let n = Array.length t.parent in
-    if pid >= n then begin
-      let m = max (pid + 1) (2 * n) in
-      let p = Array.init m (fun i -> if i < n then t.parent.(i) else i) in
-      t.parent <- p
-    end
-
-  let rec find t pid =
-    ensure t pid;
-    if t.parent.(pid) = pid then pid
-    else begin
-      let root = find t t.parent.(pid) in
-      t.parent.(pid) <- root;
-      root
-    end
-
-  let union t a b =
-    let ra = find t a and rb = find t b in
-    if ra <> rb then t.parent.(max ra rb) <- min ra rb
-end
-
-(* per-domain tally, merged after the join *)
-type tally = {
-  mutable t_inserts : int;
-  mutable t_removes : int;
-  mutable t_protects : int;
-  mutable t_searches : int;
-  mutable t_hits : int;
-  mutable t_faults : int;
-  mutable t_forks : int;
-  mutable t_exits : int;
-}
-
-let replay_events svc events tally =
-  (* per-pid live VPNs; parent and child are always in the same
-     family, so this state never crosses domains *)
-  let live : (int, (int64, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-  let live_of pid =
-    match Hashtbl.find_opt live pid with
-    | Some s -> s
-    | None ->
-        let s = Hashtbl.create 256 in
-        Hashtbl.add live pid s;
-        s
-  in
-  let insert_page pid vpn =
-    let k = key ~pid ~vpn in
-    Pt_service.Service.insert svc ~vpn:k ~ppn:(Int64.logand k 0xFFF_FFFFL)
-      ~attr;
-    Hashtbl.replace (live_of pid) vpn ()
-  in
-  let remove_page pid vpn =
-    Pt_service.Service.remove svc ~vpn:(key ~pid ~vpn);
-    Hashtbl.remove (live_of pid) vpn
-  in
-  Array.iter
-    (fun ev ->
-      match (ev : Workload.Trace.event) with
-      | Workload.Trace.Mmap (pid, vpn, pages) ->
-          for i = 0 to pages - 1 do
-            insert_page pid (Int64.add vpn (Int64.of_int i))
-          done;
-          tally.t_inserts <- tally.t_inserts + pages
-      | Workload.Trace.Munmap (pid, vpn, pages) ->
-          for i = 0 to pages - 1 do
-            remove_page pid (Int64.add vpn (Int64.of_int i))
-          done;
-          tally.t_removes <- tally.t_removes + pages
-      | Workload.Trace.Protect (pid, vpn, pages, writable) ->
-          let region =
-            Addr.Region.make ~first_vpn:(key ~pid ~vpn) ~pages
-          in
-          tally.t_searches <-
-            tally.t_searches + Pt_service.Service.protect svc region ~writable;
-          tally.t_protects <- tally.t_protects + 1
-      | Workload.Trace.Touch (pid, vpn) ->
-          if Pt_service.Service.lookup svc ~vpn:(key ~pid ~vpn) then
-            tally.t_hits <- tally.t_hits + 1
-          else begin
-            (* demand fault *)
-            insert_page pid vpn;
-            tally.t_faults <- tally.t_faults + 1
-          end
-      | Workload.Trace.Fork (parent, child) ->
-          Hashtbl.iter
-            (fun vpn () -> insert_page child vpn)
-            (live_of parent);
-          tally.t_forks <- tally.t_forks + 1
-      | Workload.Trace.Exit pid ->
-          Hashtbl.iter (fun vpn () -> remove_page pid vpn)
-            (Hashtbl.copy (live_of pid));
-          Hashtbl.remove live pid;
-          tally.t_exits <- tally.t_exits + 1
-      | Workload.Trace.Access _ | Workload.Trace.Switch _ -> ())
-    events
-
-let pid_of = function
-  | Workload.Trace.Mmap (pid, _, _)
-  | Workload.Trace.Munmap (pid, _, _)
-  | Workload.Trace.Protect (pid, _, _, _)
-  | Workload.Trace.Touch (pid, _)
-  | Workload.Trace.Access (pid, _)
-  | Workload.Trace.Switch pid
-  | Workload.Trace.Exit pid
-  | Workload.Trace.Fork (pid, _) ->
-      pid
+let ppn_of vpn = Int64.logand vpn 0xFFF_FFFFL
 
 let run ?(domains = 1) ~org ~locking (trace : Workload.Trace.t) =
-  if domains < 1 then invalid_arg "Service_replay.run: domains must be >= 1";
-  let fam = Families.create () in
-  Array.iter
-    (function
-      | Workload.Trace.Fork (parent, child) -> Families.union fam parent child
-      | _ -> ())
-    trace;
-  (* family roots in first-appearance order -> domain slots *)
-  let order = Hashtbl.create 16 in
-  Array.iter
-    (fun ev ->
-      let root = Families.find fam (pid_of ev) in
-      if not (Hashtbl.mem order root) then
-        Hashtbl.add order root (Hashtbl.length order))
-    trace;
-  let families = Hashtbl.length order in
-  let slot_of ev = Hashtbl.find order (Families.find fam (pid_of ev)) mod domains in
-  let per_slot = Array.init domains (fun _ -> ref []) in
-  Array.iter
-    (fun ev ->
-      match ev with
-      | Workload.Trace.Access _ | Workload.Trace.Switch _ -> ()
-      | _ -> per_slot.(slot_of ev) := ev :: !(per_slot.(slot_of ev)))
-    trace;
-  let slots = Array.map (fun l -> Array.of_list (List.rev !l)) per_slot in
-  let svc = Pt_service.Service.create ~org ~locking () in
-  let tallies =
-    Array.init domains (fun _ ->
-        {
-          t_inserts = 0;
-          t_removes = 0;
-          t_protects = 0;
-          t_searches = 0;
-          t_hits = 0;
-          t_faults = 0;
-          t_forks = 0;
-          t_exits = 0;
-        })
+  let svc = Service.create ~org ~locking () in
+  let ops _ =
+    {
+      Fleet_replay.map =
+        (fun r -> Service.map_range svc r ~ppn_of ~attr:Pte.Attr.default);
+      unmap = (fun r -> Service.unmap_range svc r);
+      protect = (fun r ~writable -> Service.protect_range svc r ~writable);
+      touch = (fun vpn -> Service.lookup svc ~vpn);
+    }
   in
-  Exec.Worker_pool.with_pool ~domains (fun pool ->
-      Exec.Worker_pool.run pool (fun i ->
-          replay_events svc slots.(i) tallies.(i)));
-  let sum f = Array.fold_left (fun acc t -> acc + f t) 0 tallies in
-  let stats = Pt_service.Service.lock_stats svc in
+  let cursors =
+    Fleet_replay.run_families
+      ~epochs:(Option.to_list (Service.reader_epoch svc))
+      ~domains ops trace
+  in
+  let y = Fleet_replay.tally_sum cursors in
+  let stats = Service.lock_stats svc in
   {
     events = Array.length trace;
-    families;
-    inserts = sum (fun t -> t.t_inserts);
-    removes = sum (fun t -> t.t_removes);
-    protects = sum (fun t -> t.t_protects);
-    protect_searches = sum (fun t -> t.t_searches);
-    touch_hits = sum (fun t -> t.t_hits);
-    touch_faults = sum (fun t -> t.t_faults);
-    forks = sum (fun t -> t.t_forks);
-    exits = sum (fun t -> t.t_exits);
-    final_population = Pt_service.Service.population svc;
-    read_locks = stats.Pt_service.Service.read_acquisitions;
-    write_locks = stats.Pt_service.Service.write_acquisitions;
+    families = Array.length cursors;
+    inserts = y.pages_mapped;
+    removes = y.pages_unmapped;
+    protects = y.protects;
+    touch_hits = y.touch_hits;
+    touch_faults = y.touch_faults;
+    forks = y.forks;
+    exits = y.exits;
+    final_population = Service.population svc;
+    read_locks = stats.Service.read_acquisitions;
+    write_locks = stats.Service.write_acquisitions;
   }

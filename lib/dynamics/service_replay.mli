@@ -4,8 +4,10 @@
     private table per process, this replay drives the same trace at a
     shared {!Pt_service.Service.t}: all processes' pages in ONE table
     (pid folded into the key, like an address-space id tag), with
-    independent process families — pids connected by [Fork] — replayed
-    concurrently on separate worker domains.
+    independent process families — pids connected by [Fork] —
+    replayed concurrently by {!Fleet_replay.run_families}.  Region
+    events and [Fork]/[Exit] runs take the service's batched range
+    path.
 
     Families touch disjoint keys and each replays in trace order, so
     the result is deterministic: identical populations, tallies and
@@ -14,11 +16,14 @@
 
 type result = {
   events : int;  (** trace length, including ignored access events *)
-  families : int;  (** independent process families found *)
-  inserts : int;  (** pages mapped by [Mmap] and [Fork] copies *)
-  removes : int;  (** pages unmapped by [Munmap] (not [Exit] teardown) *)
+  families : int;  (** process families replayed *)
+  inserts : int;
+      (** pages mapped: [Mmap] regions, [Fork] copies and demand
+          faults ([pages_mapped] of {!Fleet_replay.tally}) *)
+  removes : int;
+      (** pages unmapped: [Munmap] regions and [Exit] teardown
+          ([pages_unmapped] of {!Fleet_replay.tally}) *)
   protects : int;  (** [Protect] range operations *)
-  protect_searches : int;  (** hash searches those protects performed *)
   touch_hits : int;  (** [Touch] lookups that hit *)
   touch_faults : int;  (** [Touch] lookups that demand-faulted a page *)
   forks : int;
@@ -35,4 +40,5 @@ val run :
   Workload.Trace.t ->
   result
 (** Replay a {!Churn}-generated trace (default [domains:1]).  [Access]
-    and [Switch] events are ignored, as in {!Engine}. *)
+    and [Switch] events are ignored, as in {!Engine}.  Raises
+    [Invalid_argument] if [domains < 1]. *)

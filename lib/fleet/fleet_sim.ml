@@ -109,7 +109,7 @@ type row = {
   f_shootdowns : int;
   f_evictions : int;
   f_evicted_pages : int;
-  f_resident : int;  (** fleet books at quiesce *)
+  f_resident : int;  (** per-tenant pages read from the tables at quiesce *)
   f_population : int;  (** shard tables at quiesce *)
   f_footprint_bytes : int;
   f_limbo : int;  (** after quiesce; 0 proves the drain *)
@@ -211,18 +211,18 @@ let run_one cfg ~org ~mode =
       touch =
         (fun local ->
           bump_touch ();
-          let mapped = Sharded.mem fleet ~asid local in
+          let found = Sharded.find fleet ~asid local in
+          let mapped = found <> None in
           Obs.Recorder.record ~stream:s ~kind:Obs.Recorder.k_touch ~asid
             ~vpn:(Int64.to_int local) ~pages:1 ~lock ~attempt:0 ~fault:0
             ~lat:(if mapped then 0 else 1);
           let th = Tlb.Tagged_tlb.access tg ~vpn:local = `Hit in
           let fh = Tlb.Intf.access fl ~vpn:local = `Hit in
-          (if mapped && ((not th) || not fh) then
-             match Sharded.find fleet ~asid local with
-             | Some tr ->
-                 if not th then Tlb.Tagged_tlb.fill tg tr;
-                 if not fh then Tlb.Intf.fill fl tr
-             | None -> ());
+          (match found with
+          | Some tr ->
+              if not th then Tlb.Tagged_tlb.fill tg tr;
+              if not fh then Tlb.Intf.fill fl tr
+          | None -> ());
           mapped);
     }
   in
@@ -338,7 +338,11 @@ let run_one cfg ~org ~mode =
     f_shootdowns = !shootdowns;
     f_evictions = !evictions;
     f_evicted_pages = !evicted_pages;
-    f_resident = Sharded.total_resident fleet;
+    f_resident =
+      List.fold_left
+        (fun acc asid -> acc + Sharded.resident fleet ~asid)
+        0
+        (List.init cfg.tenants succ);
     f_population = Sharded.population fleet;
     f_footprint_bytes = Sharded.size_bytes fleet;
     f_limbo = Sharded.limbo_nodes fleet;

@@ -11,10 +11,15 @@
    or, for comparison, the per-page path — the {!range_mode} axis the
    fleet experiment measures.
 
+   The shard tables are the only record of what a tenant has mapped:
+   residency and eviction read a tenant's pages back by walking its
+   shard for the ASID prefix, as the paper's range operations go
+   straight to the clustered nodes (Section 3.1).
+
    Concurrency contract: a tenant is driven from one domain at a time
-   (the sim pins tenant -> stream -> domain), so per-tenant state here
-   is plain mutable.  Cross-tenant contention happens underneath, on
-   the shared shard stripes.  Eviction runs on the coordinating domain
+   (the sim pins tenant -> stream -> domain).  Cross-tenant contention
+   happens underneath, on the shared shard stripes.  Residency and
+   eviction walk whole shards, so they run on the coordinating domain
    between phases (all streams parked at a barrier). *)
 
 module Service = Pt_service.Service
@@ -29,16 +34,10 @@ let asid_shift = 50
 
 let local_mask = Int64.sub (Int64.shift_left 1L asid_shift) 1L
 
-type tenant = {
-  asid : int;
-  shard : int;
-  live : (int64, unit) Hashtbl.t;  (* tenant-local keys *)
-  mutable evictions : int;
-}
-
 type t = {
   shards : Service.t array;
-  tenants : tenant array;  (* index i holds ASID i + 1 *)
+  homes : Service.t array;  (* index i is ASID i + 1's shard *)
+  evictions : int array;  (* index i counts ASID i + 1 *)
   mode : range_mode;
 }
 
@@ -52,36 +51,30 @@ let create ?(buckets = 4096) ?subblock_factor ~org ~locking ~shards ~tenants
   if tenants < 1 || tenants >= max_asid then
     invalid_arg "Fleet.create: tenants must be in [1, 4094]";
   let mk () = Service.create ~buckets ?subblock_factor ~org ~locking () in
+  let services = Array.init shards (fun _ -> mk ()) in
   {
-    shards = Array.init shards (fun _ -> mk ());
-    tenants =
-      Array.init tenants (fun i ->
-          let asid = i + 1 in
-          {
-            asid;
-            shard = shard_of_asid ~shards asid;
-            live = Hashtbl.create 1024;
-            evictions = 0;
-          });
+    shards = services;
+    homes =
+      Array.init tenants (fun i -> services.(shard_of_asid ~shards (i + 1)));
+    evictions = Array.make tenants 0;
     mode;
   }
 
 let mode t = t.mode
 let shard_count t = Array.length t.shards
-let tenant_count t = Array.length t.tenants
+let tenant_count t = Array.length t.homes
 let shard t i = t.shards.(i)
 
-let tenant t ~asid =
-  if asid < 1 || asid > Array.length t.tenants then
-    invalid_arg "Fleet: bad asid";
-  t.tenants.(asid - 1)
-
-let service_of t ten = t.shards.(ten.shard)
+let service_of t ~asid =
+  if asid < 1 || asid > Array.length t.homes then invalid_arg "Fleet: bad asid";
+  t.homes.(asid - 1)
 
 let tag ~asid local =
   Int64.logor (Int64.shift_left (Int64.of_int asid) asid_shift) local
 
 let untag k = Int64.logand k local_mask
+
+let asid_of k = Int64.to_int (Int64.shift_right_logical k asid_shift)
 
 let tagged_region ~asid (r : Addr.Region.t) =
   Addr.Region.make ~first_vpn:(tag ~asid r.Addr.Region.first_vpn)
@@ -96,38 +89,27 @@ let attr = Pte.Attr.default
 (* --- per-tenant operations (returns: write sections taken) --- *)
 
 let map t ~asid (region : Addr.Region.t) =
-  let ten = tenant t ~asid in
-  let svc = service_of t ten in
+  let svc = service_of t ~asid in
   let tr = tagged_region ~asid region in
-  let sections =
-    match t.mode with
-    | Batched -> Service.map_range svc tr ~ppn_of ~attr
-    | Paged ->
-        Addr.Region.fold_vpns tr ~init:0 ~f:(fun acc vpn ->
-            Service.insert svc ~vpn ~ppn:(ppn_of vpn) ~attr;
-            acc + 1)
-  in
-  Addr.Region.iter_vpns region (fun v -> Hashtbl.replace ten.live v ());
-  sections
+  match t.mode with
+  | Batched -> Service.map_range svc tr ~ppn_of ~attr
+  | Paged ->
+      Addr.Region.fold_vpns tr ~init:0 ~f:(fun acc vpn ->
+          Service.insert svc ~vpn ~ppn:(ppn_of vpn) ~attr;
+          acc + 1)
 
 let unmap t ~asid (region : Addr.Region.t) =
-  let ten = tenant t ~asid in
-  let svc = service_of t ten in
+  let svc = service_of t ~asid in
   let tr = tagged_region ~asid region in
-  let sections =
-    match t.mode with
-    | Batched -> Service.unmap_range svc tr
-    | Paged ->
-        Addr.Region.fold_vpns tr ~init:0 ~f:(fun acc vpn ->
-            Service.remove svc ~vpn;
-            acc + 1)
-  in
-  Addr.Region.iter_vpns region (fun v -> Hashtbl.remove ten.live v);
-  sections
+  match t.mode with
+  | Batched -> Service.unmap_range svc tr
+  | Paged ->
+      Addr.Region.fold_vpns tr ~init:0 ~f:(fun acc vpn ->
+          Service.remove svc ~vpn;
+          acc + 1)
 
 let protect t ~asid (region : Addr.Region.t) ~writable =
-  let ten = tenant t ~asid in
-  let svc = service_of t ten in
+  let svc = service_of t ~asid in
   let tr = tagged_region ~asid region in
   match t.mode with
   | Batched -> Service.protect_range svc tr ~writable
@@ -139,16 +121,8 @@ let protect t ~asid (region : Addr.Region.t) ~writable =
                ~writable);
           acc + 1)
 
-let mem t ~asid local = Hashtbl.mem (tenant t ~asid).live local
-
-let resident t ~asid = Hashtbl.length (tenant t ~asid).live
-
-let total_resident t =
-  Array.fold_left (fun acc ten -> acc + Hashtbl.length ten.live) 0 t.tenants
-
 let find t ~asid local =
-  let ten = tenant t ~asid in
-  match Service.find (service_of t ten) ~vpn:(tag ~asid local) with
+  match Service.find (service_of t ~asid) ~vpn:(tag ~asid local) with
   | None -> None
   | Some tr ->
       Some
@@ -158,73 +132,68 @@ let find t ~asid local =
           vpn_base = untag tr.Pt_common.Types.vpn_base;
         }
 
-(* --- eviction (memory pressure) --- *)
+(* --- residency and eviction: read back from the shard table --- *)
 
-(* maximal runs of consecutive local keys, sorted: eviction unmaps in
-   deterministic order and through the batched path regardless of the
-   fleet's configured mode (reclamation is inherently a bulk op) *)
-let coalesce vpns =
-  let sorted = List.sort compare vpns in
-  let runs = ref [] in
-  let flush first count = if count > 0 then runs := (first, count) :: !runs in
-  let first = ref 0L and count = ref 0 in
-  List.iter
-    (fun v ->
-      if !count > 0 && Int64.add !first (Int64.of_int !count) = v then
-        incr count
-      else begin
-        flush !first !count;
-        first := v;
-        count := 1
-      end)
-    sorted;
-  flush !first !count;
-  List.rev !runs
+(* [f] on every tagged key live in [svc]; a quiescent walk *)
+let iter_keys svc f =
+  let (Pt_common.Intf.Concurrent ((module T), tbl)) = Service.fsck_table svc in
+  T.iter_mappings tbl (fun k _ -> f k)
 
+let resident t ~asid =
+  let n = ref 0 in
+  iter_keys (service_of t ~asid) (fun k -> if asid_of k = asid then incr n);
+  !n
+
+(* Eviction unmaps in ascending key order through the batched path
+   regardless of the fleet's configured mode (reclamation is
+   inherently a bulk op). *)
 let evict t ~asid =
-  let ten = tenant t ~asid in
-  let svc = service_of t ten in
-  let pages = Hashtbl.fold (fun v () acc -> v :: acc) ten.live [] in
+  let svc = service_of t ~asid in
+  let pages = ref [] in
+  iter_keys svc (fun k -> if asid_of k = asid then pages := untag k :: !pages);
   List.iter
     (fun (first, count) ->
       let region = Addr.Region.make ~first_vpn:first ~pages:count in
       ignore (Service.unmap_range svc (tagged_region ~asid region)))
-    (coalesce pages);
-  Hashtbl.reset ten.live;
-  ten.evictions <- ten.evictions + 1;
-  List.length pages
+    (Dynamics.Fleet_replay.coalesce !pages);
+  t.evictions.(asid - 1) <- t.evictions.(asid - 1) + 1;
+  List.length !pages
 
-let evictions t ~asid = (tenant t ~asid).evictions
+let evictions t ~asid = t.evictions.(asid - 1)
 
 (* Evict coldest-first until the fleet fits the frame budget.
    [activity asid] is the tenant's recent-use signal — the sim feeds
    the per-tenant touch counters mirrored into the Obs registry — and
-   ties break on ASID, so victim order is deterministic.  Evicted
-   tenants' nodes drain through the service's epoch limbo path (under
-   seqlock locking) and the tenant demand-faults back in on its next
-   touch. *)
+   ties break on ASID, so victim order is deterministic.  One walk per
+   shard counts every tenant's pages; evicted tenants' nodes drain
+   through the service's epoch limbo path (under seqlock locking) and
+   the tenant demand-faults back in on its next touch. *)
 let enforce_budget t ~budget ~activity =
   if budget <= 0 then (0, 0)
   else begin
-    let total = ref (total_resident t) in
+    let resident = Array.make (tenant_count t + 1) 0 in
+    Array.iter
+      (fun svc ->
+        iter_keys svc (fun k ->
+            let a = asid_of k in
+            resident.(a) <- resident.(a) + 1))
+      t.shards;
+    let total = ref (Array.fold_left ( + ) 0 resident) in
     let evicted = ref 0 and pages = ref 0 in
-    while
-      !total > budget
-      && Array.exists (fun ten -> Hashtbl.length ten.live > 0) t.tenants
-    do
+    while !total > budget && Array.exists (fun n -> n > 0) resident do
       let victim = ref None in
-      Array.iter
-        (fun ten ->
-          if Hashtbl.length ten.live > 0 then
-            let a = activity ten.asid in
-            match !victim with
-            | Some (best, _) when best <= a -> ()
-            | _ -> victim := Some (a, ten.asid))
-        t.tenants;
+      for asid = 1 to tenant_count t do
+        if resident.(asid) > 0 then
+          let a = activity asid in
+          match !victim with
+          | Some (best, _) when best <= a -> ()
+          | _ -> victim := Some (a, asid)
+      done;
       match !victim with
       | None -> ()
       | Some (_, asid) ->
           let freed = evict t ~asid in
+          resident.(asid) <- 0;
           total := !total - freed;
           pages := !pages + freed;
           incr evicted

@@ -8,11 +8,14 @@
     each a single undo-journal unit) or the per-page path, per
     {!range_mode}.  A frame budget forces cross-tenant eviction,
     coldest first; evicted nodes drain through the epoch limbo path of
-    seqlock shards.
+    seqlock shards.  The shard tables are the fleet's only record of a
+    tenant's pages: residency and eviction walk the tenant's shard for
+    its ASID prefix.
 
     Concurrency contract: each tenant is driven from one domain at a
-    time; {!enforce_budget}, {!fsck} and the fleet-wide accounting run
-    on the coordinating domain while workers are parked. *)
+    time; {!resident}, {!evict}, {!enforce_budget}, {!fsck} and the
+    fleet-wide accounting run on the coordinating domain while workers
+    are parked. *)
 
 module Service = Pt_service.Service
 
@@ -62,31 +65,32 @@ val unmap : t -> asid:int -> Addr.Region.t -> int
 
 val protect : t -> asid:int -> Addr.Region.t -> writable:bool -> int
 
-val mem : t -> asid:int -> int64 -> bool
-(** Tenant-local liveness (the fleet's own books, no table walk). *)
-
 val find : t -> asid:int -> int64 -> Pt_common.Types.translation option
 (** Walk the tenant's shard; the returned translation is untagged back
-    to tenant-local keys, ready for a TLB fill. *)
+    to tenant-local keys, ready for a TLB fill.  [None] iff the key is
+    not mapped. *)
 
 val resident : t -> asid:int -> int
-
-val total_resident : t -> int
+(** Pages the tenant has mapped, counted by walking its whole shard
+    for the ASID prefix: run at quiescence. *)
 
 (** {2 Memory pressure} *)
 
 val evict : t -> asid:int -> int
-(** Unmap every page of the tenant (coalesced into maximal runs, each
-    a batched range op regardless of {!mode}); returns pages freed.
-    The tenant demand-faults back in afterwards. *)
+(** Unmap every page of the tenant, read back from its shard and
+    coalesced into maximal runs ({!Dynamics.Fleet_replay.coalesce}),
+    each a batched range op regardless of {!mode}; returns pages
+    freed.  The tenant demand-faults back in afterwards.  Run at
+    quiescence. *)
 
 val evictions : t -> asid:int -> int
 
 val enforce_budget : t -> budget:int -> activity:(int -> int) -> int * int
 (** Evict coldest tenants ([activity asid] ascending, ties on ASID)
-    until {!total_resident} fits [budget]; no-op when [budget <= 0].
-    Returns (tenants evicted, pages freed).  The caller owns TLB
-    shootdown for the evicted entries. *)
+    until {!population} fits [budget]; no-op when [budget <= 0].
+    Returns (tenants evicted, pages freed).  Walks every shard: run at
+    quiescence.  The caller owns TLB shootdown for the evicted
+    entries. *)
 
 (** {2 Fleet-wide accounting and integrity} *)
 

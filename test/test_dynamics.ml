@@ -1,12 +1,15 @@
 (* The churn subsystem: generator determinism, engine determinism and
    domain-count invariance, the zero-leak drain guarantee, COW fork
-   semantics, and a PT-vs-OS-bookkeeping oracle under random
-   map/unmap/touch churn. *)
+   semantics, a PT-vs-OS-bookkeeping oracle under random
+   map/unmap/touch churn, and the shared interpreter's run
+   coalescing, family partition and family runner. *)
 
 module A = Os_policy.Address_space
 module Intf = Pt_common.Intf
 module C = Dynamics.Churn
 module E = Dynamics.Engine
+module FR = Dynamics.Fleet_replay
+module T = Workload.Trace
 
 let attr = Pte.Attr.default
 
@@ -166,6 +169,84 @@ let test_pt_matches_mappings () =
     [ (A.Base_only, 201); (A.Partial_subblock, 202);
       (A.Superpage_promotion, 203) ]
 
+(* --- the shared churn interpreter --- *)
+
+let runs = Alcotest.(list (pair int64 int))
+
+let test_coalesce () =
+  Alcotest.check runs "empty input, no runs" [] (FR.coalesce []);
+  Alcotest.check runs "a single page" [ (0x40L, 1) ] (FR.coalesce [ 0x40L ]);
+  Alcotest.check runs "shuffled input comes out as sorted maximal runs"
+    [ (1L, 4); (9L, 2) ]
+    (FR.coalesce [ 10L; 3L; 1L; 9L; 4L; 2L ]);
+  Alcotest.check runs "a one-page gap splits a run"
+    [ (0x100L, 3); (0x104L, 2) ]
+    (FR.coalesce [ 0x100L; 0x101L; 0x102L; 0x104L; 0x105L ])
+
+let test_families () =
+  let trace =
+    [|
+      T.Mmap (0, 0L, 4);
+      T.Access (7, 1L);
+      T.Mmap (2, 0L, 2);
+      T.Fork (0, 1);
+      T.Switch 7;
+      T.Touch (1, 2L);
+      T.Mmap (3, 0L, 1);
+      T.Touch (2, 1L);
+      T.Exit 1;
+      (* a late fork still joins pid 3 to pid 2's family *)
+      T.Fork (3, 2);
+    |]
+  in
+  let fams = FR.families trace in
+  Alcotest.(check int) "three pids, two families" 2 (Array.length fams);
+  Alcotest.(check bool) "family 0: pids 0 and 1, trace order" true
+    (fams.(0)
+    = [| T.Mmap (0, 0L, 4); T.Fork (0, 1); T.Touch (1, 2L); T.Exit 1 |]);
+  Alcotest.(check bool) "family 1: pids 2 and 3, access/switch dropped" true
+    (fams.(1)
+    = [| T.Mmap (2, 0L, 2); T.Mmap (3, 0L, 1); T.Touch (2, 1L); T.Fork (3, 2) |]
+    )
+
+(* Zero families must not reach Exec.Soak, which rejects zero streams *)
+let test_replays_without_families () =
+  let access_only = [| T.Access (0, 1L); T.Switch 1; T.Access (1, 2L) |] in
+  List.iter
+    (fun (name, trace) ->
+      List.iter
+        (fun domains ->
+          let what = Printf.sprintf "%s at %d domains" name domains in
+          let s =
+            Dynamics.Service_replay.run ~domains
+              ~org:Pt_service.Service.Clustered
+              ~locking:Pt_service.Service.Seqlock trace
+          in
+          Alcotest.(check bool)
+            ("service replay: no families, zero tallies, " ^ what)
+            true
+            (s.Dynamics.Service_replay.families = 0
+            && s.inserts = 0 && s.removes = 0 && s.protects = 0
+            && s.touch_hits = 0 && s.touch_faults = 0 && s.forks = 0
+            && s.exits = 0 && s.final_population = 0 && s.write_locks = 0);
+          let n =
+            Dynamics.Numa_replay.run ~domains
+              ~machine:(Numa.Machine.make ~nodes:2 ())
+              ~org:Pt_service.Service.Hashed
+              ~locking:Pt_service.Service.Striped ~mode:Numa.Replicated.Eager
+              trace
+          in
+          Alcotest.(check bool)
+            ("numa replay: no families, zero tallies, " ^ what)
+            true
+            (n.Dynamics.Numa_replay.families = 0
+            && n.inserts = 0 && n.removes = 0 && n.protects = 0
+            && n.touch_hits = 0 && n.touch_faults = 0 && n.forks = 0
+            && n.exits = 0 && n.logical_writes = 0 && n.population = 0
+            && n.fsck_clean))
+        [ 1; 3 ])
+    [ ("empty trace", [||]); ("access/switch-only trace", access_only) ]
+
 let suite =
   ( "dynamics",
     [
@@ -182,4 +263,8 @@ let suite =
       Alcotest.test_case "COW fork divergence" `Quick test_cow_divergence;
       Alcotest.test_case "PT agrees with OS mappings under churn" `Quick
         test_pt_matches_mappings;
+      Alcotest.test_case "coalesce into maximal runs" `Quick test_coalesce;
+      Alcotest.test_case "fork families partition" `Quick test_families;
+      Alcotest.test_case "replays without families" `Quick
+        test_replays_without_families;
     ] )

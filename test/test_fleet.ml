@@ -94,7 +94,8 @@ let test_fleet_placement_and_isolation () =
     Alcotest.(check int)
       (Printf.sprintf "tenant %d resident" asid)
       8 (Sh.resident f ~asid);
-    Alcotest.(check bool) "mem sees the local key" true (Sh.mem f ~asid 0x12L);
+    Alcotest.(check bool) "mem sees the local key" true
+      (Sh.find f ~asid 0x12L <> None);
     match Sh.find f ~asid 0x12L with
     | Some tr ->
         Alcotest.(check int64)
@@ -103,8 +104,10 @@ let test_fleet_placement_and_isolation () =
     | None -> Alcotest.fail "find missed a mapped key"
   done;
   ignore (Sh.unmap f ~asid:2 (region ~first_vpn:0x10L ~pages:8));
-  Alcotest.(check bool) "tenant 2 unmapped" false (Sh.mem f ~asid:2 0x12L);
-  Alcotest.(check bool) "tenant 3 untouched" true (Sh.mem f ~asid:3 0x12L);
+  Alcotest.(check bool) "tenant 2 unmapped" false
+    (Sh.find f ~asid:2 0x12L <> None);
+  Alcotest.(check bool) "tenant 3 untouched" true
+    (Sh.find f ~asid:3 0x12L <> None);
   Sh.quiesce f;
   Alcotest.(check bool) "fleet fsck clean" true (Sh.fsck_clean (Sh.fsck f))
 
@@ -130,20 +133,23 @@ let test_fleet_eviction_and_refault () =
   ignore (Sh.map f ~asid:1 (region ~first_vpn:0x100L ~pages:50));
   ignore (Sh.map f ~asid:2 (region ~first_vpn:0x100L ~pages:30));
   ignore (Sh.map f ~asid:3 (region ~first_vpn:0x100L ~pages:20));
-  Alcotest.(check int) "resident before pressure" 100 (Sh.total_resident f);
+  Alcotest.(check int) "resident before pressure" 100 (Sh.population f);
   (* activity: tenant 2 coldest, then 3, then 1 *)
   let activity = function 1 -> 90 | 2 -> 5 | _ -> 40 in
   let evicted, pages = Sh.enforce_budget f ~budget:60 ~activity in
   Alcotest.(check int) "coldest-first: 2 then 3 evicted" 2 evicted;
   Alcotest.(check int) "their pages freed" 50 pages;
-  Alcotest.(check int) "within budget" 50 (Sh.total_resident f);
-  Alcotest.(check bool) "tenant 2 gone" false (Sh.mem f ~asid:2 0x100L);
-  Alcotest.(check bool) "tenant 1 survived" true (Sh.mem f ~asid:1 0x100L);
+  Alcotest.(check int) "within budget" 50 (Sh.population f);
+  Alcotest.(check bool) "tenant 2 gone" false
+    (Sh.find f ~asid:2 0x100L <> None);
+  Alcotest.(check bool) "tenant 1 survived" true
+    (Sh.find f ~asid:1 0x100L <> None);
   Alcotest.(check int) "eviction counted" 1 (Sh.evictions f ~asid:2);
   (* demand-fault back in: the tenant repopulates transparently *)
   ignore (Sh.map f ~asid:2 (region ~first_vpn:0x100L ~pages:30));
-  Alcotest.(check bool) "tenant 2 refaulted" true (Sh.mem f ~asid:2 0x100L);
-  Alcotest.(check int) "books track refault" 80 (Sh.total_resident f);
+  Alcotest.(check bool) "tenant 2 refaulted" true
+    (Sh.find f ~asid:2 0x100L <> None);
+  Alcotest.(check int) "books track refault" 80 (Sh.population f);
   (* a generous budget is a no-op *)
   Alcotest.(check bool)
     "no eviction under budget" true
@@ -152,6 +158,139 @@ let test_fleet_eviction_and_refault () =
   Alcotest.(check int) "limbo drained" 0 (Sh.limbo_nodes f);
   Alcotest.(check bool) "fsck clean after pressure" true
     (Sh.fsck_clean (Sh.fsck f))
+
+(* The shard tables are the fleet's only books, so a tenant's
+   residency must survive what a counter kept beside them would get
+   wrong: the churn replay never learns of an eviction, and later
+   unmaps pages that are already gone. *)
+let test_unmap_after_eviction () =
+  let f = make_fleet ~shards:2 ~tenants:3 () in
+  ignore (Sh.map f ~asid:1 (region ~first_vpn:0x100L ~pages:10));
+  ignore (Sh.map f ~asid:2 (region ~first_vpn:0x100L ~pages:20));
+  let activity = function 2 -> 0 | _ -> 10 in
+  Alcotest.(check (pair int int))
+    "tenant 2 evicted" (1, 20)
+    (Sh.enforce_budget f ~budget:15 ~activity);
+  ignore (Sh.unmap f ~asid:2 (region ~first_vpn:0x108L ~pages:6));
+  Alcotest.(check int) "evicted tenant stays at 0" 0 (Sh.resident f ~asid:2);
+  Alcotest.(check int) "others untouched" 10 (Sh.resident f ~asid:1);
+  Alcotest.(check int) "population agrees" 10 (Sh.population f)
+
+(* --- qcheck: the fleet against a reference set per tenant --- *)
+
+module KS = Set.Make (Int64)
+
+type model_op =
+  | Map of int * int * int  (** asid, first key, pages *)
+  | Unmap of int * int * int
+  | Protect of int * int * int * bool
+  | Enforce of int  (** budget *)
+
+let print_model_op = function
+  | Map (a, k, n) -> Printf.sprintf "map %d %d+%d" a k n
+  | Unmap (a, k, n) -> Printf.sprintf "unmap %d %d+%d" a k n
+  | Protect (a, k, n, w) -> Printf.sprintf "protect %d %d+%d %b" a k n w
+  | Enforce b -> Printf.sprintf "enforce %d" b
+
+let gen_model_op =
+  QCheck.Gen.(
+    let asid = int_range 1 3 and first = int_bound 63 in
+    let pages = int_range 1 12 in
+    frequency
+      [
+        (4, map3 (fun a k n -> Map (a, k, n)) asid first pages);
+        (2, map3 (fun a k n -> Unmap (a, k, n)) asid first pages);
+        ( 1,
+          map2
+            (fun (a, k) (n, w) -> Protect (a, k, n, w))
+            (pair asid first) (pair pages bool) );
+        (1, map (fun b -> Enforce b) (int_bound 40));
+      ])
+
+let model_total sets = Array.fold_left (fun acc s -> acc + KS.cardinal s) 0 sets
+
+(* the reference eviction: coldest non-empty tenant first, ties on the
+   smaller ASID, until the total fits *)
+let model_enforce sets ~budget ~activity =
+  if budget <= 0 then (0, 0)
+  else begin
+    let evicted = ref 0 and pages = ref 0 in
+    while model_total sets > budget do
+      let victim = ref 0 in
+      Array.iteri
+        (fun i s ->
+          if (not (KS.is_empty s))
+             && (!victim = 0 || activity (i + 1) < activity !victim)
+          then victim := i + 1)
+        sets;
+      pages := !pages + KS.cardinal sets.(!victim - 1);
+      sets.(!victim - 1) <- KS.empty;
+      incr evicted
+    done;
+    (!evicted, !pages)
+  end
+
+let prop_sharded_matches_model =
+  QCheck.Test.make ~count:60 ~name:"sharded fleet = per-tenant reference sets"
+    QCheck.(
+      make
+        ~print:
+          Print.(
+            triple (list print_model_op) (array int) (fun org ->
+                S.org_name org))
+        Gen.(
+          triple
+            (list_size (int_range 1 40) gen_model_op)
+            (array_repeat 3 (int_bound 3))
+            (oneofl [ S.Clustered; S.Hashed ])))
+    (fun (script, heat, org) ->
+      let f =
+        Sh.create ~buckets:64 ~org ~locking:S.Seqlock ~shards:2 ~tenants:3
+          ~mode:Sh.Batched ()
+      in
+      let sets = Array.make 3 KS.empty in
+      let activity asid = heat.(asid - 1) in
+      let keys k n = List.init n (fun i -> Int64.of_int (k + i)) in
+      let reg k n = region ~first_vpn:(Int64.of_int k) ~pages:n in
+      let step op =
+        match op with
+        | Map (a, k, n) ->
+            ignore (Sh.map f ~asid:a (reg k n));
+            sets.(a - 1) <- KS.union sets.(a - 1) (KS.of_list (keys k n))
+        | Unmap (a, k, n) ->
+            ignore (Sh.unmap f ~asid:a (reg k n));
+            sets.(a - 1) <- KS.diff sets.(a - 1) (KS.of_list (keys k n))
+        | Protect (a, k, n, writable) ->
+            ignore (Sh.protect f ~asid:a (reg k n) ~writable)
+        | Enforce budget ->
+            let got = Sh.enforce_budget f ~budget ~activity in
+            let want = model_enforce sets ~budget ~activity in
+            if got <> want then
+              QCheck.Test.fail_reportf "enforce %d: (%d, %d), model (%d, %d)"
+                budget (fst got) (snd got) (fst want) (snd want)
+      in
+      List.iter
+        (fun op ->
+          step op;
+          for asid = 1 to 3 do
+            let want = sets.(asid - 1) in
+            if Sh.resident f ~asid <> KS.cardinal want then
+              QCheck.Test.fail_reportf "after %s: resident %d = %d, model %d"
+                (print_model_op op) asid (Sh.resident f ~asid)
+                (KS.cardinal want);
+            List.iter
+              (fun key ->
+                if (Sh.find f ~asid key <> None) <> KS.mem key want then
+                  QCheck.Test.fail_reportf "after %s: find %d 0x%Lx disagrees"
+                    (print_model_op op) asid key)
+              (keys 0 75)
+          done;
+          if Sh.population f <> model_total sets then
+            QCheck.Test.fail_reportf "after %s: population %d, model %d"
+              (print_model_op op) (Sh.population f) (model_total sets))
+        script;
+      Sh.quiesce f;
+      Sh.fsck_clean (Sh.fsck f))
 
 (* --- cross-shard ASID fsck: overlap and misplacement --- *)
 
@@ -346,6 +485,9 @@ let suite =
         test_fleet_batched_fewer_sections;
       Alcotest.test_case "eviction and demand-fault-back" `Quick
         test_fleet_eviction_and_refault;
+      Alcotest.test_case "unmap after eviction" `Quick
+        test_unmap_after_eviction;
+      QCheck_alcotest.to_alcotest prop_sharded_matches_model;
       Alcotest.test_case "cross-shard asid fsck" `Quick
         test_check_shards_findings;
       Alcotest.test_case "fleet replay local keys" `Quick
