@@ -271,125 +271,90 @@ let run_micro () =
    ns/op) are emitted for humans and skipped by the diff. *)
 let emit_json path ~quick ~domains ~experiments_s ~churn_s ~churn_rows
     ~(report : Sim.Runner.verify_report) ~throughput_rows ~curve_rows
-    ~numa_json ~fleet_json ~chaos_json ~micro =
-  let oc = open_out path in
-  let json_string s =
-    let b = Buffer.create (String.length s + 2) in
-    Buffer.add_char b '"';
-    String.iter
-      (function
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"';
-    Buffer.contents b
+    ~(numa : Sim.Runner.numa_suite) ~(fleet : Sim.Runner.fleet_suite)
+    ~(chaos : Sim.Runner.chaos_suite) ~micro =
+  let tp_rows rows =
+    Jsonx.list (List.map Sim.Runner.throughput_row_to_json rows)
   in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema_version\": 3,\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" quick;
-  Printf.fprintf oc "  \"domains\": %d,\n" domains;
-  Printf.fprintf oc "  \"experiments\": {\n";
-  Printf.fprintf oc "    \"paper_suite\": { \"wall_clock_s\": %.3f },\n"
-    experiments_s;
-  Printf.fprintf oc "    \"claims\": [\n";
-  List.iteri
-    (fun i (name, holds) ->
-      Printf.fprintf oc "      { \"claim\": %s, \"holds\": %b }%s\n"
-        (json_string name) holds
-        (if i = List.length report.Sim.Runner.claims - 1 then "" else ","))
-    report.Sim.Runner.claims;
-  Printf.fprintf oc "    ],\n";
-  Printf.fprintf oc "    \"lines_per_miss\": [\n";
-  List.iteri
-    (fun i (design, pt, lines) ->
-      Printf.fprintf oc
-        "      { \"design\": %s, \"pt\": %s, \"lines\": %.4f }%s\n"
-        (json_string design) (json_string pt) lines
-        (if i = List.length report.Sim.Runner.lines_per_miss - 1 then ""
-         else ","))
-    report.Sim.Runner.lines_per_miss;
-  Printf.fprintf oc "    ],\n";
-  Printf.fprintf oc "    \"churn\": {\n";
-  Printf.fprintf oc "      \"wall_clock_s\": %.3f,\n" churn_s;
-  Printf.fprintf oc "      \"tables\": [\n";
-  List.iteri
-    (fun i (r : Sim.Runner.churn_row) ->
-      Printf.fprintf oc
-        "        { \"table\": %s, \"policy\": %s, \"seeds\": %d, \
-         \"peak_kb\": %.1f, \"final_bytes\": %.0f, \"insert_lines\": %.3f, \
-         \"delete_lines\": %.3f, \"promotions\": %d, \"demotions\": %d, \
-         \"cow_breaks\": %d, \"final_nodes\": %d }%s\n"
-        (json_string r.Sim.Runner.churn_name)
-        (json_string r.Sim.Runner.churn_policy)
-        r.Sim.Runner.churn_seeds r.Sim.Runner.churn_peak_kb
-        r.Sim.Runner.churn_final_bytes r.Sim.Runner.churn_insert_lines
-        r.Sim.Runner.churn_delete_lines r.Sim.Runner.churn_promotions
-        r.Sim.Runner.churn_demotions r.Sim.Runner.churn_cow_breaks
-        r.Sim.Runner.churn_final_nodes
-        (if i = List.length churn_rows - 1 then "" else ","))
-    churn_rows;
-  Printf.fprintf oc "      ]\n    },\n";
-  let emit_tp_rows rows =
-    List.iteri
-      (fun i (r : Sim.Runner.throughput_row) ->
-        Printf.fprintf oc
-          "        { \"table\": %s, \"locking\": %s, \"domains\": %d, \
-           \"total_ops\": %d, \"read_locks\": %d, \"write_locks\": %d, \
-           \"read_contention\": %d, \"seqlock_retries\": %d, \
-           \"seqlock_fallbacks\": %d, \"population\": %d, \"ops_per_sec\": \
-           %.0f, \"elapsed_s\": %.3f }%s\n"
-          (json_string r.Sim.Runner.tp_org)
-          (json_string r.Sim.Runner.tp_locking)
-          r.Sim.Runner.tp_domains r.Sim.Runner.tp_total_ops
-          r.Sim.Runner.tp_read_locks r.Sim.Runner.tp_write_locks
-          r.Sim.Runner.tp_read_contention r.Sim.Runner.tp_sq_retries
-          r.Sim.Runner.tp_sq_fallbacks r.Sim.Runner.tp_population
-          r.Sim.Runner.tp_ops_per_sec r.Sim.Runner.tp_elapsed_s
-          (if i = List.length rows - 1 then "" else ","))
-      rows
+  let experiments =
+    [
+      ( "paper_suite",
+        Jsonx.obj [ ("wall_clock_s", Jsonx.fixed ~dp:3 experiments_s) ] );
+      ( "claims",
+        Jsonx.list
+          (List.map
+             (fun (name, holds) ->
+               Jsonx.obj
+                 [ ("claim", Jsonx.string name); ("holds", Jsonx.bool holds) ])
+             report.Sim.Runner.claims) );
+      ( "lines_per_miss",
+        Jsonx.list
+          (List.map
+             (fun (design, pt, lines) ->
+               Jsonx.obj
+                 [
+                   ("design", Jsonx.string design); ("pt", Jsonx.string pt);
+                   ("lines", Jsonx.fixed ~dp:4 lines);
+                 ])
+             report.Sim.Runner.lines_per_miss) );
+      ( "churn",
+        Jsonx.obj
+          [
+            ("wall_clock_s", Jsonx.fixed ~dp:3 churn_s);
+            ( "tables",
+              Jsonx.list (List.map Sim.Runner.churn_row_to_json churn_rows) );
+          ] );
+      (* "curve" is the seqlock-vs-striped read-mostly scaling (see
+         Runner.throughput_curve) *)
+      ( "throughput",
+        Jsonx.obj
+          [ ("rows", tp_rows throughput_rows); ("curve", tp_rows curve_rows) ]
+      );
+      (* the NUMA replication matrix (Runner.numa_for_suite) — every
+         field is deterministic (no timing columns), so bench_diff
+         compares the whole object *)
+      ("numa", Numa.Numa_sim.outcome_to_json numa.numa_cfg numa.numa_outcome);
+      (* the multi-tenant fleet matrix (Runner.fleet_for_suite) —
+         emitted with its timing columns (ops_per_sec, elapsed_s,
+         p99_ns, mean_ns) for humans; bench_diff compares only the
+         deterministic fields *)
+      ( "fleet",
+        Fleet.Fleet_sim.outcome_to_json ~timing:true fleet.fleet_cfg
+          fleet.fleet_outcome );
+      (* the crash/recovery chaos soak (Runner.chaos_for_suite) — same
+         contract as fleet: timing columns for humans, everything else
+         deterministic and diffed *)
+      ( "chaos",
+        Fleet.Chaos_sim.outcome_to_json ~timing:true chaos.chaos_cfg
+          chaos.chaos_outcome );
+      (* every counter and histogram the suite's instrumented paths
+         recorded, merged across domains; bench_diff ignores this
+         section (histogram sums carry no timing, but the set of
+         metrics grows with instrumentation and should not fail the
+         baseline diff) *)
+      ( "telemetry",
+        Jsonx.obj (Obs.Metrics.json_fields (Obs.Ambient.merged ())) );
+    ]
   in
-  Printf.fprintf oc "    \"throughput\": {\n";
-  Printf.fprintf oc "      \"rows\": [\n";
-  emit_tp_rows throughput_rows;
-  Printf.fprintf oc "      ],\n";
-  (* seqlock-vs-striped read-mostly scaling (see Runner.throughput_curve) *)
-  Printf.fprintf oc "      \"curve\": [\n";
-  emit_tp_rows curve_rows;
-  Printf.fprintf oc "      ]\n    },\n";
-  (* the NUMA replication matrix (Runner.numa_for_suite) — every field
-     is deterministic (no timing columns), so bench_diff compares the
-     whole object *)
-  Printf.fprintf oc "    \"numa\": %s,\n" numa_json;
-  (* the multi-tenant fleet matrix (Runner.fleet_for_suite) — emitted
-     with its timing columns (ops_per_sec, elapsed_s, p99_ns, mean_ns)
-     for humans; bench_diff compares only the deterministic fields *)
-  Printf.fprintf oc "    \"fleet\": %s,\n" fleet_json;
-  (* the crash/recovery chaos soak (Runner.chaos_for_suite) — same
-     contract as fleet: timing columns for humans, everything else
-     deterministic and diffed *)
-  Printf.fprintf oc "    \"chaos\": %s,\n" chaos_json;
-  (* every counter and histogram the suite's instrumented paths
-     recorded, merged across domains; bench_diff ignores this section
-     (histogram sums carry no timing, but the set of metrics grows
-     with instrumentation and should not fail the baseline diff) *)
-  Printf.fprintf oc "    \"telemetry\": {";
-  let buf = Buffer.create 4096 in
-  Obs.Metrics.write_json_fields buf (Obs.Ambient.merged ());
-  output_string oc (Buffer.contents buf);
-  Printf.fprintf oc "}\n  },\n";
-  Printf.fprintf oc "  \"micro_ns_per_op\": [\n";
-  List.iteri
-    (fun i (name, ns, words) ->
-      Printf.fprintf oc
-        "    { \"name\": %s, \"ns\": %.1f, \"minor_words\": %.1f }%s\n"
-        (json_string name) ns words
-        (if i = List.length micro - 1 then "" else ","))
-    micro;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
+  let doc =
+    Jsonx.obj
+      [
+        ("schema_version", Jsonx.int 3); ("quick", Jsonx.bool quick);
+        ("domains", Jsonx.int domains); ("experiments", Jsonx.obj experiments);
+        ( "micro_ns_per_op",
+          Jsonx.list
+            (List.map
+               (fun (name, ns, words) ->
+                 Jsonx.obj
+                   [
+                     ("name", Jsonx.string name); ("ns", Jsonx.fixed ~dp:1 ns);
+                     ("minor_words", Jsonx.fixed ~dp:1 words);
+                   ])
+               micro) );
+      ]
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Jsonx.to_string ~layout:Indented doc ^ "\n"));
   Printf.printf "\nwrote %s\n%!" path
 
 let arg_value flag =
@@ -453,8 +418,5 @@ let () =
     (fun path ->
       emit_json path ~quick ~domains ~experiments_s ~churn_s ~churn_rows
         ~report ~throughput_rows ~curve_rows
-        ~numa_json:(Sim.Runner.numa_suite_json numa)
-        ~fleet_json:(Sim.Runner.fleet_suite_json fleet)
-        ~chaos_json:(Sim.Runner.chaos_suite_json chaos)
-        ~micro)
+        ~numa ~fleet ~chaos ~micro)
     json

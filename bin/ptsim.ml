@@ -188,29 +188,13 @@ let run_ablations options domains =
   Sim.Runner.ablation_replacement ~options ?domains ();
   Sim.Runner.extension_future64 ~options ?domains ()
 
-(* machine-readable churn rows, for CI artifacts and cross-commit
-   comparison; same row shape as the bench JSON's churn section *)
-let churn_rows_json rows =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "[\n";
-  List.iteri
-    (fun i (r : Sim.Runner.churn_row) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"table\": \"%s\", \"policy\": \"%s\", \"seeds\": %d, \
-            \"peak_kb\": %.1f, \"final_bytes\": %.0f, \"insert_lines\": \
-            %.3f, \"delete_lines\": %.3f, \"promotions\": %d, \
-            \"demotions\": %d, \"cow_breaks\": %d, \"final_nodes\": %d }%s\n"
-           r.Sim.Runner.churn_name r.Sim.Runner.churn_policy
-           r.Sim.Runner.churn_seeds r.Sim.Runner.churn_peak_kb
-           r.Sim.Runner.churn_final_bytes r.Sim.Runner.churn_insert_lines
-           r.Sim.Runner.churn_delete_lines r.Sim.Runner.churn_promotions
-           r.Sim.Runner.churn_demotions r.Sim.Runner.churn_cow_breaks
-           r.Sim.Runner.churn_final_nodes
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]";
-  Buffer.contents b
+let write_file path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
+
+(* the churn and throughput result files are read by people as well
+   as tools, so they are indented *)
+let write_json_file path v =
+  write_file path (Jsonx.to_string ~layout:Indented v ^ "\n")
 
 let run_churn options domains ops seeds procs sample json =
   announce_pool domains;
@@ -221,38 +205,15 @@ let run_churn options domains ops seeds procs sample json =
   match json with
   | None -> ()
   | Some path ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n  \"schema_version\": 2,\n  \"experiment\": \"churn\",\n  \
-         \"ops\": %d,\n  \"seeds\": %d,\n  \"rows\": %s\n}\n"
-        ops seeds (churn_rows_json rows);
-      close_out oc;
+      write_json_file path
+        (Jsonx.obj
+           [
+             ("schema_version", Jsonx.int 2);
+             ("experiment", Jsonx.string "churn"); ("ops", Jsonx.int ops);
+             ("seeds", Jsonx.int seeds);
+             ("rows", Jsonx.list (List.map Sim.Runner.churn_row_to_json rows));
+           ]);
       Printf.printf "\nwrote %s\n%!" path
-
-(* machine-readable throughput rows; deterministic fields first, the
-   timing fields last (CI diffs the former, ignores the latter) *)
-let throughput_rows_json rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i (r : Sim.Runner.throughput_row) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"table\": \"%s\", \"locking\": \"%s\", \"domains\": %d, \
-            \"total_ops\": %d, \"read_locks\": %d, \"write_locks\": %d, \
-            \"read_contention\": %d, \"seqlock_retries\": %d, \
-            \"seqlock_fallbacks\": %d, \"population\": %d, \"ops_per_sec\": \
-            %.0f, \"elapsed_s\": %.3f }%s\n"
-           r.Sim.Runner.tp_org r.Sim.Runner.tp_locking r.Sim.Runner.tp_domains
-           r.Sim.Runner.tp_total_ops r.Sim.Runner.tp_read_locks
-           r.Sim.Runner.tp_write_locks r.Sim.Runner.tp_read_contention
-           r.Sim.Runner.tp_sq_retries r.Sim.Runner.tp_sq_fallbacks
-           r.Sim.Runner.tp_population r.Sim.Runner.tp_ops_per_sec
-           r.Sim.Runner.tp_elapsed_s
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]";
-  Buffer.contents buf
 
 let run_throughput domains_list streams ops vpns seed org lockings json =
   let orgs =
@@ -270,13 +231,16 @@ let run_throughput domains_list streams ops vpns seed org lockings json =
   match json with
   | None -> ()
   | Some path ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n  \"schema_version\": 2,\n  \"experiment\": \"throughput\",\n  \
-         \"ops_per_domain\": %d,\n  \"vpns_per_domain\": %d,\n  \"seed\": \
-         %d,\n  \"rows\": %s\n}\n"
-        ops vpns seed (throughput_rows_json rows);
-      close_out oc;
+      write_json_file path
+        (Jsonx.obj
+           [
+             ("schema_version", Jsonx.int 2);
+             ("experiment", Jsonx.string "throughput");
+             ("ops_per_domain", Jsonx.int ops);
+             ("vpns_per_domain", Jsonx.int vpns); ("seed", Jsonx.int seed);
+             ( "rows",
+               Jsonx.list (List.map Sim.Runner.throughput_row_to_json rows) );
+           ]);
       Printf.printf "\nwrote %s\n%!" path
 
 let run_all options domains =
@@ -499,14 +463,9 @@ let run_fsck seed org corruptions repair json =
     end
     else report
   in
-  if json then print_endline (Fsck.report_to_json report)
+  if json then print_endline (Jsonx.to_string (Fsck.report_to_json report))
   else Format.printf "%a@." Fsck.pp_report report;
   if not (Fsck.clean report) then exit 1
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
 
 (* --- crash dumps: the flight recorder's event tail as JSON --- *)
 
@@ -519,7 +478,8 @@ let dump_last = 64
 let write_crash_dump dir ~cmd =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let path = Filename.concat dir (cmd ^ "-crash.json") in
-  write_file path (Obs.Recorder.dump_json ~last:dump_last ~label:cmd ());
+  write_file path
+    (Jsonx.to_string (Obs.Recorder.dump_json ~last:dump_last ~label:cmd ()));
   path
 
 let finish_with_dump dump_dir ~cmd ~clean =
@@ -546,7 +506,7 @@ let run_faultsim seed rate sites domains streams ops org locking dump_dir json
     }
   in
   let outcome = F.run cfg in
-  if json then print_endline (F.outcome_to_json outcome)
+  if json then print_endline (Jsonx.to_string (F.outcome_to_json outcome))
   else Format.printf "@[<v>%a@]@." F.pp_outcome outcome;
   finish_with_dump dump_dir ~cmd:"faultsim" ~clean:outcome.F.fsck_clean
 
@@ -573,7 +533,7 @@ let run_numa quick nodes modes orgs locking domains streams rounds reads
     |> upd (fun c x -> { c with NS.policy_spaces = x }) spaces
   in
   let outcome = NS.run cfg in
-  if json then print_endline (NS.outcome_to_json cfg outcome)
+  if json then print_endline (Jsonx.to_string (NS.outcome_to_json cfg outcome))
   else Format.printf "@[<v>%a@]@." NS.pp_outcome outcome;
   finish_with_dump dump_dir ~cmd:"numa" ~clean:(NS.all_clean outcome)
 
@@ -598,7 +558,7 @@ let run_fleet quick tenants shards streams rounds ops switch budget modes orgs
     |> upd (fun c x -> { c with FS.seed = x }) seed
   in
   let outcome = FS.run cfg in
-  if json then print_endline (FS.outcome_to_json cfg outcome)
+  if json then print_endline (Jsonx.to_string (FS.outcome_to_json cfg outcome))
   else Format.printf "@[<v>%a@]@." FS.pp_outcome outcome;
   finish_with_dump dump_dir ~cmd:"fleet" ~clean:(FS.all_clean outcome)
 
@@ -623,7 +583,7 @@ let run_chaos quick tenants shards rounds ops switch ckpt crash_at orgs
     |> upd (fun c x -> { c with CS.seed = x }) seed
   in
   let outcome = CS.run cfg in
-  if json then print_endline (CS.outcome_to_json cfg outcome)
+  if json then print_endline (Jsonx.to_string (CS.outcome_to_json cfg outcome))
   else Format.printf "@[<v>%a@]@." CS.pp_outcome outcome;
   finish_with_dump dump_dir ~cmd:"chaos" ~clean:(CS.all_clean outcome)
 
@@ -631,7 +591,7 @@ let run_chaos quick tenants shards rounds ops switch ckpt crash_at orgs
 
 let run_report baseline current json =
   let load path =
-    match Obs_report.load_file path with
+    match Jsonx.load_file path with
     | Ok v -> v
     | Error e ->
         Printf.eprintf "ptsim report: %s\n%!" e;
@@ -641,7 +601,9 @@ let run_report baseline current json =
   let r = Obs_report.compare_files ~baseline:b ~current:c in
   if json then
     print_endline
-      (Obs_report.render_json ~baseline_path:baseline ~current_path:current r)
+      (Jsonx.to_string
+         (Obs_report.render_json ~baseline_path:baseline ~current_path:current
+            r))
   else
     print_string
       (Obs_report.render_table ~baseline_path:baseline ~current_path:current r);
@@ -711,20 +673,19 @@ let telemetry_finish name (metrics_out, metrics_format, trace_out, _) =
       (match metrics_format with
       | `Openmetrics -> write_file path (Obs.Metrics.to_openmetrics m)
       | `Json ->
-          let buf = Buffer.create 4096 in
-          Buffer.add_string buf "{\"schema_version\":2,\"command\":\"";
-          Buffer.add_string buf name;
-          Buffer.add_string buf "\",";
-          Obs.Metrics.write_json_fields buf m;
-          Buffer.add_char buf ',';
-          Obs.Series.write_json_fields buf;
-          Buffer.add_string buf "}\n";
-          write_file path (Buffer.contents buf));
+          let header =
+            [ ("schema_version", Jsonx.int 2); ("command", Jsonx.string name) ]
+          in
+          let series = [ ("series", Obs.Series.to_json ()) ] in
+          write_file path
+            (Jsonx.to_string
+               (Jsonx.obj (header @ Obs.Metrics.json_fields m @ series))
+            ^ "\n"));
       Printf.printf "wrote %s\n%!" path);
   match trace_out with
   | None -> ()
   | Some path ->
-      write_file path (Obs.Tracer.to_chrome_json ());
+      write_file path (Jsonx.to_string (Obs.Tracer.to_chrome_json ()));
       Printf.printf "wrote %s (%d events, %d dropped)\n%!" path
         (Obs.Tracer.event_count ())
         (Obs.Tracer.dropped_count ());

@@ -655,67 +655,69 @@ let all_clean o =
 (* --- rendering --- *)
 
 let row_to_json ?(timing = false) r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"org\":\"%s\",\"locking\":\"%s\",\"tenants\":%d,\"shards\":%d,\
-        \"rounds\":%d,\"events\":%d,\"mmaps\":%d,\"munmaps\":%d,\
-        \"protects\":%d,\"touches\":%d,\"touch_hits\":%d,\"touch_faults\":%d,\
-        \"pages_mapped\":%d,\"pages_unmapped\":%d,\"range_pages\":%d,\
-        \"crashes\":%d,\"wal_records\":%d,\"wal_bytes\":%d,\
-        \"torn_truncations\":%d,\"truncated_bytes\":%d,\"checkpoints\":%d,\
-        \"torn_checkpoints\":%d,\"compactions\":%d,\
-        \"checkpoints_discarded\":%d,\"recovery_attempts\":%d,\
-        \"recoveries\":%d,\"recovery_crashes\":%d,\"replayed_records\":%d,\
-        \"restored_mappings\":%d,\"degraded_retries\":%d,\
-        \"degraded_rejections\":%d,\"pending_replayed\":%d,\"resident\":%d,\
-        \"population\":%d,\"limbo_after_quiesce\":%d,\"fsck_clean\":%b,\
-        \"placement_clean\":%b,\"recoveries_converged\":%b,\
-        \"oracle_equivalent\":%b"
-       (Service.org_name r.c_org)
-       (Service.locking_name r.c_locking)
-       r.c_tenants r.c_shards r.c_rounds r.c_events r.c_mmaps r.c_munmaps
-       r.c_protects r.c_touches r.c_touch_hits r.c_touch_faults
-       r.c_pages_mapped r.c_pages_unmapped r.c_range_pages r.c_crashes
-       r.c_wal_records r.c_wal_bytes r.c_torn_truncations r.c_truncated_bytes
-       r.c_checkpoints r.c_torn_checkpoints r.c_compactions
-       r.c_checkpoints_discarded r.c_recovery_attempts r.c_recoveries
-       r.c_recovery_crashes r.c_replayed_records r.c_restored_mappings
-       r.c_degraded_retries r.c_degraded_rejections r.c_pending_replayed
-       r.c_resident r.c_population r.c_limbo r.c_fsck_clean r.c_placement_clean
-       r.c_converged r.c_equivalent);
-  if timing then
-    Buffer.add_string b
-      (Printf.sprintf ",\"ops_per_sec\":%.1f,\"elapsed_s\":%.4f"
-         r.c_ops_per_sec r.c_elapsed_s);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let int = Jsonx.int and bool = Jsonx.bool in
+  Jsonx.obj
+    ([
+       ("org", Jsonx.string (Service.org_name r.c_org));
+       ("locking", Jsonx.string (Service.locking_name r.c_locking));
+       ("tenants", int r.c_tenants); ("shards", int r.c_shards);
+       ("rounds", int r.c_rounds); ("events", int r.c_events);
+       ("mmaps", int r.c_mmaps); ("munmaps", int r.c_munmaps);
+       ("protects", int r.c_protects); ("touches", int r.c_touches);
+       ("touch_hits", int r.c_touch_hits);
+       ("touch_faults", int r.c_touch_faults);
+       ("pages_mapped", int r.c_pages_mapped);
+       ("pages_unmapped", int r.c_pages_unmapped);
+       ("range_pages", int r.c_range_pages); ("crashes", int r.c_crashes);
+       ("wal_records", int r.c_wal_records); ("wal_bytes", int r.c_wal_bytes);
+       ("torn_truncations", int r.c_torn_truncations);
+       ("truncated_bytes", int r.c_truncated_bytes);
+       ("checkpoints", int r.c_checkpoints);
+       ("torn_checkpoints", int r.c_torn_checkpoints);
+       ("compactions", int r.c_compactions);
+       ("checkpoints_discarded", int r.c_checkpoints_discarded);
+       ("recovery_attempts", int r.c_recovery_attempts);
+       ("recoveries", int r.c_recoveries);
+       ("recovery_crashes", int r.c_recovery_crashes);
+       ("replayed_records", int r.c_replayed_records);
+       ("restored_mappings", int r.c_restored_mappings);
+       ("degraded_retries", int r.c_degraded_retries);
+       ("degraded_rejections", int r.c_degraded_rejections);
+       ("pending_replayed", int r.c_pending_replayed);
+       ("resident", int r.c_resident); ("population", int r.c_population);
+       ("limbo_after_quiesce", int r.c_limbo);
+       ("fsck_clean", bool r.c_fsck_clean);
+       ("placement_clean", bool r.c_placement_clean);
+       ("recoveries_converged", bool r.c_converged);
+       ("oracle_equivalent", bool r.c_equivalent);
+     ]
+    @
+    if timing then
+      [
+        ("ops_per_sec", Jsonx.fixed ~dp:1 r.c_ops_per_sec);
+        ("elapsed_s", Jsonx.fixed ~dp:4 r.c_elapsed_s);
+      ]
+    else [])
 
 let outcome_to_json ?timing cfg o =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema_version\":1,\"experiment\":\"chaos\",\"seed\":%d,\
-        \"locking\":\"%s\",\"tenants\":%d,\"shards\":%d,\"rounds\":%d,\
-        \"ops_per_tenant\":%d,\"switch_every\":%d,\"checkpoint_every\":%d,\
-        \"recovery_delay\":%d,\"retry_budget\":%d,\"rate_ppm\":%d,\
-        \"crash_offsets\":[%s],\"sites\":[%s],\"rows\":["
-       cfg.seed
-       (Service.locking_name cfg.locking)
-       cfg.tenants cfg.shards cfg.rounds cfg.ops_per_tenant cfg.switch_every
-       cfg.checkpoint_every cfg.recovery_delay cfg.retry_budget cfg.rate_ppm
-       (String.concat "," (List.map string_of_int (planned_offsets cfg)))
-       (String.concat ","
-          (List.map
-             (fun s -> Printf.sprintf "\"%s\"" (Fault.site_name s))
-             cfg.sites)));
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (row_to_json ?timing r))
-    o.rows;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let int = Jsonx.int in
+  Jsonx.obj
+    [
+      ("schema_version", int 1); ("experiment", Jsonx.string "chaos");
+      ("seed", int cfg.seed);
+      ("locking", Jsonx.string (Service.locking_name cfg.locking));
+      ("tenants", int cfg.tenants); ("shards", int cfg.shards);
+      ("rounds", int cfg.rounds); ("ops_per_tenant", int cfg.ops_per_tenant);
+      ("switch_every", int cfg.switch_every);
+      ("checkpoint_every", int cfg.checkpoint_every);
+      ("recovery_delay", int cfg.recovery_delay);
+      ("retry_budget", int cfg.retry_budget); ("rate_ppm", int cfg.rate_ppm);
+      ("crash_offsets", Jsonx.list (List.map int (planned_offsets cfg)));
+      ( "sites",
+        Jsonx.list
+          (List.map (fun s -> Jsonx.string (Fault.site_name s)) cfg.sites) );
+      ("rows", Jsonx.list (List.map (row_to_json ?timing) o.rows));
+    ]
 
 let pp_row ppf r =
   Format.fprintf ppf

@@ -124,9 +124,9 @@ val all_clean : outcome -> bool
     converged and every final table oracle-equivalent — the chaos
     gate. *)
 
-val row_to_json : ?timing:bool -> row -> string
+val row_to_json : ?timing:bool -> row -> Jsonx.t
 
-val outcome_to_json : ?timing:bool -> config -> outcome -> string
+val outcome_to_json : ?timing:bool -> config -> outcome -> Jsonx.t
 (** Deterministic for a config (byte-identical for any [domains],
     which is deliberately omitted); [~timing] adds wall-clock
     fields. *)

@@ -378,59 +378,60 @@ let run cfg =
    report, whose differ ignores those fields) — never in the `ptsim
    fleet --json` output CI byte-diffs across domain counts. *)
 let row_to_json ?(timing = false) r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"mode\":\"%s\",\"org\":\"%s\",\"locking\":\"%s\",\"tenants\":%d,\
-        \"shards\":%d,\"streams\":%d,\"rounds\":%d,\"events\":%d,\
-        \"mmaps\":%d,\"munmaps\":%d,\"protects\":%d,\"touches\":%d,\
-        \"touch_hits\":%d,\"touch_faults\":%d,\"forks\":%d,\"exits\":%d,\
-        \"pages_mapped\":%d,\"pages_unmapped\":%d,\"range_pages\":%d,\
-        \"range_sections\":%d,\"locks_per_page\":%.4f,\"write_locks\":%d,\
-        \"tagged_hits\":%d,\"tagged_misses\":%d,\"flush_hits\":%d,\
-        \"flush_misses\":%d,\"retained_hits\":%d,\"context_switches\":%d,\
-        \"shootdowns\":%d,\"evictions\":%d,\"evicted_pages\":%d,\
-        \"resident\":%d,\"population\":%d,\"footprint_bytes\":%d,\
-        \"limbo_after_quiesce\":%d,\"fsck_clean\":%b"
-       (Sharded.range_mode_name r.f_mode)
-       (Service.org_name r.f_org)
-       (Service.locking_name r.f_locking)
-       r.f_tenants r.f_shards r.f_streams r.f_rounds r.f_events r.f_mmaps
-       r.f_munmaps r.f_protects r.f_touches r.f_touch_hits r.f_touch_faults
-       r.f_forks r.f_exits r.f_pages_mapped r.f_pages_unmapped r.f_range_pages
-       r.f_range_sections (locks_per_page r) r.f_write_locks r.f_tagged_hits
-       r.f_tagged_misses r.f_flush_hits r.f_flush_misses (retained_hits r)
-       r.f_context_switches r.f_shootdowns r.f_evictions r.f_evicted_pages
-       r.f_resident r.f_population r.f_footprint_bytes r.f_limbo
-       r.f_fsck_clean);
-  if timing then
-    Buffer.add_string b
-      (Printf.sprintf
-         ",\"ops_per_sec\":%.1f,\"elapsed_s\":%.4f,\"p99_ns\":%d,\
-          \"mean_ns\":%.1f"
-         r.f_ops_per_sec r.f_elapsed_s r.f_p99_ns r.f_mean_ns);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let int = Jsonx.int and str = Jsonx.string in
+  Jsonx.obj
+    ([
+       ("mode", str (Sharded.range_mode_name r.f_mode));
+       ("org", str (Service.org_name r.f_org));
+       ("locking", str (Service.locking_name r.f_locking));
+       ("tenants", int r.f_tenants); ("shards", int r.f_shards);
+       ("streams", int r.f_streams); ("rounds", int r.f_rounds);
+       ("events", int r.f_events); ("mmaps", int r.f_mmaps);
+       ("munmaps", int r.f_munmaps); ("protects", int r.f_protects);
+       ("touches", int r.f_touches); ("touch_hits", int r.f_touch_hits);
+       ("touch_faults", int r.f_touch_faults); ("forks", int r.f_forks);
+       ("exits", int r.f_exits); ("pages_mapped", int r.f_pages_mapped);
+       ("pages_unmapped", int r.f_pages_unmapped);
+       ("range_pages", int r.f_range_pages);
+       ("range_sections", int r.f_range_sections);
+       ("locks_per_page", Jsonx.fixed ~dp:4 (locks_per_page r));
+       ("write_locks", int r.f_write_locks);
+       ("tagged_hits", int r.f_tagged_hits);
+       ("tagged_misses", int r.f_tagged_misses);
+       ("flush_hits", int r.f_flush_hits);
+       ("flush_misses", int r.f_flush_misses);
+       ("retained_hits", int (retained_hits r));
+       ("context_switches", int r.f_context_switches);
+       ("shootdowns", int r.f_shootdowns); ("evictions", int r.f_evictions);
+       ("evicted_pages", int r.f_evicted_pages); ("resident", int r.f_resident);
+       ("population", int r.f_population);
+       ("footprint_bytes", int r.f_footprint_bytes);
+       ("limbo_after_quiesce", int r.f_limbo);
+       ("fsck_clean", Jsonx.bool r.f_fsck_clean);
+     ]
+    @
+    if timing then
+      [
+        ("ops_per_sec", Jsonx.fixed ~dp:1 r.f_ops_per_sec);
+        ("elapsed_s", Jsonx.fixed ~dp:4 r.f_elapsed_s);
+        ("p99_ns", int r.f_p99_ns); ("mean_ns", Jsonx.fixed ~dp:1 r.f_mean_ns);
+      ]
+    else [])
 
 let outcome_to_json ?timing cfg o =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema_version\":1,\"experiment\":\"fleet\",\"seed\":%d,\
-        \"locking\":\"%s\",\"tenants\":%d,\"shards\":%d,\"streams\":%d,\
-        \"rounds\":%d,\"ops_per_tenant\":%d,\"switch_every\":%d,\
-        \"frame_budget\":%d,\"rows\":["
-       cfg.seed
-       (Service.locking_name cfg.locking)
-       cfg.tenants cfg.shards cfg.streams cfg.rounds cfg.ops_per_tenant
-       cfg.switch_every cfg.frame_budget);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (row_to_json ?timing r))
-    o.rows;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let int = Jsonx.int in
+  Jsonx.obj
+    [
+      ("schema_version", int 1); ("experiment", Jsonx.string "fleet");
+      ("seed", int cfg.seed);
+      ("locking", Jsonx.string (Service.locking_name cfg.locking));
+      ("tenants", int cfg.tenants); ("shards", int cfg.shards);
+      ("streams", int cfg.streams); ("rounds", int cfg.rounds);
+      ("ops_per_tenant", int cfg.ops_per_tenant);
+      ("switch_every", int cfg.switch_every);
+      ("frame_budget", int cfg.frame_budget);
+      ("rows", Jsonx.list (List.map (row_to_json ?timing) o.rows));
+    ]
 
 let pp_row ppf r =
   Format.fprintf ppf

@@ -92,9 +92,9 @@ val run : config -> outcome
 (** One row per (org × range mode).  Raises [Invalid_argument] on a
     non-positive [domains], [streams] or [rounds]. *)
 
-val row_to_json : ?timing:bool -> row -> string
+val row_to_json : ?timing:bool -> row -> Jsonx.t
 
-val outcome_to_json : ?timing:bool -> config -> outcome -> string
+val outcome_to_json : ?timing:bool -> config -> outcome -> Jsonx.t
 (** Deterministic for any [domains]; [~timing:true] appends the
     run-to-run varying fields (ops_per_sec, elapsed_s, p99_ns,
     mean_ns) for the bench report, whose differ ignores them. *)

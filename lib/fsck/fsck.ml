@@ -163,32 +163,16 @@ let check_shards ?(asid_shift = 50) ?expected_shard tables =
     tables;
   { r_org; findings = List.rev !findings }
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let report_to_json r =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"org\":\"%s\",\"clean\":%b,\"findings\":["
-       (json_escape r.r_org) (clean r));
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"code\":\"%s\",\"detail\":\"%s\"}"
-           (json_escape f.code) (json_escape f.detail)))
-    r.findings;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let finding f =
+    Jsonx.obj
+      [ ("code", Jsonx.string f.code); ("detail", Jsonx.string f.detail) ]
+  in
+  Jsonx.obj
+    [
+      ("org", Jsonx.string r.r_org); ("clean", Jsonx.bool (clean r));
+      ("findings", Jsonx.list (List.map finding r.findings));
+    ]
 
 let pp_report ppf r =
   if clean r then Format.fprintf ppf "%s: clean" r.r_org

@@ -80,7 +80,7 @@ val check_shards :
     correctly placed).  Raises [Invalid_argument] on an empty
     array. *)
 
-val report_to_json : report -> string
+val report_to_json : report -> Jsonx.t
 (** [{"org":...,"clean":...,"findings":[{"code":...,"detail":...}]}] —
     deterministic for a deterministic table state. *)
 

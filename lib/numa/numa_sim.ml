@@ -510,64 +510,58 @@ let run cfg =
 (* --- rendering --- *)
 
 let row_to_json r =
-  Printf.sprintf
-    "{\"nodes\":%d,\"mode\":\"%s\",\"org\":\"%s\",\"locking\":\"%s\",\
-     \"streams\":%d,\"rounds\":%d,\"lookups\":%d,\"hits\":%d,\
-     \"local_lines\":%d,\"remote_lines\":%d,\
-     \"local_lines_per_miss\":%.4f,\"remote_lines_per_miss\":%.4f,\
-     \"logical_writes\":%d,\"replica_writes\":%d,\
-     \"write_amplification\":%.4f,\"eager_skips\":%d,\"catchups\":%d,\
-     \"replayed_ops\":%d,\"max_catchup_pending\":%d,\"stale_pairs\":%d,\
-     \"sync_replayed\":%d,\"injected\":%d,\"population\":%d,\
-     \"fsck_clean\":%b}"
-    r.r_nodes
-    (Replicated.mode_name r.r_mode)
-    (Service.org_name r.r_org)
-    (Service.locking_name r.r_locking)
-    r.r_streams r.r_rounds r.r_lookups r.r_hits r.r_local_lines
-    r.r_remote_lines
-    (lines_per_miss r.r_local_lines r.r_lookups)
-    (lines_per_miss r.r_remote_lines r.r_lookups)
-    r.r_logical_writes r.r_replica_writes (write_amplification r)
-    r.r_eager_skips r.r_catchups r.r_replayed_ops r.r_max_catchup_pending
-    r.r_stale_pairs r.r_sync_replayed r.r_injected r.r_population
-    r.r_fsck_clean
+  let int = Jsonx.int and str = Jsonx.string in
+  Jsonx.obj
+    [
+      ("nodes", int r.r_nodes); ("mode", str (Replicated.mode_name r.r_mode));
+      ("org", str (Service.org_name r.r_org));
+      ("locking", str (Service.locking_name r.r_locking));
+      ("streams", int r.r_streams); ("rounds", int r.r_rounds);
+      ("lookups", int r.r_lookups); ("hits", int r.r_hits);
+      ("local_lines", int r.r_local_lines);
+      ("remote_lines", int r.r_remote_lines);
+      ( "local_lines_per_miss",
+        Jsonx.fixed ~dp:4 (lines_per_miss r.r_local_lines r.r_lookups) );
+      ( "remote_lines_per_miss",
+        Jsonx.fixed ~dp:4 (lines_per_miss r.r_remote_lines r.r_lookups) );
+      ("logical_writes", int r.r_logical_writes);
+      ("replica_writes", int r.r_replica_writes);
+      ("write_amplification", Jsonx.fixed ~dp:4 (write_amplification r));
+      ("eager_skips", int r.r_eager_skips); ("catchups", int r.r_catchups);
+      ("replayed_ops", int r.r_replayed_ops);
+      ("max_catchup_pending", int r.r_max_catchup_pending);
+      ("stale_pairs", int r.r_stale_pairs);
+      ("sync_replayed", int r.r_sync_replayed); ("injected", int r.r_injected);
+      ("population", int r.r_population);
+      ("fsck_clean", Jsonx.bool r.r_fsck_clean);
+    ]
 
 let policy_row_to_json p =
-  Printf.sprintf
-    "{\"org\":\"%s\",\"nodes\":%d,\"spaces\":%d,\"replicated\":%d,\
-     \"homed\":%d,\"baseline_remote_lines\":%d,\"policy_remote_lines\":%d,\
-     \"remote_reduction_pct\":%.2f,\"baseline_replica_writes\":%d,\
-     \"policy_replica_writes\":%d}"
-    (Service.org_name p.p_org)
-    p.p_nodes p.p_spaces p.p_replicated p.p_homed p.p_baseline_remote_lines
-    p.p_policy_remote_lines (remote_reduction_pct p)
-    p.p_baseline_replica_writes p.p_policy_replica_writes
+  let int = Jsonx.int in
+  Jsonx.obj
+    [
+      ("org", Jsonx.string (Service.org_name p.p_org));
+      ("nodes", int p.p_nodes); ("spaces", int p.p_spaces);
+      ("replicated", int p.p_replicated); ("homed", int p.p_homed);
+      ("baseline_remote_lines", int p.p_baseline_remote_lines);
+      ("policy_remote_lines", int p.p_policy_remote_lines);
+      ("remote_reduction_pct", Jsonx.fixed ~dp:2 (remote_reduction_pct p));
+      ("baseline_replica_writes", int p.p_baseline_replica_writes);
+      ("policy_replica_writes", int p.p_policy_replica_writes);
+    ]
 
 (* The JSON deliberately omits the domain count: outputs must be
    byte-identical for any --domains (CI diffs them). *)
 let outcome_to_json cfg o =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema_version\":1,\"experiment\":\"numa\",\"seed\":%d,\
-        \"locking\":\"%s\",\"fault_rate_ppm\":%d,\"rows\":["
-       cfg.seed
-       (Service.locking_name cfg.locking)
-       cfg.fault_rate_ppm);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (row_to_json r))
-    o.rows;
-  Buffer.add_string b "],\"policy\":[";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (policy_row_to_json p))
-    o.policy;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Jsonx.obj
+    [
+      ("schema_version", Jsonx.int 1); ("experiment", Jsonx.string "numa");
+      ("seed", Jsonx.int cfg.seed);
+      ("locking", Jsonx.string (Service.locking_name cfg.locking));
+      ("fault_rate_ppm", Jsonx.int cfg.fault_rate_ppm);
+      ("rows", Jsonx.list (List.map row_to_json o.rows));
+      ("policy", Jsonx.list (List.map policy_row_to_json o.policy));
+    ]
 
 let pp_outcome ppf o =
   Format.fprintf ppf

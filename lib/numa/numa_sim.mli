@@ -101,7 +101,7 @@ val run : config -> outcome
     [Invalid_argument] if [domains], [streams_per_node] or [rounds] is
     below 1, or [node_counts] is empty. *)
 
-val outcome_to_json : config -> outcome -> string
+val outcome_to_json : config -> outcome -> Jsonx.t
 (** Deterministic; omits the domain count (CI diffs runs across
     [--domains]). *)
 

@@ -63,54 +63,34 @@ let equal a b =
 
 (* --- JSON --- *)
 
-let add_escaped buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let write_json_fields buf t =
-  Buffer.add_string buf "\"counters\":[";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"name\":\"";
-      add_escaped buf name;
-      Buffer.add_string buf (Printf.sprintf "\",\"value\":%d}" v))
-    (counters t);
-  Buffer.add_string buf "],\"histograms\":[";
-  List.iteri
-    (fun i (name, h) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"name\":\"";
-      add_escaped buf name;
-      Buffer.add_string buf
-        (Printf.sprintf "\",\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d"
-           (Hist.count h) (Hist.sum h) (Hist.min_value h) (Hist.max_value h));
-      Buffer.add_string buf ",\"buckets\":[";
-      let first = ref true in
-      Hist.iter_nonzero h (fun k c ->
-          if not !first then Buffer.add_char buf ',';
-          first := false;
-          Buffer.add_string buf
-            (Printf.sprintf "{\"lo\":%d,\"hi\":%d,\"count\":%d}"
-               (Hist.bucket_lo k) (Hist.bucket_hi k) c));
-      Buffer.add_string buf "]}")
-    (hists t);
-  Buffer.add_char buf ']'
-
-let to_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_char buf '{';
-  write_json_fields buf t;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+let json_fields t =
+  let named name rest = Jsonx.obj (("name", Jsonx.string name) :: rest) in
+  let hist (name, h) =
+    let buckets = ref [] in
+    Hist.iter_nonzero h (fun k c ->
+        buckets :=
+          Jsonx.obj
+            [
+              ("lo", Jsonx.int (Hist.bucket_lo k));
+              ("hi", Jsonx.int (Hist.bucket_hi k)); ("count", Jsonx.int c);
+            ]
+          :: !buckets);
+    named name
+      [
+        ("count", Jsonx.int (Hist.count h)); ("sum", Jsonx.int (Hist.sum h));
+        ("min", Jsonx.int (Hist.min_value h));
+        ("max", Jsonx.int (Hist.max_value h));
+        ("buckets", Jsonx.list (List.rev !buckets));
+      ]
+  in
+  [
+    ( "counters",
+      Jsonx.list
+        (List.map
+           (fun (name, v) -> named name [ ("value", Jsonx.int v) ])
+           (counters t)) );
+    ("histograms", Jsonx.list (List.map hist (hists t)));
+  ]
 
 (* --- OpenMetrics (Prometheus text exposition) --- *)
 

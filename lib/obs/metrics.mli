@@ -48,16 +48,11 @@ val equal : t -> t -> bool
 (** Equality of contents, ignoring zero-valued counters and empty
     histograms (a registered-but-untouched name is not data). *)
 
-val add_escaped : Buffer.t -> string -> unit
-(** Append [s] with JSON string escaping (no surrounding quotes). *)
-
-val write_json_fields : Buffer.t -> t -> unit
-(** Append ["counters":[...],"histograms":[...]] — the fields of a
-    JSON object, without the surrounding braces, for embedding in a
-    larger document. *)
-
-val to_json : t -> string
-(** The two fields of {!write_json_fields} wrapped in an object. *)
+val json_fields : t -> (string * Jsonx.t) list
+(** The ["counters"] and ["histograms"] fields of the metrics JSON
+    document, for embedding in a larger object.  Counters are
+    [{"name", "value"}] rows; histograms carry their exact moments and
+    their nonzero [{"lo", "hi", "count"}] buckets in ascending order. *)
 
 val to_openmetrics : t -> string
 (** Prometheus/OpenMetrics text exposition: each counter as a

@@ -141,42 +141,40 @@ let event_count () =
 
 (* --- crash dump --- *)
 
-let write_event buf r i =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"kind\":\"%s\",\"asid\":%d,\"vpn\":%d,\"pages\":%d,\"lock\":\"%s\",\"attempt\":%d,\"fault\":%d,\"lat\":%d}"
-       (kind_name r.kinds.(i))
-       r.asids.(i) r.vpns.(i) r.pages.(i)
-       (lock_name r.locks.(i))
-       r.attempts.(i) r.faults.(i) r.lats.(i))
+let event_to_json r i =
+  Jsonx.obj
+    [
+      ("kind", Jsonx.string (kind_name r.kinds.(i)));
+      ("asid", Jsonx.int r.asids.(i)); ("vpn", Jsonx.int r.vpns.(i));
+      ("pages", Jsonx.int r.pages.(i));
+      ("lock", Jsonx.string (lock_name r.locks.(i)));
+      ("attempt", Jsonx.int r.attempts.(i)); ("fault", Jsonx.int r.faults.(i));
+      ("lat", Jsonx.int r.lats.(i));
+    ]
+
+let stream_to_json ?last s r =
+  let n = held r in
+  let keep = match last with None -> n | Some k -> min k n in
+  (* oldest retained slot, advanced to keep only [keep] *)
+  let oldest = if r.total <= r.cap then 0 else r.pos in
+  let start = (oldest + (n - keep)) mod r.cap in
+  Jsonx.obj
+    [
+      ("stream", Jsonx.int s); ("recorded", Jsonx.int r.total);
+      ( "events",
+        Jsonx.list
+          (List.init keep (fun j -> event_to_json r ((start + j) mod r.cap)))
+      );
+    ]
 
 let dump_json ?last ~label () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"schema_version\":1,\"kind\":\"crash_dump\",\"label\":\"%s\""
-       label);
-  Buffer.add_string buf ",\"streams\":[";
-  (match Atomic.get live with
-  | None -> ()
-  | Some t ->
-      Array.iteri
-        (fun s r ->
-          if s > 0 then Buffer.add_char buf ',';
-          let n = held r in
-          let keep = match last with None -> n | Some k -> min k n in
-          let start =
-            (* oldest retained slot, advanced to keep only [keep] *)
-            let oldest = if r.total <= r.cap then 0 else r.pos in
-            (oldest + (n - keep)) mod r.cap
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "{\"stream\":%d,\"recorded\":%d,\"events\":[" s
-               r.total);
-          for j = 0 to keep - 1 do
-            if j > 0 then Buffer.add_char buf ',';
-            write_event buf r ((start + j) mod r.cap)
-          done;
-          Buffer.add_string buf "]}")
-        t.rings);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let streams =
+    match Atomic.get live with
+    | None -> []
+    | Some t -> List.mapi (stream_to_json ?last) (Array.to_list t.rings)
+  in
+  Jsonx.obj
+    [
+      ("schema_version", Jsonx.int 1); ("kind", Jsonx.string "crash_dump");
+      ("label", Jsonx.string label); ("streams", Jsonx.list streams);
+    ]

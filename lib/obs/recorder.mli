@@ -97,7 +97,7 @@ val record :
 val event_count : unit -> int
 (** Events currently held across all rings (post-wrap). *)
 
-val dump_json : ?last:int -> label:string -> unit -> string
+val dump_json : ?last:int -> label:string -> unit -> Jsonx.t
 (** The retained event tail per stream as a JSON document
     ([{"kind":"crash_dump",...}]).  [last] keeps only the most recent
     that many events per stream (default: all retained).  Streams

@@ -97,42 +97,35 @@ let downsample samples =
     List.rev !kept
   end
 
-let write_sample buf s =
-  Buffer.add_string buf (Printf.sprintf "{\"i\":%d,\"counters\":[" s.index);
-  List.iteri
-    (fun j (name, d) ->
-      if j > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"name\":\"";
-      Metrics.add_escaped buf name;
-      Buffer.add_string buf (Printf.sprintf "\",\"delta\":%d}" d))
-    s.counters;
-  Buffer.add_string buf "],\"quantiles\":[";
-  List.iteri
-    (fun j (name, p50, p90, p99) ->
-      if j > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"name\":\"";
-      Metrics.add_escaped buf name;
-      Buffer.add_string buf
-        (Printf.sprintf "\",\"p50\":%d,\"p90\":%d,\"p99\":%d}" p50 p90 p99))
-    s.quantiles;
-  Buffer.add_string buf "]}"
+let sample_to_json s =
+  let named name fields =
+    Jsonx.obj
+      (("name", Jsonx.string name)
+      :: List.map (fun (k, v) -> (k, Jsonx.int v)) fields)
+  in
+  let counter (name, d) = named name [ ("delta", d) ] in
+  let quantiles (name, p50, p90, p99) =
+    named name [ ("p50", p50); ("p90", p90); ("p99", p99) ]
+  in
+  Jsonx.obj
+    [
+      ("i", Jsonx.int s.index);
+      ("counters", Jsonx.list (List.map counter s.counters));
+      ("quantiles", Jsonx.list (List.map quantiles s.quantiles));
+    ]
 
-let write_json_fields buf =
-  Buffer.add_string buf "\"series\":[";
-  List.iteri
-    (fun i g ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"label\":\"";
-      Metrics.add_escaped buf g.label;
-      Buffer.add_string buf "\",\"points\":[";
-      List.iteri
-        (fun j s ->
-          if j > 0 then Buffer.add_char buf ',';
-          write_sample buf s)
-        (downsample (List.rev g.samples));
-      Buffer.add_string buf "]}")
-    (List.rev !groups);
-  Buffer.add_char buf ']'
+let to_json () =
+  Jsonx.list
+    (List.rev_map
+       (fun g ->
+         Jsonx.obj
+           [
+             ("label", Jsonx.string g.label);
+             ( "points",
+               Jsonx.list
+                 (List.map sample_to_json (downsample (List.rev g.samples))) );
+           ])
+       !groups)
 
 let point_count () =
   List.fold_left (fun acc g -> acc + List.length g.samples) 0 !groups

@@ -28,8 +28,9 @@ val push : label:string -> index:int -> (string * int) list -> unit
 
 val point_count : unit -> int
 
-val write_json_fields : Buffer.t -> unit
-(** Append ["series":[{"label":...,"points":[...]}]] — a field for
-    embedding in the metrics JSON document.  Each label's points are
-    downsampled to at most 64 (even stride, final point kept); labels
-    appear in first-recorded order, points in record order. *)
+val to_json : unit -> Jsonx.t
+(** The ["series"] value of the metrics JSON document:
+    [[{"label", "points": [{"i", "counters", "quantiles"}]}]].  Each
+    label's points are downsampled to at most 64 (even stride, final
+    point kept); labels appear in first-recorded order, points in
+    record order. *)

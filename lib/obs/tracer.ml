@@ -153,28 +153,26 @@ let export_drop_counter m =
   Metrics.add (Metrics.counter m "obs.trace.dropped") (dropped_count ())
 
 let to_chrome_json () =
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  let emit r =
+  let events r =
     let n = held r in
     let start = if r.total <= r.cap then 0 else r.pos in
-    for j = 0 to n - 1 do
-      let i = (start + j) mod r.cap in
-      if not !first then Buffer.add_char buf ',';
-      first := false;
-      let ph = Bytes.get r.phases i in
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"pt\",\"ph\":\"%c\",%s\"ts\":%d,\"pid\":0,\"tid\":%d,\"args\":{\"v\":%d}}"
-           (name_of_code r.codes.(i))
-           ph
-           (if ph = 'i' then "\"s\":\"t\"," else "")
-           r.stamps.(i) r.tid r.args.(i))
-    done
+    List.init n (fun j ->
+        let i = (start + j) mod r.cap in
+        let ph = Bytes.get r.phases i in
+        Jsonx.obj
+          ([
+             ("name", Jsonx.string (name_of_code r.codes.(i)));
+             ("cat", Jsonx.string "pt");
+             ("ph", Jsonx.string (String.make 1 ph));
+           ]
+          @ (if ph = 'i' then [ ("s", Jsonx.string "t") ] else [])
+          @ [
+              ("ts", Jsonx.int r.stamps.(i)); ("pid", Jsonx.int 0);
+              ("tid", Jsonx.int r.tid);
+              ("args", Jsonx.obj [ ("v", Jsonx.int r.args.(i)) ]);
+            ]))
   in
   (* sort rings by tid so the file is deterministic regardless of
      which domain registered first *)
-  List.iter emit
-    (List.sort (fun a b -> compare a.tid b.tid) (all_rings ()));
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let rings = List.sort (fun a b -> compare a.tid b.tid) (all_rings ()) in
+  Jsonx.obj [ ("traceEvents", Jsonx.list (List.concat_map events rings)) ]

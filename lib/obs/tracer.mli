@@ -112,5 +112,5 @@ val export_drop_counter : Metrics.t -> unit
     ring overflow is visible in the metrics JSON and not only in the
     trace footer.  Only call after parallel sections join. *)
 
-val to_chrome_json : unit -> string
+val to_chrome_json : unit -> Jsonx.t
 (** Only call after parallel sections join. *)

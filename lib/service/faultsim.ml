@@ -187,29 +187,20 @@ let run cfg =
 (* Deliberately omits the domain count: two runs differing only in
    [--domains] must serialize byte-identically. *)
 let outcome_to_json o =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"seed\":%d,\"org\":\"%s\",\"locking\":\"%s\"" o.o_seed
-       (Service.org_name o.o_org)
-       (Service.locking_name o.o_locking));
-  Buffer.add_string b
-    (Printf.sprintf ",\"streams\":%d,\"ops\":%d" o.o_streams o.o_ops);
-  Buffer.add_string b ",\"injected\":{";
-  List.iteri
-    (fun i (name, n) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" name n))
-    o.injected;
-  Buffer.add_string b "}";
-  Buffer.add_string b
-    (Printf.sprintf
-       ",\"retries\":%d,\"aborts\":%d,\"crashes\":%d,\"restarts\":%d,\"repairs\":%d"
-       o.retries o.aborts o.crashes o.restarts o.repairs);
-  Buffer.add_string b
-    (Printf.sprintf
-       ",\"pre_findings\":%d,\"kept\":%d,\"dropped\":%d,\"fsck_clean\":%b,\"population\":%d}"
-       o.pre_findings o.kept o.dropped o.fsck_clean o.population);
-  Buffer.contents b
+  let int = Jsonx.int in
+  Jsonx.obj
+    [
+      ("seed", int o.o_seed); ("org", Jsonx.string (Service.org_name o.o_org));
+      ("locking", Jsonx.string (Service.locking_name o.o_locking));
+      ("streams", int o.o_streams); ("ops", int o.o_ops);
+      ( "injected",
+        Jsonx.obj (List.map (fun (name, n) -> (name, int n)) o.injected) );
+      ("retries", int o.retries); ("aborts", int o.aborts);
+      ("crashes", int o.crashes); ("restarts", int o.restarts);
+      ("repairs", int o.repairs); ("pre_findings", int o.pre_findings);
+      ("kept", int o.kept); ("dropped", int o.dropped);
+      ("fsck_clean", Jsonx.bool o.fsck_clean); ("population", int o.population);
+    ]
 
 let pp_outcome ppf o =
   Format.fprintf ppf "faultsim seed=%d %s/%s streams=%d ops=%d@," o.o_seed

@@ -55,7 +55,7 @@ val run : config -> outcome
     one ring per stream (capacity 512) and leaves it armed on return,
     so a caller seeing a dirty outcome can dump the event tail. *)
 
-val outcome_to_json : outcome -> string
+val outcome_to_json : outcome -> Jsonx.t
 (** One JSON object; deliberately omits the domain count so runs
     differing only in [domains] diff byte-identical. *)
 

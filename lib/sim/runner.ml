@@ -1090,6 +1090,24 @@ type churn_row = {
       (* seed-0 time series: (op, live pages, pt bytes) *)
 }
 
+(* The one churn-row encoder: ptsim's churn --json and the bench
+   JSON's churn section print the same row shape. *)
+let churn_row_to_json r =
+  Jsonx.obj
+    [
+      ("table", Jsonx.string r.churn_name);
+      ("policy", Jsonx.string r.churn_policy);
+      ("seeds", Jsonx.int r.churn_seeds);
+      ("peak_kb", Jsonx.fixed ~dp:1 r.churn_peak_kb);
+      ("final_bytes", Jsonx.fixed ~dp:0 r.churn_final_bytes);
+      ("insert_lines", Jsonx.fixed ~dp:3 r.churn_insert_lines);
+      ("delete_lines", Jsonx.fixed ~dp:3 r.churn_delete_lines);
+      ("promotions", Jsonx.int r.churn_promotions);
+      ("demotions", Jsonx.int r.churn_demotions);
+      ("cow_breaks", Jsonx.int r.churn_cow_breaks);
+      ("final_nodes", Jsonx.int r.churn_final_nodes);
+    ]
+
 let churn_policy_tag = function
   | Os_policy.Address_space.Base_only -> "base"
   | Os_policy.Address_space.Partial_subblock -> "psb"
@@ -1418,6 +1436,24 @@ type throughput_row = {
   tp_population : int;
 }
 
+(* Deterministic fields first, the timing fields last (the differs
+   compare the former and ignore the latter). *)
+let throughput_row_to_json r =
+  Jsonx.obj
+    [
+      ("table", Jsonx.string r.tp_org); ("locking", Jsonx.string r.tp_locking);
+      ("domains", Jsonx.int r.tp_domains);
+      ("total_ops", Jsonx.int r.tp_total_ops);
+      ("read_locks", Jsonx.int r.tp_read_locks);
+      ("write_locks", Jsonx.int r.tp_write_locks);
+      ("read_contention", Jsonx.int r.tp_read_contention);
+      ("seqlock_retries", Jsonx.int r.tp_sq_retries);
+      ("seqlock_fallbacks", Jsonx.int r.tp_sq_fallbacks);
+      ("population", Jsonx.int r.tp_population);
+      ("ops_per_sec", Jsonx.fixed ~dp:0 r.tp_ops_per_sec);
+      ("elapsed_s", Jsonx.fixed ~dp:3 r.tp_elapsed_s);
+    ]
+
 let row_of_result (r : Pt_service.Throughput.result) =
   {
     tp_org = Pt_service.Service.org_name r.Pt_service.Throughput.org;
@@ -1722,7 +1758,6 @@ let numa_for_suite ?(options = default_options) ?(domains = 1) () =
     outcome;
   { numa_cfg = cfg; numa_outcome = outcome }
 
-let numa_suite_json s = Numa.Numa_sim.outcome_to_json s.numa_cfg s.numa_outcome
 let numa_suite_clean s = Numa.Numa_sim.all_clean s.numa_outcome
 
 (* --- multi-tenant fleet (PR 8) --- *)
@@ -1743,9 +1778,6 @@ let fleet_for_suite ?(options = default_options) ?(domains = 1) () =
     outcome;
   { fleet_cfg = cfg; fleet_outcome = outcome }
 
-let fleet_suite_json s =
-  Fleet.Fleet_sim.outcome_to_json ~timing:true s.fleet_cfg s.fleet_outcome
-
 let fleet_suite_clean s = Fleet.Fleet_sim.all_clean s.fleet_outcome
 
 (* --- crash/recovery chaos soak (PR 10) --- *)
@@ -1765,8 +1797,5 @@ let chaos_for_suite ?(options = default_options) ?(domains = 1) () =
   Format.printf "@.== Crash/recovery chaos soak ==@.%a"
     Fleet.Chaos_sim.pp_outcome outcome;
   { chaos_cfg = cfg; chaos_outcome = outcome }
-
-let chaos_suite_json s =
-  Fleet.Chaos_sim.outcome_to_json ~timing:true s.chaos_cfg s.chaos_outcome
 
 let chaos_suite_clean s = Fleet.Chaos_sim.all_clean s.chaos_outcome

@@ -135,6 +135,10 @@ type churn_row = {
       (** seed-0 time series: (op index, live pages, page-table bytes) *)
 }
 
+val churn_row_to_json : churn_row -> Jsonx.t
+(** The row shape of [ptsim churn --json] and the bench JSON's churn
+    table (the series is omitted). *)
+
 val churn :
   ?options:options ->
   ?domains:int ->
@@ -206,6 +210,10 @@ type throughput_row = {
   tp_sq_fallbacks : int;
   tp_population : int;  (** final mapped pages; deterministic *)
 }
+
+val throughput_row_to_json : throughput_row -> Jsonx.t
+(** The row shape of [ptsim throughput --json] and the bench JSON:
+    the timing fields ([ops_per_sec], [elapsed_s]) last. *)
 
 val throughput :
   ?domains_list:int list ->
@@ -296,12 +304,8 @@ val numa_for_suite : ?options:options -> ?domains:int -> unit -> numa_suite
     (node counts x organizations x replication modes, plus the
     migration-policy experiment), printed as a table.  The quick
     config rides [--quick].  [domains] sizes the worker pool only —
-    the outcome, and hence {!numa_suite_json}, is bit-identical for
-    every value. *)
-
-val numa_suite_json : numa_suite -> string
-(** {!Numa.Numa_sim.outcome_to_json} of the run — the benchmark
-    harness embeds it as [experiments.numa]. *)
+    the outcome, and hence its JSON, is bit-identical for every
+    value. *)
 
 val numa_suite_clean : numa_suite -> bool
 (** Every row's replicas passed fsck. *)
@@ -319,11 +323,6 @@ val fleet_for_suite : ?options:options -> ?domains:int -> unit -> fleet_suite
     eviction, printed as a table.  The quick config rides [--quick].
     [domains] sizes the worker pool only — the outcome is bit-identical
     for every value. *)
-
-val fleet_suite_json : fleet_suite -> string
-(** {!Fleet.Fleet_sim.outcome_to_json} with timing fields (the bench
-    harness embeds it as [experiments.fleet]; its differ ignores the
-    timing). *)
 
 val fleet_suite_clean : fleet_suite -> bool
 (** Every row fsck-clean (including cross-shard ASID placement) with
@@ -343,11 +342,6 @@ val chaos_for_suite : ?options:options -> ?domains:int -> unit -> chaos_suite
     mid-recovery.  The quick config rides [--quick]; [domains] sizes
     the worker pool only — the outcome is bit-identical for every
     value. *)
-
-val chaos_suite_json : chaos_suite -> string
-(** {!Fleet.Chaos_sim.outcome_to_json} with timing fields (the bench
-    harness embeds it as [experiments.chaos]; its differ ignores the
-    timing). *)
 
 val chaos_suite_clean : chaos_suite -> bool
 (** Every recovery converged, every final table oracle-equivalent,

@@ -278,8 +278,9 @@ let test_chaos_soak_gate () =
 
 let test_chaos_domain_invariance () =
   let j d =
-    CS.outcome_to_json soak_config
-      (CS.run { soak_config with CS.domains = d })
+    Jsonx.to_string
+      (CS.outcome_to_json soak_config
+         (CS.run { soak_config with CS.domains = d }))
   in
   let one = j 1 in
   Alcotest.(check string) "3 domains = 1 domain" one (j 3);

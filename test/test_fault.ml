@@ -417,7 +417,8 @@ let test_faultsim_invariance () =
   let o1 = FS.run { cfg with FS.domains = 1 } in
   let o4 = FS.run { cfg with FS.domains = 4 } in
   Alcotest.(check string) "byte-identical JSON for 1 vs 4 domains"
-    (FS.outcome_to_json o1) (FS.outcome_to_json o4);
+    (Jsonx.to_string (FS.outcome_to_json o1))
+    (Jsonx.to_string (FS.outcome_to_json o4));
   Alcotest.(check bool) "ends fsck-clean" true o1.FS.fsck_clean;
   let injected = List.fold_left (fun a (_, n) -> a + n) 0 o1.FS.injected in
   Alcotest.(check bool)
@@ -451,7 +452,8 @@ let test_faultsim_seqlock_invariance () =
   let o1 = FS.run { cfg with FS.domains = 1 } in
   let o4 = FS.run { cfg with FS.domains = 4 } in
   Alcotest.(check string) "byte-identical JSON for 1 vs 4 domains"
-    (FS.outcome_to_json o1) (FS.outcome_to_json o4);
+    (Jsonx.to_string (FS.outcome_to_json o1))
+    (Jsonx.to_string (FS.outcome_to_json o4));
   Alcotest.(check bool) "ends fsck-clean" true o1.FS.fsck_clean;
   Alcotest.(check bool) "seqlock stalls were injected" true
     (List.assoc "seqlock_stall" o1.FS.injected > 0);

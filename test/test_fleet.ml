@@ -430,7 +430,9 @@ let tiny =
   }
 
 let strip_timing outcome =
-  List.map (fun row -> FS.row_to_json ~timing:false row) outcome.FS.rows
+  List.map
+    (fun row -> Jsonx.to_string (FS.row_to_json ~timing:false row))
+    outcome.FS.rows
 
 let test_fleet_sim_domain_invariance () =
   let run domains = FS.run { tiny with FS.domains } in
@@ -444,8 +446,9 @@ let test_fleet_sim_domain_invariance () =
     (strip_timing parallel);
   Alcotest.(check string)
     "JSON byte-identical (the CI gate)"
-    (FS.outcome_to_json { tiny with FS.domains = 1 } serial)
-    (FS.outcome_to_json { tiny with FS.domains = 4 } parallel)
+    (Jsonx.to_string (FS.outcome_to_json { tiny with FS.domains = 1 } serial))
+    (Jsonx.to_string
+       (FS.outcome_to_json { tiny with FS.domains = 4 } parallel))
 
 let test_fleet_sim_pressure_and_amortisation () =
   let outcome = FS.run { tiny with FS.orgs = [ S.Clustered ] } in

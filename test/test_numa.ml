@@ -305,8 +305,9 @@ let test_numa_sim_domain_invariance () =
   Alcotest.(check bool) "all rows fsck clean" true (NS.all_clean serial);
   Alcotest.(check string)
     "JSON byte-identical"
-    (NS.outcome_to_json { cfg with NS.domains = 1 } serial)
-    (NS.outcome_to_json { cfg with NS.domains = 4 } parallel);
+    (Jsonx.to_string (NS.outcome_to_json { cfg with NS.domains = 1 } serial))
+    (Jsonx.to_string
+       (NS.outcome_to_json { cfg with NS.domains = 4 } parallel));
   (* a zero count used to run nothing and report a clean outcome *)
   List.iter
     (fun (what, bad) ->

@@ -158,7 +158,7 @@ let test_metrics_merge_and_json () =
   M.merge_into ~src:b ~dst:a;
   Alcotest.(check int) "merged counter" 7 (M.value (M.counter a "b.counter"));
   Alcotest.(check int) "merged hist" 2 (H.count (M.hist a "h"));
-  let json = M.to_json a in
+  let json = Jsonx.to_string (Jsonx.obj (M.json_fields a)) in
   let contains sub =
     let n = String.length sub in
     let rec go i =
@@ -229,7 +229,7 @@ let test_tracer_ring () =
     "ring wraps at capacity" 8
     (Obs.Tracer.event_count ());
   Alcotest.(check int) "drops counted" 12 (Obs.Tracer.dropped_count ());
-  let json = Obs.Tracer.to_chrome_json () in
+  let json = Jsonx.to_string (Obs.Tracer.to_chrome_json ()) in
   let contains sub =
     let n = String.length sub in
     let rec go i =
@@ -326,7 +326,7 @@ let test_recorder_ring () =
   (* stream 0 wrapped: 4 retained of 6 recorded; stream 1 kept both *)
   Alcotest.(check int) "retained = min(total, cap) per ring" 6
     (Obs.Recorder.event_count ());
-  let dump = Obs.Recorder.dump_json ~label:"test" () in
+  let dump = Jsonx.to_string (Obs.Recorder.dump_json ~label:"test" ()) in
   Alcotest.(check bool)
     "dump reports all recorded events" true
     (contains_sub dump "\"recorded\":6");
@@ -340,7 +340,9 @@ let test_recorder_ring () =
   record_n 9 1;
   Alcotest.(check int) "out-of-range stream ignored" 6
     (Obs.Recorder.event_count ());
-  let tail = Obs.Recorder.dump_json ~last:1 ~label:"test" () in
+  let tail =
+    Jsonx.to_string (Obs.Recorder.dump_json ~last:1 ~label:"test" ())
+  in
   Alcotest.(check bool)
     "?last keeps only the newest per stream" true
     (contains_sub tail "\"vpn\":106" && not (contains_sub tail "\"vpn\":105"));
@@ -352,7 +354,7 @@ let test_recorder_dump_deterministic () =
     Obs.Recorder.arm ~streams:3 ~capacity:8;
     record_n 0 12;
     record_n 2 5;
-    Obs.Recorder.dump_json ~last:4 ~label:"episode" ()
+    Jsonx.to_string (Obs.Recorder.dump_json ~last:4 ~label:"episode" ())
   in
   let a = episode () in
   let b = episode () in
@@ -362,9 +364,8 @@ let test_recorder_dump_deterministic () =
 (* --- the per-phase series sampler --- *)
 
 let series_json () =
-  let buf = Buffer.create 256 in
-  Obs.Series.write_json_fields buf;
-  Buffer.contents buf
+  let doc = Jsonx.to_string (Jsonx.obj [ ("series", Obs.Series.to_json ()) ]) in
+  String.sub doc 1 (String.length doc - 2)
 
 let count_sub hay sub =
   let n = String.length sub in

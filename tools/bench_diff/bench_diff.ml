@@ -18,37 +18,18 @@
    Exit 0 when equivalent, 1 on drift (each difference on stderr),
    2 on usage or parse errors. *)
 
-(* --- JSON: obs_report's reader (objects keep field order) --- *)
-
-type json = Obs_report.json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
 (* --- accessors --- *)
-
-let obj_find key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
 
 let get path root =
   List.fold_left
     (fun acc key ->
-      match acc with Some v -> obj_find key v | None -> None)
+      match acc with Some v -> Jsonx.member key v | None -> None)
     (Some root) path
 
-let to_list = function List l -> Some l | _ -> None
-
 let pp = function
-  | Null -> "null"
-  | Bool b -> string_of_bool b
-  | Num f -> Printf.sprintf "%g" f
-  | Str s -> Printf.sprintf "%S" s
-  | List _ -> "<list>"
+  | Jsonx.List _ -> "<list>"
   | Obj _ -> "<object>"
+  | scalar -> Jsonx.to_string scalar
 
 (* --- the comparison --- *)
 
@@ -69,8 +50,15 @@ let check_scalar label path a b =
   | Some _, None -> report "%s: missing from current" label
   | None, None -> report "%s: missing from both files" label
 
+(* [experiments.<section>.<key>] for each key *)
+let check_section section keys a b =
+  List.iter
+    (fun k ->
+      check_scalar (section ^ "." ^ k) [ "experiments"; section; k ] a b)
+    keys
+
 let rows_of path root =
-  match get path root with Some v -> to_list v | None -> None
+  match get path root with Some (Jsonx.List l) -> Some l | _ -> None
 
 (* compare two row lists field-by-field, ignoring [ignored] keys;
    [key_of] names a row in messages; [row_ignored] adds per-row
@@ -94,7 +82,7 @@ let check_row_list label path ~key_of ?(row_ignored = fun _ -> []) ~ignored a b
             let name = key_of rowa in
             let ignored = ignored @ row_ignored rowa in
             match (rowa, rowb) with
-            | Obj fa, Obj fb ->
+            | Jsonx.Obj fa, Jsonx.Obj fb ->
                 let keys l = List.map fst l in
                 if
                   List.filter (fun k -> not (List.mem k ignored)) (keys fa)
@@ -114,7 +102,8 @@ let check_row_list label path ~key_of ?(row_ignored = fun _ -> []) ~ignored a b
             | _ -> report "%s[%s]: row is not an object" label name)
           ra rb
 
-let key_str k row = match obj_find k row with Some (Str s) -> s | _ -> "?"
+let key_str k row =
+  match Jsonx.member k row with Some (Jsonx.Str s) -> s | _ -> "?"
 
 let () =
   (match Sys.argv with
@@ -123,7 +112,7 @@ let () =
       prerr_endline "usage: bench_diff BASELINE.json CURRENT.json";
       exit 2);
   let load path =
-    match Obs_report.load_file path with
+    match Jsonx.load_file path with
     | Ok v -> v
     | Error e ->
         Printf.eprintf "bench_diff: %s\n" e;
@@ -138,7 +127,7 @@ let () =
      set grows with instrumentation and carries histogram totals, not
      paper results *)
   (match (get [ "experiments" ] a, get [ "experiments" ] b) with
-  | Some (Obj ea), Some (Obj eb) ->
+  | Some (Jsonx.Obj ea), Some (Jsonx.Obj eb) ->
       let keys l =
         List.filter (fun k -> k <> "telemetry") (List.map fst l)
       in
@@ -164,8 +153,8 @@ let () =
      seqlock so is read_locks (fallback acquisitions only) *)
   let tp_key row =
     Printf.sprintf "%s/%s/%s" (key_str "table" row) (key_str "locking" row)
-      (match obj_find "domains" row with
-      | Some (Num d) -> string_of_int (int_of_float d)
+      (match Jsonx.member "domains" row with
+      | Some (Jsonx.Num d) -> d
       | _ -> "?")
   in
   let tp_ignored =
@@ -188,14 +177,13 @@ let () =
     ~key_of:tp_key ~row_ignored:tp_row_ignored ~ignored:tp_ignored a b;
   (* the NUMA replication matrix carries no timing columns — every
      field is deterministic and compared *)
-  check_scalar "numa.seed" [ "experiments"; "numa"; "seed" ] a b;
-  check_scalar "numa.locking" [ "experiments"; "numa"; "locking" ] a b;
+  check_section "numa" [ "seed"; "locking" ] a b;
   check_row_list "numa"
     [ "experiments"; "numa"; "rows" ]
     ~key_of:(fun row ->
       Printf.sprintf "%s/%s/%s"
-        (match obj_find "nodes" row with
-        | Some (Num d) -> string_of_int (int_of_float d)
+        (match Jsonx.member "nodes" row with
+        | Some (Jsonx.Num d) -> d
         | _ -> "?")
         (key_str "mode" row) (key_str "org" row))
     ~ignored:[] a b;
@@ -203,18 +191,14 @@ let () =
     [ "experiments"; "numa"; "policy" ]
     ~key_of:(fun row ->
       Printf.sprintf "%s/%s" (key_str "org" row)
-        (match obj_find "nodes" row with
-        | Some (Num d) -> string_of_int (int_of_float d)
+        (match Jsonx.member "nodes" row with
+        | Some (Jsonx.Num d) -> d
         | _ -> "?"))
     ~ignored:[] a b;
   (* the multi-tenant fleet matrix: deterministic fields only — the
      per-event timing columns vary run to run and are ignored *)
-  check_scalar "fleet.seed" [ "experiments"; "fleet"; "seed" ] a b;
-  check_scalar "fleet.locking" [ "experiments"; "fleet"; "locking" ] a b;
-  check_scalar "fleet.tenants" [ "experiments"; "fleet"; "tenants" ] a b;
-  check_scalar "fleet.shards" [ "experiments"; "fleet"; "shards" ] a b;
-  check_scalar "fleet.frame_budget"
-    [ "experiments"; "fleet"; "frame_budget" ]
+  check_section "fleet"
+    [ "seed"; "locking"; "tenants"; "shards"; "frame_budget" ]
     a b;
   check_row_list "fleet"
     [ "experiments"; "fleet"; "rows" ]
@@ -224,16 +208,10 @@ let () =
     a b;
   (* the chaos soak: every field is a deterministic function of (seed,
      schedule) except the two timing columns *)
-  check_scalar "chaos.seed" [ "experiments"; "chaos"; "seed" ] a b;
-  check_scalar "chaos.locking" [ "experiments"; "chaos"; "locking" ] a b;
-  check_scalar "chaos.tenants" [ "experiments"; "chaos"; "tenants" ] a b;
-  check_scalar "chaos.shards" [ "experiments"; "chaos"; "shards" ] a b;
-  check_scalar "chaos.checkpoint_every"
-    [ "experiments"; "chaos"; "checkpoint_every" ]
+  check_section "chaos"
+    [ "seed"; "locking"; "tenants"; "shards"; "checkpoint_every" ]
     a b;
-  check_scalar "chaos.crash_offsets"
-    [ "experiments"; "chaos"; "crash_offsets" ]
-    a b;
+  check_section "chaos" [ "crash_offsets" ] a b;
   check_row_list "chaos"
     [ "experiments"; "chaos"; "rows" ]
     ~key_of:(key_str "org")

@@ -7,167 +7,7 @@
    other shared key.  Keys present on only one side are counted and
    ignored, so `ptsim fleet --quick --json` (no timing fields) gates
    cleanly against the committed benchmark baseline (timing fields
-   included).  Stdlib only, like tools/bench_diff. *)
-
-(* --- a minimal JSON reader (objects keep field order) --- *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then advance ()
-    else fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          if !pos >= n then fail "unterminated escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              if !pos + 4 >= n then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-              Buffer.add_char b (Char.chr (code land 0xFF));
-              pos := !pos + 4
-          | c -> fail (Printf.sprintf "bad escape \\%C" c));
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let load_file path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic -> (
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      match parse s with
-      | v -> Ok v
-      | exception Parse_error e -> Error (Printf.sprintf "%s: %s" path e))
+   included).  Reads and writes JSON through Jsonx. *)
 
 (* --- histogram quantiles from serialized buckets --- *)
 
@@ -198,13 +38,7 @@ let bucket_quantile ~count ~vmin ~vmax buckets ~q =
 
 (* --- flattening --- *)
 
-let obj_find key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
-
-let num_of = function Num f -> Some f | _ -> None
-
-let int_of v = match num_of v with Some f -> Some (int_of_float f) | None -> None
+let int_of v = Option.map int_of_float (Jsonx.to_float v)
 
 (* Keys that identify or annotate a document rather than measure it. *)
 let skipped_key = function
@@ -223,13 +57,18 @@ let hist_row fields =
       List.assoc_opt "max" fields,
       List.assoc_opt "buckets" fields )
   with
-  | Some (Str name), Some (Num _ as c), Some (Num _ as mn), Some (Num _ as mx),
-    Some (List bs) ->
+  | ( Some (Jsonx.Str name),
+      Some (Jsonx.Num _ as c),
+      Some (Jsonx.Num _ as mn),
+      Some (Jsonx.Num _ as mx),
+      Some (Jsonx.List bs) ) ->
       let buckets =
         List.filter_map
           (fun b ->
             match
-              (obj_find "lo" b, obj_find "hi" b, obj_find "count" b)
+              ( Jsonx.member "lo" b,
+                Jsonx.member "hi" b,
+                Jsonx.member "count" b )
             with
             | Some lo, Some hi, Some c -> (
                 match (int_of lo, int_of hi, int_of c) with
@@ -256,14 +95,18 @@ let hist_row fields =
 (* {"name": n, "value": v} — a telemetry counter row. *)
 let counter_row fields =
   match (List.assoc_opt "name" fields, List.assoc_opt "value" fields) with
-  | Some (Str name), Some (Num v) when List.length fields = 2 -> Some (name, v)
+  | Some (Jsonx.Str name), Some v when List.length fields = 2 ->
+      Option.map (fun f -> (name, f)) (Jsonx.to_float v)
   | _ -> None
 
 (* A row's identity within its list: its string-valued fields joined
    with '/', or its position when it has none. *)
 let row_discriminator i fields =
   match
-    List.filter_map (function k, Str s when not (skipped_key k) -> Some (k, s) | _ -> None) fields
+    List.filter_map
+      (function
+        | k, Jsonx.Str s when not (skipped_key k) -> Some (k, s) | _ -> None)
+      fields
   with
   | [] -> string_of_int i
   | tagged -> String.concat "/" (List.map snd tagged)
@@ -276,10 +119,11 @@ let flatten root =
       (fun (key, v) ->
         if not (skipped_key key) then
           match v with
-          | Num f -> emit (join prefix key) f
-          | Bool b -> emit (join prefix key) (if b then 1.0 else 0.0)
-          | Str _ | Null -> ()
-          | Obj inner ->
+          | Jsonx.Num _ ->
+              Option.iter (emit (join prefix key)) (Jsonx.to_float v)
+          | Jsonx.Bool b -> emit (join prefix key) (if b then 1.0 else 0.0)
+          | Jsonx.Str _ | Jsonx.Null -> ()
+          | Jsonx.Obj inner ->
               (* "experiments" is a container, not a measurement — its
                  children flatten at top level so a bare outcome file
                  (prefixed by its "experiment" tag) lines up *)
@@ -287,7 +131,7 @@ let flatten root =
                 if prefix = "" && key = "experiments" then "" else join prefix key
               in
               obj prefix inner
-          | List rows -> row_list (join prefix key) rows)
+          | Jsonx.List rows -> row_list (join prefix key) rows)
       fields
   and row_list prefix rows =
     (* rows sharing every string field (e.g. throughput sweeps keyed
@@ -298,7 +142,7 @@ let flatten root =
       List.mapi
         (fun i row ->
           match row with
-          | Obj fields -> row_discriminator i fields
+          | Jsonx.Obj fields -> row_discriminator i fields
           | _ -> string_of_int i)
         rows
     in
@@ -319,7 +163,7 @@ let flatten root =
     List.iter2
       (fun disc row ->
         match row with
-        | Obj fields -> (
+        | Jsonx.Obj fields -> (
             match counter_row fields with
             | Some (name, v) -> emit name v
             | None -> (
@@ -332,10 +176,10 @@ let flatten root =
       discs rows
   in
   (match root with
-  | Obj fields ->
+  | Jsonx.Obj fields ->
       let prefix =
         match List.assoc_opt "experiment" fields with
-        | Some (Str tag) -> tag
+        | Some (Jsonx.Str tag) -> tag
         | _ -> ""
       in
       obj prefix fields
@@ -361,16 +205,13 @@ type report = {
   current_only : int;
 }
 
-let ends_with ~suffix s =
-  let ls = String.length suffix and l = String.length s in
-  l >= ls && String.sub s (l - ls) ls = suffix
-
 let contains ~sub s =
   let ls = String.length sub and l = String.length s in
   let rec go i = i + ls <= l && (String.sub s i ls = sub || go (i + 1)) in
   ls > 0 && go 0
 
-let p99_key k = ends_with ~suffix:".p99" k || ends_with ~suffix:"p99_ns" k
+let p99_key k =
+  String.ends_with ~suffix:".p99" k || String.ends_with ~suffix:"p99_ns" k
 
 let contention_key k =
   contains ~sub:"write_locks" k
@@ -380,7 +221,7 @@ let contention_key k =
 let eviction_key k =
   contains ~sub:"evictions" k || contains ~sub:"evicted_pages" k
 
-let dropped_key k = ends_with ~suffix:"obs.trace.dropped" k
+let dropped_key k = String.ends_with ~suffix:"obs.trace.dropped" k
 
 (* recovery.replayed_records and its chaos-row mirror: a jump means
    shards are crash-looping or checkpoints stopped compacting *)
@@ -424,104 +265,53 @@ let compare_files ~baseline ~current =
   List.iter (fun (k, v) -> Hashtbl.replace base_tbl k v) fb;
   let cur_tbl = Hashtbl.create 256 in
   List.iter (fun (k, v) -> Hashtbl.replace cur_tbl k v) fc;
-  let breaches = ref [] and infos = ref [] in
-  let compared = ref 0 and current_only = ref 0 in
-  List.iter
-    (fun (key, cur) ->
-      match Hashtbl.find_opt base_tbl key with
-      | None ->
-          incr current_only;
-          (* tracer drops and degraded rejections breach even with no
-             baseline counterpart: a saturated ring means the trace
-             artifact is incomplete, and a rejection means a tenant
-             saw unavailability *)
-          if dropped_key key && cur > 0.0 then
-            breaches :=
-              {
-                severity = Breach;
-                key;
-                baseline = None;
-                current = Some cur;
-                note =
-                  Printf.sprintf "tracer dropped %g event(s); must be 0" cur;
-              }
-              :: !breaches
-          else if rejection_key key && cur > 0.0 then
-            breaches :=
-              {
-                severity = Breach;
-                key;
-                baseline = None;
-                current = Some cur;
-                note =
-                  Printf.sprintf
-                    "%g degraded rejection(s) with no baseline counterpart: \
-                     tenants saw unavailability a baseline run never did"
-                    cur;
-              }
-              :: !breaches
-      | Some base ->
-          incr compared;
-          if dropped_key key && cur > 0.0 then
-            breaches :=
-              {
-                severity = Breach;
-                key;
-                baseline = Some base;
-                current = Some cur;
-                note =
-                  Printf.sprintf "tracer dropped %g event(s); must be 0" cur;
-              }
-              :: !breaches
-          else
-            let finding =
-              match judge ~key ~base ~cur with
-              | Some note ->
-                  Some
-                    {
-                      severity = Breach;
-                      key;
-                      baseline = Some base;
-                      current = Some cur;
-                      note;
-                    }
-              | None ->
-                  if cur <> base then
-                    Some
-                      {
-                        severity = Info;
-                        key;
-                        baseline = Some base;
-                        current = Some cur;
-                        note = Printf.sprintf "%+g" (cur -. base);
-                      }
-                  else None
-            in
-            match finding with
-            | Some ({ severity = Breach; _ } as f) -> breaches := f :: !breaches
-            | Some f -> infos := f :: !infos
-            | None -> ())
-    fc;
-  let baseline_only =
-    List.length (List.filter (fun (k, _) -> not (Hashtbl.mem cur_tbl k)) fb)
+  let finding (key, cur) =
+    let base = Hashtbl.find_opt base_tbl key in
+    let found severity note =
+      Some { severity; key; baseline = base; current = Some cur; note }
+    in
+    match base with
+    (* tracer drops and degraded rejections breach even with no
+       baseline counterpart: a saturated ring means the trace artifact
+       is incomplete, and a rejection means a tenant saw
+       unavailability *)
+    | _ when dropped_key key && cur > 0.0 ->
+        found Breach
+          (Printf.sprintf "tracer dropped %g event(s); must be 0" cur)
+    | None when rejection_key key && cur > 0.0 ->
+        found Breach
+          (Printf.sprintf
+             "%g degraded rejection(s) with no baseline counterpart: \
+              tenants saw unavailability a baseline run never did"
+             cur)
+    | None -> None
+    | Some base -> (
+        match judge ~key ~base ~cur with
+        | Some note -> found Breach note
+        | None when cur <> base ->
+            found Info (Printf.sprintf "%+g" (cur -. base))
+        | None -> None)
+  in
+  let breaches, infos =
+    List.partition (fun f -> f.severity = Breach) (List.filter_map finding fc)
+  in
+  let compared =
+    List.length (List.filter (fun (k, _) -> Hashtbl.mem base_tbl k) fc)
   in
   {
-    findings = List.rev !breaches @ List.rev !infos;
-    compared = !compared;
-    baseline_only;
-    current_only = !current_only;
+    findings = breaches @ infos;
+    compared;
+    baseline_only =
+      List.length (List.filter (fun (k, _) -> not (Hashtbl.mem cur_tbl k)) fb);
+    current_only = List.length fc - compared;
   }
 
 let has_breach r = List.exists (fun f -> f.severity = Breach) r.findings
 
 (* --- rendering --- *)
 
-let pp_num = function
-  | None -> "-"
-  | Some f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Printf.sprintf "%.0f" f
-      else Printf.sprintf "%g" f
+(* the same number format as the JSON rendering *)
+let pp_num = function None -> "-" | Some f -> Jsonx.to_string (Jsonx.float f)
 
 let render_table ~baseline_path ~current_path r =
   let b = Buffer.create 1024 in
@@ -548,53 +338,25 @@ let render_table ~baseline_path ~current_path r =
        (List.length r.findings - nb));
   Buffer.contents b
 
-let add_escaped buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_opt_num buf = function
-  | None -> Buffer.add_string buf "null"
-  | Some f ->
-      Buffer.add_string buf
-        (if Float.is_integer f && Float.abs f < 1e15 then
-           Printf.sprintf "%.0f" f
-         else Printf.sprintf "%g" f)
-
 let render_json ~baseline_path ~current_path r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"schema_version\":1,\"kind\":\"obs_report\"";
-  Buffer.add_string b ",\"baseline\":\"";
-  add_escaped b baseline_path;
-  Buffer.add_string b "\",\"current\":\"";
-  add_escaped b current_path;
-  Buffer.add_string b
-    (Printf.sprintf "\",\"compared\":%d,\"baseline_only\":%d,\"current_only\":%d"
-       r.compared r.baseline_only r.current_only);
+  let num = function None -> Jsonx.null | Some f -> Jsonx.float f in
+  let finding f =
+    let severity = if f.severity = Breach then "breach" else "info" in
+    Jsonx.obj
+      [
+        ("severity", Jsonx.string severity);
+        ("key", Jsonx.string f.key); ("baseline", num f.baseline);
+        ("current", num f.current); ("note", Jsonx.string f.note);
+      ]
+  in
   let nb = List.length (List.filter (fun f -> f.severity = Breach) r.findings) in
-  Buffer.add_string b (Printf.sprintf ",\"breaches\":%d,\"findings\":[" nb);
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"severity\":\"";
-      Buffer.add_string b
-        (match f.severity with Breach -> "breach" | Info -> "info");
-      Buffer.add_string b "\",\"key\":\"";
-      add_escaped b f.key;
-      Buffer.add_string b "\",\"baseline\":";
-      add_opt_num b f.baseline;
-      Buffer.add_string b ",\"current\":";
-      add_opt_num b f.current;
-      Buffer.add_string b ",\"note\":\"";
-      add_escaped b f.note;
-      Buffer.add_string b "\"}")
-    r.findings;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Jsonx.obj
+    [
+      ("schema_version", Jsonx.int 1); ("kind", Jsonx.string "obs_report");
+      ("baseline", Jsonx.string baseline_path);
+      ("current", Jsonx.string current_path);
+      ("compared", Jsonx.int r.compared);
+      ("baseline_only", Jsonx.int r.baseline_only);
+      ("current_only", Jsonx.int r.current_only); ("breaches", Jsonx.int nb);
+      ("findings", Jsonx.list (List.map finding r.findings));
+    ]

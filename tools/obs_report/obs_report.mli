@@ -26,24 +26,7 @@
     Every other shared key that changed becomes an [Info] finding;
     keys present on only one side are counted, not reported, so a
     metrics dump can be gated against a richer benchmark file.
-    No dependencies beyond the stdlib. *)
-
-(** A minimal JSON tree; objects keep field order. *)
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-val parse : string -> json
-(** Parse one JSON document. @raise Parse_error on malformed input. *)
-
-val load_file : string -> (json, string) result
-(** Read and parse a file; [Error] carries a printable message. *)
+    Stdlib only, plus {!Jsonx} for reading and writing JSON. *)
 
 val bucket_quantile :
   count:int ->
@@ -58,7 +41,7 @@ val bucket_quantile :
     [Obs.Hist.quantile], so a quantile computed from a metrics JSON
     dump equals the one the live histogram would report. *)
 
-val flatten : json -> (string * float) list
+val flatten : Jsonx.t -> (string * float) list
 (** Normalize a document to flat [key -> number] pairs, in document
     order:
 
@@ -92,7 +75,7 @@ type report = {
   current_only : int;  (** keys ignored: absent from baseline *)
 }
 
-val compare_files : baseline:json -> current:json -> report
+val compare_files : baseline:Jsonx.t -> current:Jsonx.t -> report
 
 val has_breach : report -> bool
 
@@ -102,6 +85,6 @@ val render_table :
     first, with a header and a summary line. *)
 
 val render_json :
-  baseline_path:string -> current_path:string -> report -> string
+  baseline_path:string -> current_path:string -> report -> Jsonx.t
 (** One JSON object ({["kind":"obs_report"]}) with the finding list
     and the ignored-key counts. *)
