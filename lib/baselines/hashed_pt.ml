@@ -540,6 +540,19 @@ let remove t ~vpn =
              ~coarse:true)
     | No_superpages | Superpage_index -> ()
 
+(* A hashed table's lock section is one page, so a run is a page-by-page
+   loop: one hash search per base page, the paper's baseline. *)
+let map_run t ~vpn ~pages ~ppn_of ~attr =
+  for i = 0 to pages - 1 do
+    let vpn = Int64.add vpn (Int64.of_int i) in
+    insert_base t ~vpn ~ppn:(ppn_of vpn) ~attr
+  done
+
+let unmap_run t ~vpn ~pages =
+  for i = 0 to pages - 1 do
+    remove t ~vpn:(Int64.add vpn (Int64.of_int i))
+  done
+
 (* --- range attribute updates --- *)
 
 let set_attr_range t region ~f =

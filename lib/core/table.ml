@@ -460,8 +460,7 @@ let find_block_node t bucket tag =
   in
   go t.heads.(bucket)
 
-let get_or_create_block_node t vpbn =
-  let tag = Int64.to_int vpbn in
+let block_node t ~tag =
   let bucket = hash t tag in
   match find_block_node t bucket tag with
   | Some n -> n
@@ -473,12 +472,35 @@ let get_or_create_block_node t vpbn =
       link t bucket n;
       n
 
+let no_coarse_base () =
+  invalid_arg "Clustered_pt: base pages not representable in a coarse table"
+
 let insert_base t ~vpn ~ppn ~attr =
-  if t.unit_shift <> 0 then
-    invalid_arg "Clustered_pt: base pages not representable in a coarse table";
+  if t.unit_shift <> 0 then no_coarse_base ();
   let vpbn, boff = split t vpn in
-  let n = get_or_create_block_node t vpbn in
+  let n = block_node t ~tag:(Int64.to_int vpbn) in
   n.words.(boff) <- Pte.Base_pte.(encode (make ~ppn ~attr ()))
+
+let run_leaves_block () =
+  invalid_arg "Clustered_pt: a run must stay inside one page block"
+
+(* [insert_base] over a run of one block: the block node is found or
+   made once, and each page's word is the attribute template ORed with
+   its PPN. *)
+let map_run t ~vpn ~pages ~ppn_of ~attr =
+  if t.unit_shift <> 0 then no_coarse_base ();
+  if pages > 0 then begin
+    let tag = Int64.to_int (Int64.shift_right_logical vpn t.factor_bits) in
+    let boff = Int64.to_int vpn land ((1 lsl t.factor_bits) - 1) in
+    if boff + pages > t.config.Config.subblock_factor then run_leaves_block ();
+    let template = Pte.Base_pte.template attr in
+    let n = block_node t ~tag in
+    for i = 0 to pages - 1 do
+      n.words.(boff + i) <-
+        Pte.Base_pte.with_ppn template
+          ~ppn:(ppn_of (Int64.add vpn (Int64.of_int i)))
+    done
+  end
 
 let insert_superpage t ~vpn ~size ~ppn ~attr =
   let sz = Addr.Page_size.sz_code size in
@@ -513,7 +535,7 @@ let insert_superpage t ~vpn ~size ~ppn ~attr =
     (* smaller than the page block: live inside a block node, the word
        replicated at each covered block offset *)
     let vpbn, boff = split t vpn in
-    let n = get_or_create_block_node t vpbn in
+    let n = block_node t ~tag:(Int64.to_int vpbn) in
     let covered = 1 lsl (sz - t.unit_shift) in
     for i = boff to boff + covered - 1 do
       n.words.(i) <- word
@@ -551,122 +573,171 @@ let insert_psb t ~vpbn ~vmask ~ppn ~attr =
 let block_node_empty n =
   Array.for_all (fun w -> Int64.equal w invalid_base_word) n.words
 
-(* Handle removal of [boff] within a tag-matched node.  [`Removed] with
-   [`Unlink] asks the caller to drop the node from the chain. *)
-let remove_from_node t n ~boff =
-  match classify t n with
-  | Single_psb p ->
-      if Pte.Psb_pte.valid_at p ~boff then begin
-        let p = Pte.Psb_pte.clear_valid p ~boff in
-        if p.Pte.Psb_pte.vmask land factor_mask t = 0 then `Unlink
-        else begin
-          n.words.(0) <- Pte.Psb_pte.encode p;
-          `Removed
-        end
-      end
-      else `Not_here
-  | Single_sp sp -> if sp.valid then `Unlink else `Not_here
-  | Block -> (
-      match Pte.Word.decode n.words.(boff) with
-      | Pte.Word.Base b when b.valid ->
-          n.words.(boff) <- invalid_base_word;
-          if block_node_empty n then `Unlink else `Removed
-      | Pte.Word.Superpage sp when sp.valid ->
-          (* clear every replica of this small superpage's word *)
-          let sz = Addr.Page_size.sz_code sp.size in
-          let covered = 1 lsl (sz - t.unit_shift) in
-          let first = boff land lnot (covered - 1) in
-          for i = first to first + covered - 1 do
-            n.words.(i) <- invalid_base_word
-          done;
-          if block_node_empty n then `Unlink else `Removed
-      | Pte.Word.Base _ | Pte.Word.Superpage _ | Pte.Word.Psb _ -> `Not_here)
+(* Drop [n] from [bucket]'s chain: one store into its predecessor (or
+   the bucket head), so a concurrent optimistic reader sees the chain
+   either with [n] or without it. *)
+let unlink_after t ~bucket prev n =
+  if prev == nil then set_head t bucket n.next else prev.next <- n.next;
+  unlink_node t n
 
-let remove t ~vpn =
-  let vpbn, boff = split t vpn in
-  let tag = Int64.to_int vpbn in
-  let bucket = hash t tag in
-  let rec go n =
-    if n == nil then nil
-    else if n.tag <> tag then begin
-      n.next <- go n.next;
-      n
+let valid w = Addr.Bits.test_bit w Pte.Layout.valid_bit
+
+(* Clear the pending pages a block node maps; returns those still
+   pending.  A small superpage's word is cleared at every replica, so
+   it answers for the first of its pages only: the others are no
+   longer mapped here. *)
+let unmap_block t n pending =
+  let left = ref pending in
+  for boff = 0 to Array.length n.words - 1 do
+    if !left land (1 lsl boff) <> 0 then begin
+      let w = n.words.(boff) in
+      if valid w then
+        match Pte.Layout.s_code w with
+        | 0 ->
+            n.words.(boff) <- invalid_base_word;
+            left := !left land lnot (1 lsl boff)
+        | 2 ->
+            let covered = 1 lsl (Pte.Layout.sz_code w - t.unit_shift) in
+            let first = boff land lnot (covered - 1) in
+            Array.fill n.words first covered invalid_base_word;
+            left := !left land lnot (1 lsl boff)
+        | _ -> ()
     end
+  done;
+  !left
+
+(* Take from one tag-matched node the pending pages it maps; returns
+   those still pending, unlinking the node if that left it empty.  A
+   block-sized superpage goes whole for the first pending page. *)
+let unmap_node t ~bucket prev n pending =
+  let w0 = n.words.(0) in
+  if not (is_single t n) then begin
+    let left = unmap_block t n pending in
+    if left <> pending && block_node_empty n then unlink_after t ~bucket prev n;
+    left
+  end
+  else if Pte.Layout.s_code w0 = 1 then begin
+    let p = Pte.Psb_pte.decode w0 in
+    let hit = p.Pte.Psb_pte.vmask land pending in
+    if hit <> 0 then begin
+      let vmask = p.vmask land lnot hit in
+      if vmask land factor_mask t = 0 then unlink_after t ~bucket prev n
+      else n.words.(0) <- Pte.Psb_pte.encode { p with vmask }
+    end;
+    pending land lnot hit
+  end
+  else if valid w0 then begin
+    unlink_after t ~bucket prev n;
+    pending land (pending - 1)
+  end
+  else pending
+
+(* One chain walk removes a run: [pending] holds the block offsets not
+   yet removed, and every node with the run's tag, in chain order,
+   takes the pending pages it maps.  Each page thus leaves the first
+   node that maps it — where [remove] page by page would find it, since
+   removing a page changes only the node that held it. *)
+let rec unmap_walk t ~bucket ~tag pending prev n =
+  if pending <> 0 && n != nil then begin
+    (* read before an unlink can recycle [n] onto a free list *)
+    let next = n.next in
+    if n.tag <> tag then unmap_walk t ~bucket ~tag pending n next
     else
-      match remove_from_node t n ~boff with
-      | `Unlink ->
-          let rest = n.next in
-          unlink_node t n;
-          rest
-      | `Removed -> n
-      | `Not_here ->
-          n.next <- go n.next;
-          n
-  in
-  set_head t bucket (go t.heads.(bucket))
+      let left = unmap_node t ~bucket prev n pending in
+      (* an unlinked node wears [empty_tag] and is no predecessor *)
+      let prev = if n.tag = empty_tag then prev else n in
+      unmap_walk t ~bucket ~tag left prev next
+  end
+
+let unmap_run t ~vpn ~pages =
+  if pages > 0 then begin
+    let first_u = uvpn_of t vpn in
+    let last_u = uvpn_of t (Int64.add vpn (Int64.of_int (pages - 1))) in
+    let tag = Int64.to_int (Int64.shift_right_logical first_u t.factor_bits) in
+    if Int64.to_int (Int64.shift_right_logical last_u t.factor_bits) <> tag then
+      run_leaves_block ();
+    let m = (1 lsl t.factor_bits) - 1 in
+    let lo = Int64.to_int first_u land m and hi = Int64.to_int last_u land m in
+    let bucket = hash t tag in
+    unmap_walk t ~bucket ~tag
+      (((2 lsl hi) - 1) land lnot ((1 lsl lo) - 1))
+      nil t.heads.(bucket)
+  end
+
+let remove t ~vpn = unmap_run t ~vpn ~pages:1
 
 (* --- range attribute updates --- *)
 
+let attr_mask = (1 lsl Pte.Attr.width) - 1
+
+(* [f] on a 12-bit attribute field, remembered: [memo] packs the last
+   field [f] saw above what it made of it (-1 before the first). *)
+let attr_memo memo ~f bits =
+  if memo >= 0 && memo lsr Pte.Attr.width = bits then memo
+  else
+    (bits lsl Pte.Attr.width)
+    lor Int64.to_int
+          (Pte.Attr.to_bits (f (Pte.Attr.of_bits (Int64.of_int bits))))
+
+(* Apply [f] at offsets [lo..hi] of a block node; returns the memo.  A
+   valid base word takes its new attribute bits straight from its old
+   ones; other formats re-encode through [Decode.reencode_attr], a small
+   superpage's word at all its replicas. *)
+let reattr_block t n ~lo ~hi ~f memo =
+  let memo = ref memo and i = ref lo in
+  while !i <= hi do
+    let w = n.words.(!i) in
+    if Pte.Layout.s_code w = 0 then begin
+      if valid w then begin
+        memo := attr_memo !memo ~f (Int64.to_int w land attr_mask);
+        n.words.(!i) <-
+          Pte.Base_pte.with_attr_bits w ~bits:(!memo land attr_mask)
+      end;
+      incr i
+    end
+    else
+      match Pt_common.Decode.reencode_attr w ~f with
+      | Some w' when Pte.Layout.s_code w = 2 ->
+          let covered = 1 lsl (Pte.Layout.sz_code w - t.unit_shift) in
+          let first = !i land lnot (covered - 1) in
+          Array.fill n.words first covered w';
+          i := first + covered
+      | Some w' ->
+          n.words.(!i) <- w';
+          incr i
+      | None -> incr i
+  done;
+  !memo
+
+let rec reattr_chain t ~tag ~lo ~hi ~f memo n =
+  if n == nil then memo
+  else if n.tag <> tag then reattr_chain t ~tag ~lo ~hi ~f memo n.next
+  else if is_single t n then begin
+    (match Pt_common.Decode.reencode_attr n.words.(0) ~f with
+    | Some w -> n.words.(0) <- w
+    | None -> ());
+    reattr_chain t ~tag ~lo ~hi ~f memo n.next
+  end
+  else
+    reattr_chain t ~tag ~lo ~hi ~f (reattr_block t n ~lo ~hi ~f memo) n.next
+
+(* One search per page block of the region, [f] running once per
+   distinct attribute field of its base words. *)
 let set_attr_range t region ~f =
   if Addr.Region.is_empty region then 0
   else begin
+    let m = (1 lsl t.factor_bits) - 1 in
     let first_u = uvpn_of t region.Addr.Region.first_vpn in
     let last_u = uvpn_of t (Addr.Region.last_vpn region) in
-    let uregion =
-      Addr.Region.make ~first_vpn:first_u
-        ~pages:(Int64.to_int (Int64.sub last_u first_u) + 1)
-    in
-    let blocks =
-      Addr.Region.blocks ~subblock_factor:t.config.Config.subblock_factor
-        uregion
-    in
-    let searches = ref 0 in
-    List.iter
-      (fun (vpbn, first_boff, count) ->
-        incr searches;
-        let tag = Int64.to_int vpbn in
-        let bucket = hash t tag in
-        let rec go n =
-          if n == nil then ()
-          else begin
-            (if n.tag = tag then
-               match classify t n with
-               | Single_psb _ | Single_sp _ -> (
-                   match Pt_common.Decode.reencode_attr n.words.(0) ~f with
-                   | Some w -> n.words.(0) <- w
-                   | None -> ())
-               | Block ->
-                   (* update words in range; a small-superpage word is
-                      updated across all its replicas for coherence *)
-                   let touched = Array.make (Array.length n.words) false in
-                   for i = first_boff to first_boff + count - 1 do
-                     if not touched.(i) then begin
-                       match Pte.Word.decode n.words.(i) with
-                       | Pte.Word.Superpage sp when sp.valid ->
-                           let sz = Addr.Page_size.sz_code sp.size in
-                           let covered = 1 lsl (sz - t.unit_shift) in
-                           let first = i land lnot (covered - 1) in
-                           (match Pt_common.Decode.reencode_attr n.words.(i) ~f with
-                           | Some w ->
-                               for j = first to first + covered - 1 do
-                                 n.words.(j) <- w;
-                                 touched.(j) <- true
-                               done
-                           | None -> ())
-                       | _ -> (
-                           match Pt_common.Decode.reencode_attr n.words.(i) ~f with
-                           | Some w ->
-                               n.words.(i) <- w;
-                               touched.(i) <- true
-                           | None -> ())
-                     end
-                   done);
-            go n.next
-          end
-        in
-        go t.heads.(bucket))
-      blocks;
-    !searches
+    let tag_of u = Int64.to_int (Int64.shift_right_logical u t.factor_bits) in
+    let first_tag = tag_of first_u and last_tag = tag_of last_u in
+    let memo = ref (-1) in
+    for tag = first_tag to last_tag do
+      let lo = if tag = first_tag then Int64.to_int first_u land m else 0 in
+      let hi = if tag = last_tag then Int64.to_int last_u land m else m in
+      memo := reattr_chain t ~tag ~lo ~hi ~f !memo t.heads.(hash t tag)
+    done;
+    last_tag - first_tag + 1
   end
 
 (* --- accounting --- *)
@@ -1639,7 +1710,7 @@ let inject t kind =
           if t.unit_shift <> 0 then false
           else begin
             let vpbn, boff = split t vpn in
-            let n = get_or_create_block_node t vpbn in
+            let n = block_node t ~tag:(Int64.to_int vpbn) in
             n.words.(boff) <- torn_garbage_word;
             true
           end

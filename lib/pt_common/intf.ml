@@ -69,7 +69,9 @@ module type PAGE_TABLE = sig
   (** Apply [f] to the attributes of every mapping in the region;
       returns the number of *page-table searches* performed, the cost
       the paper compares in Section 3.1 (hashed: one per base page;
-      clustered: one per page block). *)
+      clustered: one per page block).  [f] must be pure: a table may
+      apply it once per distinct attribute value rather than once per
+      mapping. *)
 
   val size_bytes : t -> int
   (** Bytes of page-table memory currently in use, by the paper's
@@ -113,6 +115,35 @@ module type CONCURRENT_TABLE = sig
 
   val node_count : t -> int
   (** Live chain nodes. *)
+
+  (** {2 Runs}
+
+      A run is a span of base pages [\[vpn, vpn + pages)] inside one
+      lock section: the pages a batched range op hands the table under
+      one write lock.  Runs begin and end on any page, but never cross
+      a multiple of {!pages_per_section}. *)
+
+  val map_run :
+    t ->
+    vpn:int64 ->
+    pages:int ->
+    ppn_of:(int64 -> int64) ->
+    attr:Pte.Attr.t ->
+    unit
+  (** [insert_base] of every page of the run, in ascending order, with
+      PPN [ppn_of page]; same result.  The clustered table searches the
+      chain once for the block node, then stores one word per page; a
+      hashed table inserts page by page (its sections are one page).
+      A run that crosses a section is a caller error: the clustered
+      table raises [Invalid_argument]. *)
+
+  val unmap_run : t -> vpn:int64 -> pages:int -> unit
+  (** [remove] of every page of the run, in ascending order; same
+      result.  The clustered table does it in one chain walk, matching
+      every node of the block's tag in chain order and unlinking an
+      emptied node by relinking its predecessor alone; [remove] is its
+      one-page case.  A hashed table removes page by page.  Crossing a
+      section is the same caller error as for {!map_run}. *)
 
   (** {2 Undo journal} *)
 

@@ -37,22 +37,21 @@ let kernel_text =
 
 let kernel_data = { default with user = false; global = true; locked = true }
 
-let bit b i = if b then Int64.shift_left 1L i else 0L
+let bit b i = if b then 1 lsl i else 0
 
+(* [int] arithmetic, so an encode allocates only its boxed result *)
 let to_bits t =
   if t.soft < 0 || t.soft > 15 then invalid_arg "Attr.to_bits: soft";
-  List.fold_left Int64.logor
-    (Int64.shift_left (Int64.of_int t.soft) 8)
-    [
-      bit t.referenced 0;
-      bit t.modified 1;
-      bit t.writable 2;
-      bit t.executable 3;
-      bit t.user 4;
-      bit t.cacheable 5;
-      bit t.global 6;
-      bit t.locked 7;
-    ]
+  Int64.of_int
+    ((t.soft lsl 8)
+    lor bit t.referenced 0
+    lor bit t.modified 1
+    lor bit t.writable 2
+    lor bit t.executable 3
+    lor bit t.user 4
+    lor bit t.cacheable 5
+    lor bit t.global 6
+    lor bit t.locked 7)
 
 let decode_field bits =
   let b i = (bits lsr i) land 1 = 1 in

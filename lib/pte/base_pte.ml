@@ -22,6 +22,27 @@ let encode t =
   let w = insert w ~lo:Layout.ppn_lo ~width:Layout.ppn_width t.ppn in
   insert w ~lo:Layout.attr_lo ~width:Layout.attr_width (Attr.to_bits t.attr)
 
+(* Word-level encoding for runs of pages that share one attribute: the
+   same bits [encode] builds, with no record per page. *)
+let valid_mask = Int64.shift_left 1L Layout.valid_bit
+
+let template attr = Int64.logor valid_mask (Attr.to_bits attr)
+
+let with_ppn template ~ppn =
+  check_ppn ppn;
+  Int64.logor template (Int64.shift_left ppn Layout.ppn_lo)
+
+(* the V bit and the PPN field: what survives a decode/encode round
+   trip besides the attributes (S is base, PAD is dropped) *)
+let kept_mask =
+  Int64.logor valid_mask
+    (Int64.shift_left
+       (Int64.of_int ((1 lsl Layout.ppn_width) - 1))
+       Layout.ppn_lo)
+
+let with_attr_bits w ~bits =
+  Int64.logor (Int64.logand w kept_mask) (Int64.of_int bits)
+
 let decode w =
   let open Addr.Bits in
   {

@@ -470,84 +470,149 @@ let insert t ~vpn ~ppn ~attr =
 let remove t ~vpn =
   write_section t ~vpn ~default:() (fun () -> remove_raw t ~vpn)
 
-(* Batched range ops (Section 3.1's range granularity at service
-   scale).  One submission covers a whole region; write-lock
-   acquisitions amortise to the backend's natural granularity: a
-   single section under the global lock, and one section per distinct
-   bucket under stripes.  For clustered tables every page of a block
-   hashes to the block's bucket, so the per-bucket grouping degenerates
-   to one section per page *block*; for hashed tables pages only share
-   a section on hash collisions.  Each group runs inside a single
-   write_section, so under fault injection the whole sub-batch shares
-   one undo-journal snapshot: an injected failure rolls the sub-batch
-   back as a unit and the heal path retries it (insert/remove are
-   idempotent, so a retry after partial progress is safe). *)
-let range_groups t region =
+(* --- batched range ops (Section 3.1's range granularity at service
+   scale) ---
+
+   One submission covers a whole region.  Arithmetic cuts the region
+   into runs at multiples of the table's [pages_per_section] (a page
+   block on a clustered table, one page on a hashed one); every page of
+   a run shares its bucket, so the table takes a run in one call
+   ([map_run], [unmap_run], [set_attr_range]).  Sections group the
+   runs: under stripes, one per distinct bucket, in the order the
+   buckets first appear, each holding its runs in region order (a
+   hashed table's pages, or two blocks of a clustered one, share a
+   section only when their buckets collide); under the global lock,
+   one for the whole region.  Each section is one write_section, hence
+   one undo-journal unit under fault injection: an injected failure
+   rolls it back as a unit and the heal path retries it (map, unmap
+   and protect are idempotent, so a retry after partial progress is
+   safe).
+
+   Grouping allocates nothing per page: a per-domain plan stamps each
+   bucket with the submission that last met it, and threads each
+   section's runs through an index array.  A plan is read-only while
+   its sections run, so healing retries replay the same runs; nothing
+   a section runs (table calls, [ppn_of]) starts another range op, so
+   one plan per domain suffices. *)
+type plan = {
+  mutable stamp : int;  (* this submission's stamp *)
+  mutable seen : int array;  (* bucket -> stamp of the last plan meeting it *)
+  mutable tail : int array;  (* bucket -> its section's last run so far *)
+  mutable succ : int array;  (* run -> the next run of its section, or -1 *)
+  mutable leaders : int array;  (* section -> its first run *)
+  mutable first : int64;  (* the region's first page *)
+  mutable pages : int;
+  mutable per : int;  (* pages_per_section *)
+  mutable skew : int;  (* first mod per: run 0 is that much short *)
+}
+
+let plan_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        stamp = 0;
+        seen = [||];
+        tail = [||];
+        succ = [||];
+        leaders = [||];
+        first = 0L;
+        pages = 0;
+        per = 1;
+        skew = 0;
+      })
+
+let at_least a n =
+  if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
+
+(* Run [i]'s first page, as an offset into the region, and its length. *)
+let run_lo p i = if i = 0 then 0 else (i * p.per) - p.skew
+
+let run_vpn p i = Int64.add p.first (Int64.of_int (run_lo p i))
+
+let run_pages p i = min p.pages (((i + 1) * p.per) - p.skew) - run_lo p i
+
+(* Cut [region] into runs in [p]; returns the run count. *)
+let cut t p (region : Addr.Region.t) =
+  let (Concurrent ((module T), tbl)) = t.table in
+  let per = T.pages_per_section tbl in
+  p.first <- region.first_vpn;
+  p.pages <- region.pages;
+  p.per <- per;
+  p.skew <- Int64.to_int (Int64.rem region.first_vpn (Int64.of_int per));
+  if region.pages = 0 then 0 else (p.skew + region.pages + per - 1) / per
+
+(* Plan [region]'s sections into [p]; returns the section count. *)
+let plan_sections t p region =
+  let (Concurrent ((module T), tbl)) = t.table in
+  let runs = cut t p region in
+  p.succ <- at_least p.succ runs;
+  p.leaders <- at_least p.leaders runs;
   match t.locks with
   | Global_lock _ ->
-      [ List.rev (Addr.Region.fold_vpns region ~init:[] ~f:(fun acc v -> v :: acc)) ]
+      for i = 0 to runs - 1 do
+        p.succ.(i) <- (if i = runs - 1 then -1 else i + 1)
+      done;
+      if runs > 0 then p.leaders.(0) <- 0;
+      min runs 1
   | Striped_lock _ | Seqlock_lock _ ->
-      let tbl = Hashtbl.create 64 in
-      let order = ref [] in
-      Addr.Region.iter_vpns region (fun vpn ->
-          let b = bucket_of t ~vpn in
-          match Hashtbl.find_opt tbl b with
-          | Some cell -> cell := vpn :: !cell
-          | None ->
-              let cell = ref [ vpn ] in
-              Hashtbl.replace tbl b cell;
-              order := cell :: !order);
-      List.rev_map (fun cell -> List.rev !cell) !order
+      let buckets = T.buckets tbl in
+      p.seen <- at_least p.seen buckets;
+      p.tail <- at_least p.tail buckets;
+      p.stamp <- p.stamp + 1;
+      let sections = ref 0 in
+      for i = 0 to runs - 1 do
+        let b = T.bucket_of tbl ~vpn:(run_vpn p i) in
+        p.succ.(i) <- -1;
+        if p.seen.(b) = p.stamp then p.succ.(p.tail.(b)) <- i
+        else begin
+          p.seen.(b) <- p.stamp;
+          p.leaders.(!sections) <- i;
+          incr sections
+        end;
+        p.tail.(b) <- i
+      done;
+      !sections
 
-let range_lock_sections t region = List.length (range_groups t region)
+let range_lock_sections t region =
+  plan_sections t (Domain.DLS.get plan_key) region
+
+let rec section_runs p run i =
+  if i >= 0 then begin
+    run (run_vpn p i) (run_pages p i);
+    section_runs p run p.succ.(i)
+  end
+
+(* The one range path: plan, then one write section per section,
+   [run vpn pages] applied to each of its runs. *)
+let range_op t region run =
+  let p = Domain.DLS.get plan_key in
+  let sections = plan_sections t p region in
+  for k = 0 to sections - 1 do
+    let lead = p.leaders.(k) in
+    write_section t ~vpn:(run_vpn p lead) ~default:() (fun () ->
+        section_runs p run lead)
+  done;
+  sections
 
 let map_range t region ~ppn_of ~attr =
-  List.fold_left
-    (fun sections group ->
-      match group with
-      | [] -> sections
-      | rep :: _ ->
-          write_section t ~vpn:rep ~default:() (fun () ->
-              List.iter
-                (fun vpn -> insert_raw t ~vpn ~ppn:(ppn_of vpn) ~attr)
-                group);
-          sections + 1)
-    0 (range_groups t region)
+  range_op t region (fun vpn pages ->
+      let (Concurrent ((module T), tbl)) = t.table in
+      T.map_run tbl ~vpn ~pages ~ppn_of ~attr)
 
 let unmap_range t region =
-  List.fold_left
-    (fun sections group ->
-      match group with
-      | [] -> sections
-      | rep :: _ ->
-          write_section t ~vpn:rep ~default:() (fun () ->
-              List.iter (fun vpn -> remove_raw t ~vpn) group);
-          sections + 1)
-    0 (range_groups t region)
+  range_op t region (fun vpn pages ->
+      let (Concurrent ((module T), tbl)) = t.table in
+      T.unmap_run tbl ~vpn ~pages)
 
 let protect_range t region ~writable =
   let f attr = { attr with Pte.Attr.writable } in
-  List.fold_left
-    (fun sections group ->
-      match group with
-      | [] -> sections
-      | rep :: _ ->
-          write_section t ~vpn:rep ~default:() (fun () ->
-              List.iter
-                (fun vpn ->
-                  ignore
-                    (set_attr_raw t
-                       (Addr.Region.make ~first_vpn:vpn ~pages:1)
-                       ~f))
-                group);
-          sections + 1)
-    0 (range_groups t region)
+  range_op t region (fun vpn pages ->
+      ignore (set_attr_raw t (Addr.Region.make ~first_vpn:vpn ~pages) ~f))
 
 (* Range protect.  This is where lock granularity diverges (the
-   Section 3.1 claim the tests verify): one write lock per lock
-   section — a page *block* on clustered, a base *page* on hashed.
-   Under the global lock both take a single acquisition for the whole
-   range. *)
+   Section 3.1 claim the tests verify): one write lock per run — a page
+   *block* on clustered, a base *page* on hashed — even where runs'
+   buckets collide.  Under the global lock both take a single
+   acquisition for the whole range.  Returns the hash searches. *)
 let protect t region ~writable =
   let f attr = { attr with Pte.Attr.writable } in
   match t.locks with
@@ -556,23 +621,16 @@ let protect t region ~writable =
       write_section t ~vpn:region.Addr.Region.first_vpn ~default:0 (fun () ->
           set_attr_raw t region ~f)
   | Striped_lock _ | Seqlock_lock _ ->
-      (* one write section per run of pages that share a section *)
-      let (Concurrent ((module T), tbl)) = t.table in
-      let pages = Int64.of_int (T.pages_per_section tbl) in
-      let rec go vpn left searches =
-        if left = 0 then searches
-        else
-          let run =
-            min left (Int64.to_int (Int64.sub pages (Int64.rem vpn pages)))
-          in
-          let sub = Addr.Region.make ~first_vpn:vpn ~pages:run in
-          go
-            (Int64.add vpn (Int64.of_int run))
-            (left - run)
-            (searches
-            + write_section t ~vpn ~default:0 (fun () -> set_attr_raw t sub ~f))
-      in
-      go region.Addr.Region.first_vpn region.Addr.Region.pages 0
+      let p = Domain.DLS.get plan_key in
+      let searches = ref 0 in
+      for i = 0 to cut t p region - 1 do
+        let vpn = run_vpn p i and pages = run_pages p i in
+        searches :=
+          !searches
+          + write_section t ~vpn ~default:0 (fun () ->
+                set_attr_raw t (Addr.Region.make ~first_vpn:vpn ~pages) ~f)
+      done;
+      !searches
 
 let population t =
   let (Concurrent ((module T), tbl)) = t.table in

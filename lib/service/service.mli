@@ -75,32 +75,41 @@ val find : t -> vpn:int64 -> Pt_common.Types.translation option
 
 val range_lock_sections : t -> Addr.Region.t -> int
 (** Number of write-lock acquisitions a batched range op over this
-    region takes: 1 under the global lock; one per distinct stripe
-    under striped/seqlock locking (for clustered tables all pages of a
-    block share a stripe, so this is the block count; for hashed
-    tables pages only share a stripe on hash collisions). *)
+    region takes.  The region is cut into runs at multiples of the
+    table's [pages_per_section] (a page block on a clustered table, one
+    page on a hashed one), and runs whose buckets coincide share a
+    section: one section per distinct stripe under striped/seqlock
+    locking (the block count on a clustered table unless two blocks'
+    buckets collide; on a hashed table pages share a section only on
+    collisions), 1 under the global lock, 0 for an empty region. *)
 
 val map_range : t -> Addr.Region.t -> ppn_of:(int64 -> int64) -> attr:Pte.Attr.t -> int
 (** Batched mmap: insert a base mapping for every page of the region
-    in {!range_lock_sections} write sections (one per stripe group,
-    amortising lock traffic versus per-page {!insert}).  Each group is
-    a single undo-journal unit under fault injection: an injected
-    failure rolls the whole group back and the heal path retries it.
-    Returns the number of write sections taken. *)
+    in {!range_lock_sections} write sections, sections in the order
+    their stripes first appear, each applying its runs in region order
+    (one table call per run, amortising lock traffic and chain searches
+    versus per-page {!insert}).  Each section is a single undo-journal
+    unit under fault injection: an injected failure rolls the whole
+    section back and the heal path retries it.  Returns the number of
+    write sections taken.  Plans its sections in per-domain scratch,
+    allocating nothing per page. *)
 
 val unmap_range : t -> Addr.Region.t -> int
-(** Batched munmap, same sectioning and journalling as {!map_range}.
-    Unmapped pages of the region are skipped silently.  Returns the
-    number of write sections taken. *)
+(** Batched munmap, same sectioning and journalling as {!map_range}:
+    one chain walk per run on a clustered table.  Unmapped pages of the
+    region are skipped silently.  Returns the number of write sections
+    taken. *)
 
 val protect_range : t -> Addr.Region.t -> writable:bool -> int
-(** Batched mprotect: same stripe grouping, journalling and return
-    value as {!map_range} (sections taken, not hash searches). *)
+(** Batched mprotect: same sectioning, journalling and return value as
+    {!map_range} (sections taken, not hash searches), with one
+    [set_attr_range] call per run. *)
 
 val protect : t -> Addr.Region.t -> writable:bool -> int
 (** Set the [writable] attribute across a region; returns the number
     of hash searches performed.  Striped locking acquires one write
-    lock per page block (clustered) or per base page (hashed); the
+    lock per run — page block (clustered) or base page (hashed) — even
+    where two runs' stripes collide, unlike {!protect_range}; the
     global lock is taken once for the whole range. *)
 
 val population : t -> int

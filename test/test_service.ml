@@ -161,6 +161,64 @@ let test_range_ops_sectioning () =
       (Service.Hashed, Service.Global, 1);
     ]
 
+let test_range_ops_collisions () =
+  (* four buckets for a region of seven blocks: runs whose buckets
+     collide share one section, so every range op takes one section per
+     distinct bucket, exactly range_lock_sections, each one write lock *)
+  let region = Addr.Region.make ~first_vpn:0x47L ~pages:100 in
+  let blocks = List.length (Addr.Region.blocks ~subblock_factor:16 region) in
+  let ppn_of vpn = Int64.add vpn 0x9000L in
+  List.iter
+    (fun (org, locking) ->
+      let svc = Service.create ~buckets:4 ~org ~locking () in
+      let name = Service.org_name org ^ "/" ^ Service.locking_name locking in
+      let distinct =
+        List.length
+          (List.sort_uniq compare
+             (Addr.Region.fold_vpns region ~init:[] ~f:(fun acc vpn ->
+                  Service.bucket_of svc ~vpn :: acc)))
+      in
+      if org = Service.Clustered then
+        Alcotest.(check bool)
+          (name ^ ": two blocks share a bucket")
+          true (distinct < blocks);
+      let planned = Service.range_lock_sections svc region in
+      Alcotest.(check int) (name ^ ": one section per bucket") distinct planned;
+      let writes () = (Service.lock_stats svc).Service.write_acquisitions in
+      let section what op =
+        let before = writes () in
+        let took = op () in
+        Alcotest.(check int) (name ^ ": " ^ what ^ " sections") planned took;
+        Alcotest.(check int)
+          (name ^ ": " ^ what ^ " write locks")
+          planned
+          (writes () - before)
+      in
+      section "map_range" (fun () ->
+          Service.map_range svc region ~ppn_of ~attr);
+      Alcotest.(check int) (name ^ ": all pages mapped") 100
+        (Service.population svc);
+      section "protect_range" (fun () ->
+          Service.protect_range svc region ~writable:false);
+      Addr.Region.iter_vpns region (fun vpn ->
+          match Service.find svc ~vpn with
+          | Some tr ->
+              Alcotest.(check int64) (name ^ ": ppn") (ppn_of vpn) tr.Types.ppn;
+              Alcotest.(check bool) (name ^ ": write-protected") false
+                tr.Types.attr.Pte.Attr.writable
+          | None -> Alcotest.failf "%s: vpn 0x%Lx unmapped" name vpn);
+      section "unmap_range" (fun () -> Service.unmap_range svc region);
+      Alcotest.(check int) (name ^ ": emptied") 0 (Service.population svc);
+      Service.quiesce svc;
+      Alcotest.(check bool) (name ^ ": fsck clean") true
+        (Fsck.clean (Service.fsck svc)))
+    [
+      (Service.Clustered, Service.Striped);
+      (Service.Clustered, Service.Seqlock);
+      (Service.Hashed, Service.Striped);
+      (Service.Hashed, Service.Seqlock);
+    ]
+
 let test_protect_range_applies () =
   let region = Addr.Region.make ~first_vpn:0x100L ~pages:48 in
   List.iter
@@ -580,6 +638,8 @@ let suite =
         test_throughput_seqlock_deterministic;
       Alcotest.test_case "range ops sectioning" `Quick
         test_range_ops_sectioning;
+      Alcotest.test_case "range ops: colliding buckets share sections" `Quick
+        test_range_ops_collisions;
       Alcotest.test_case "protect_range applies" `Quick
         test_protect_range_applies;
       Alcotest.test_case "protect lock granularity" `Quick
