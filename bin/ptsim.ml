@@ -1405,8 +1405,8 @@ let () =
         & opt (positive_int ~what:"checkpoint cadence" ~cmd:"chaos") 1
         & info [ "checkpoint-every" ] ~docv:"ROUNDS"
             ~doc:
-              "Checkpoint cadence: snapshot every shard's live mapping set \
-               (and compact its WAL) every $(docv) rounds.")
+              "Checkpoint cadence: write every shard's table image (and \
+               compact its WAL) every $(docv) rounds.")
     in
     let offsets_conv =
       let parse s =

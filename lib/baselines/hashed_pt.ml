@@ -466,27 +466,27 @@ let insert_psb t ~vpbn:block ~vmask ~ppn ~attr =
 
 (* --- removal --- *)
 
+(* Walk [bucket]'s chain to the first node [select] acts on.  An
+   unlinked node is dropped by one store into its predecessor (or the
+   bucket head), so a concurrent optimistic reader sees the chain
+   either with it or without it; no other node is written. *)
 let remove_in_chain t table bucket ~select ~coarse =
-  let rec go n =
-    if n == nil then (nil, false)
+  let rec go prev n =
+    if n == nil then false
     else
       match select n with
       | `Unlink ->
+          if prev == nil then table.(bucket) <- n.next else prev.next <- n.next;
           unlink_node t n;
           ignore
             (Atomic.fetch_and_add
                (if coarse then t.coarse_nodes else t.fine_nodes)
                (-1));
-          (n.next, true)
-      | `Updated -> (n, true)
-      | `Skip ->
-          let rest, removed = go n.next in
-          n.next <- rest;
-          (n, removed)
+          true
+      | `Updated -> true
+      | `Skip -> go n n.next
   in
-  let chain, removed = go table.(bucket) in
-  table.(bucket) <- chain;
-  removed
+  go nil table.(bucket)
 
 let select_for_remove t ~vpn n =
   match Pte.Word.decode n.word with
@@ -1081,15 +1081,28 @@ let repair t =
     survivors;
   { Pt_common.Intf.violations; kept = !kept; dropped = !dropped }
 
-(* --- fine-bucket snapshots (the service's undo journal) --- *)
+(* --- fine-bucket images (the service's undo journal, the checkpoints):
+   a node is a one-word node --- *)
 
-type bucket_image = (int * int64) list
+type bucket_image = (int * int64 array) list
 
 let snapshot_bucket t ~bucket =
   let rec go acc n =
-    if n == nil then List.rev acc else go ((n.tag, n.word) :: acc) n.next
+    if n == nil then List.rev acc else go ((n.tag, [| n.word |]) :: acc) n.next
   in
   go [] t.fine.(bucket)
+
+let rec iter_chain_images f bucket n =
+  if n != nil then begin
+    f bucket n.tag [| n.word |];
+    iter_chain_images f bucket n.next
+  end
+
+let iter_images t f =
+  for bucket = 0 to t.buckets - 1 do
+    let n = t.fine.(bucket) in
+    if n != nil then iter_chain_images f bucket n
+  done
 
 let restore_bucket t ~bucket image =
   let removed = ref 0 in
@@ -1108,8 +1121,8 @@ let restore_bucket t ~bucket image =
   t.fine.(bucket) <- nil;
   let added = ref 0 in
   List.iter
-    (fun (tag, word) ->
-      let n = alloc_node t ~coarse:false ~tag ~word in
+    (fun (tag, words) ->
+      let n = alloc_node t ~coarse:false ~tag ~word:words.(0) in
       n.next <- t.fine.(bucket);
       t.fine.(bucket) <- n;
       incr added)

@@ -76,7 +76,6 @@ include
   Pt_common.Intf.CONCURRENT_TABLE
     with type t := t
      and type violation := violation
-     and type bucket_image = (int * int64) list
 (** The concurrent-table surface, over the fine (4 KB) table.
     [bucket_of] is the fine-table bucket serving [vpn]: sufficient for
     [No_superpages] and [Superpage_index] modes, whose entry points
@@ -85,8 +84,7 @@ include
     [No_superpages]).  [pages_per_section] is 1 and [set_attr_range]
     performs one hash search per base page — the Section 3.1 cost a
     clustered table amortizes to one per block.  [node_count] counts
-    both tables.  The undo journal, the shape probes and
-    [iter_mappings] cover the fine table; a bucket image lists each
-    node's tag and mapping word, head first.  Corruption classes:
+    both tables.  The bucket images, the shape probes and
+    [iter_mappings] cover the fine table.  Corruption classes:
     [cycle], [cross_link], [misplace], [duplicate], [torn] and
     [count]. *)

@@ -1589,7 +1589,7 @@ let repair t =
         survivors);
   { Pt_common.Intf.violations; kept = !kept; dropped = !dropped }
 
-(* --- bucket snapshots (the service's per-operation undo journal) --- *)
+(* --- bucket images (the service's undo journal, the checkpoints) --- *)
 
 type bucket_image = (int * int64 array) list
 
@@ -1599,6 +1599,18 @@ let snapshot_bucket t ~bucket =
     else go ((n.tag, Array.copy n.words) :: acc) n.next
   in
   go [] t.heads.(bucket)
+
+let rec iter_chain_images f bucket n =
+  if n != nil then begin
+    f bucket n.tag n.words;
+    iter_chain_images f bucket n.next
+  end
+
+let iter_images t f =
+  for bucket = 0 to Array.length t.heads - 1 do
+    let n = t.heads.(bucket) in
+    if n != nil then iter_chain_images f bucket n
+  done
 
 let restore_bucket t ~bucket image =
   Fault.suspended (fun () ->

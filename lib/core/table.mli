@@ -87,14 +87,12 @@ include
   Pt_common.Intf.CONCURRENT_TABLE
     with type t := t
      and type violation := violation
-     and type bucket_image = (int * int64 array) list
 (** The concurrent-table surface.  [bucket_of] names the chain of
     [vpn]'s page block, so [pages_per_section] is the subblock factor.
     [set_attr_range] performs one search per page block.
     [node_count] counts live nodes only, not reclaimed free-list ones.
     [restore_bucket] suspends injection sites and releases the current
-    nodes (to limbo when a reclaim hook is installed).  A bucket image
-    lists each node's tag and mapping words, head first.  Corruption
+    nodes (to limbo when a reclaim hook is installed).  Corruption
     classes: [cycle], [cross_link], [misplace], [duplicate], [stale]
     (a live node retagged as reclaimed), [torn], [torn_replica] (one
     replica of a multi-block superpage dropped), [head_tag] (the

@@ -8,12 +8,15 @@
    (replay is idempotent — insert overwrites, remove of absent is a
    no-op, protect skips unmapped pages).
 
-   A checkpoint is the checksummed serialization of the table's live
-   mapping set (Fsck.live_mappings — the logical equivalent of
-   snapshotting every bucket image) taken at a WAL offset; compaction
-   drops records below the newest complete checkpoint only, so a torn
-   checkpoint always leaves its fallback (an older complete one, or
-   the empty table) reachable through a longer suffix. *)
+   A checkpoint is the image of the table taken at a WAL offset: every
+   non-empty bucket's chain, node by node (tag, word count, words —
+   what [snapshot_bucket] copies for the undo journal), checksummed.
+   A clustered block is one node, so a checkpoint costs about a word a
+   page where a per-page list cost three.  Recovery relinks the nodes
+   with [restore_bucket] rather than inserting page by page.
+   Compaction drops records below the newest complete checkpoint only,
+   so a torn checkpoint always leaves its fallback (an older complete
+   one, or the empty table) reachable through a longer suffix. *)
 
 module Service = Pt_service.Service
 
@@ -142,54 +145,132 @@ let protect t ~asid (r : Addr.Region.t) ~writable =
 
 let live t = Fsck.live_mappings (Service.fsck_table t.svc)
 
-let entry_bytes = 24
+(* The checkpoint image, little-endian:
 
-let encode_checkpoint maps =
-  let n = List.length maps in
-  let b = Bytes.create (4 + (entry_bytes * n) + 8) in
-  Bytes.set_int32_le b 0 (Int32.of_int n);
-  List.iteri
-    (fun i (vpn, ppn, attr) ->
-      let off = 4 + (entry_bytes * i) in
-      Bytes.set_int64_le b off vpn;
-      Bytes.set_int64_le b (off + 8) ppn;
-      Bytes.set_int64_le b (off + 16) (Pte.Attr.to_bits attr))
-    maps;
-  let h = ref (Addr.Bits.mix64 (Int64.of_int n)) in
-  for i = 0 to (entry_bytes * n / 8) - 1 do
-    h := Addr.Bits.mix64 (Int64.add !h (Bytes.get_int64_le b (4 + (8 * i))))
+     blob  = u32 images, image * images, i64 checksum
+     image = u32 bucket, u32 nodes, node * nodes   (ascending buckets)
+     node  = i64 tag, u16 words, i64 word * words
+
+   one image per non-empty bucket, its chain head first.  The checksum
+   is a mix64 chain over the bytes before it in 8-byte words (the last
+   one zero-padded), seeded with their length. *)
+
+let blob_header = 4
+
+let image_header = 8
+
+let node_header = 10
+
+let checksum_bytes = 8
+
+let checksum b ~len =
+  let h = ref (Addr.Bits.mix64 (Int64.of_int len)) in
+  let whole = len / 8 in
+  for i = 0 to whole - 1 do
+    h := Addr.Bits.mix64 (Int64.add !h (Bytes.get_int64_le b (8 * i)))
   done;
-  Bytes.set_int64_le b (4 + (entry_bytes * n)) !h;
+  if len > 8 * whole then begin
+    let tail = ref 0L in
+    for j = len - 1 downto 8 * whole do
+      tail :=
+        Int64.logor (Int64.shift_left !tail 8)
+          (Int64.of_int (Bytes.get_uint8 b j))
+    done;
+    h := Addr.Bits.mix64 (Int64.add !h !tail)
+  end;
+  !h
+
+let encode_image (Pt_common.Intf.Concurrent ((module T), tbl)) =
+  (* size the blob first, so it is written in place with no regrowth *)
+  let len = ref blob_header and images = ref 0 and last = ref (-1) in
+  T.iter_images tbl (fun bucket _ words ->
+      if bucket <> !last then begin
+        last := bucket;
+        incr images;
+        len := !len + image_header
+      end;
+      len := !len + node_header + (8 * Array.length words));
+  let b = Bytes.create (!len + checksum_bytes) in
+  Bytes.set_int32_le b 0 (Int32.of_int !images);
+  let pos = ref blob_header and image = ref 0 and nodes = ref 0 in
+  last := -1;
+  T.iter_images tbl (fun bucket tag words ->
+      if bucket <> !last then begin
+        last := bucket;
+        image := !pos;
+        nodes := 0;
+        Bytes.set_int32_le b !pos (Int32.of_int bucket);
+        pos := !pos + image_header
+      end;
+      incr nodes;
+      Bytes.set_int32_le b (!image + 4) (Int32.of_int !nodes);
+      Bytes.set_int64_le b !pos (Int64.of_int tag);
+      Bytes.set_uint16_le b (!pos + 8) (Array.length words);
+      pos := !pos + node_header;
+      for i = 0 to Array.length words - 1 do
+        Bytes.set_int64_le b (!pos + (8 * i)) (Array.unsafe_get words i)
+      done;
+      pos := !pos + (8 * Array.length words));
+  Bytes.set_int64_le b !len (checksum b ~len:!len);
   b
 
-let decode_checkpoint b =
-  let len = Bytes.length b in
-  if len < 4 + 8 then None
+exception Reject
+
+(* The images of [blob], for [T]'s table; [None] on a bad checksum, a
+   bucket out of range or out of order, a node whose tag is not of its
+   bucket or whose word count the table never builds, a short read or
+   trailing bytes.  Never raises. *)
+let decode_image (Pt_common.Intf.Concurrent ((module T), tbl)) blob =
+  let len = Bytes.length blob - checksum_bytes in
+  if
+    len < blob_header
+    || not (Int64.equal (checksum blob ~len) (Bytes.get_int64_le blob len))
+  then None
   else
-    let n = Int32.to_int (Bytes.get_int32_le b 0) in
-    if n < 0 || len <> 4 + (entry_bytes * n) + 8 then None
-    else begin
-      let h = ref (Addr.Bits.mix64 (Int64.of_int n)) in
-      for i = 0 to (entry_bytes * n / 8) - 1 do
-        h := Addr.Bits.mix64 (Int64.add !h (Bytes.get_int64_le b (4 + (8 * i))))
-      done;
-      if not (Int64.equal !h (Bytes.get_int64_le b (4 + (entry_bytes * n)))) then
-        None
+    let buckets = T.buckets tbl and per = T.pages_per_section tbl in
+    let pos = ref 0 in
+    let take n =
+      let at = !pos in
+      if n > len - at then raise Reject;
+      pos := at + n;
+      at
+    in
+    let u32 () =
+      Int32.to_int (Bytes.get_int32_le blob (take 4)) land 0xFFFF_FFFF
+    in
+    let node bucket =
+      let tag = Int64.to_int (Bytes.get_int64_le blob (take 8)) in
+      let width = Bytes.get_uint16_le blob (take 2) in
+      if
+        tag < 0
+        || tag > max_int / per
+        || T.bucket_of tbl ~vpn:(Int64.of_int (tag * per)) <> bucket
+        || (width <> 1 && width <> per)
+      then raise Reject;
+      let at = take (8 * width) in
+      (tag, Array.init width (fun i -> Bytes.get_int64_le blob (at + (8 * i))))
+    in
+    let rec chain bucket k acc =
+      if k = 0 then List.rev acc else chain bucket (k - 1) (node bucket :: acc)
+    in
+    let rec images k prev acc =
+      if k = 0 then List.rev acc
       else
-        Some
-          (List.init n (fun i ->
-               let off = 4 + (entry_bytes * i) in
-               ( Bytes.get_int64_le b off,
-                 Bytes.get_int64_le b (off + 8),
-                 Pte.Attr.of_bits (Bytes.get_int64_le b (off + 16)) )))
-    end
+        let bucket = u32 () in
+        let nodes = u32 () in
+        if bucket <= prev || bucket >= buckets || nodes = 0 then raise Reject;
+        images (k - 1) bucket ((bucket, chain bucket nodes []) :: acc)
+    in
+    match images (u32 ()) (-1) [] with
+    | images when !pos = len -> Some images
+    | _ | (exception Reject) -> None
 
 let plan_checkpoint_crash t = t.crash_next_checkpoint <- true
 
 let checkpoint t =
   if not t.is_up then invalid_arg "Durable.Shard.checkpoint: shard is down";
   let off = Wal.length t.wal in
-  let blob = encode_checkpoint (live t) in
+  let blob = encode_image (Service.fsck_table t.svc) in
   if t.crash_next_checkpoint then begin
     (* die halfway through flushing the snapshot: a torn blob whose
        checksum cannot verify, and — critically — no compaction, so
@@ -219,30 +300,36 @@ let recover t =
   bump "recovery.attempts";
   (* recovery must not inject new faults into itself *)
   Fault.suspended (fun () ->
+      let svc =
+        Service.create ~buckets:t.buckets ?subblock_factor:t.subblock_factor
+          ~org:t.org ~locking:t.locking ()
+      in
+      let table = Service.fsck_table svc in
       let rec pick discarded = function
         | [] -> (None, discarded)
         | c :: rest -> (
-            match decode_checkpoint c.c_blob with
-            | Some maps -> (Some (c, maps), discarded)
+            match decode_image table c.c_blob with
+            | Some images -> (Some (c, images), discarded)
             | None -> pick (discarded + 1) rest)
       in
       let picked, discarded = pick 0 t.checkpoints in
       t.n_discarded <- t.n_discarded + discarded;
       badd "recovery.checkpoints_discarded" discarded;
-      let maps, from =
+      let from =
         match picked with
-        | Some (c, maps) -> (maps, c.c_offset)
-        | None -> ([], Wal.base t.wal)
+        | Some (c, images) ->
+            let (Pt_common.Intf.Concurrent ((module T), tbl)) = table in
+            List.iter
+              (fun (bucket, image) -> T.restore_bucket tbl ~bucket image)
+              images;
+            c.c_offset
+        | None -> Wal.base t.wal
       in
       let ops, truncated = Wal.scan t.wal ~from in
       badd "recovery.truncated_bytes" truncated;
-      let svc =
-        Service.create ~buckets:t.buckets ?subblock_factor:t.subblock_factor
-          ~org:t.org ~locking:t.locking ()
-      in
-      List.iter (fun (vpn, ppn, attr) -> Service.insert svc ~vpn ~ppn ~attr) maps;
-      t.n_restored <- t.n_restored + List.length maps;
-      badd "recovery.restored_mappings" (List.length maps);
+      let restored = Service.population svc in
+      t.n_restored <- t.n_restored + restored;
+      badd "recovery.restored_mappings" restored;
       let n = ref 0 in
       List.iter
         (fun op ->

@@ -8,14 +8,15 @@
     is one record).  A crash marks the shard down; operations on a
     down shard raise {!Down} until {!recover} rebuilds it.
 
-    Checkpoints serialize the table's live mapping set
-    ([Fsck.live_mappings], checksummed) at the current WAL offset and
-    compact the log below it.  Recovery = newest checkpoint that
-    verifies (torn ones are discarded — the fallback is an older
-    checkpoint plus a longer WAL suffix) + replay of the WAL records
-    after it onto a {e fresh} service, swapped in only on completion:
-    a crash mid-replay leaves the log untouched and readable, and the
-    next {!recover} converges.
+    Checkpoints write the table's image ({!encode_image}: every
+    non-empty bucket's chain, node by node, checksummed) at the current
+    WAL offset and compact the log below it.  Recovery = newest
+    checkpoint that decodes (torn or malformed ones are discarded — the
+    fallback is an older checkpoint plus a longer WAL suffix), its
+    nodes relinked bucket by bucket into a {e fresh} service, + replay
+    of the WAL records after it, the service swapped in only on
+    completion: a crash mid-replay leaves the log untouched and
+    readable, and the next {!recover} converges.
 
     Progress is mirrored into the ambient [wal.*] / [recovery.*]
     observability counters. *)
@@ -68,7 +69,7 @@ val protect : t -> asid:int -> Addr.Region.t -> writable:bool -> int
 (** {2 Checkpoints} *)
 
 val checkpoint : t -> unit
-(** Snapshot the live mapping set at the current WAL offset, then
+(** Write the table's image at the current WAL offset, then
     compact the log below it.  With a planned checkpoint crash the
     snapshot is left torn on "disk" (its checksum cannot verify), no
     compaction happens, the shard goes down, and [Fault.Injected]
@@ -77,6 +78,21 @@ val checkpoint : t -> unit
 
 val plan_checkpoint_crash : t -> unit
 (** Tear the next {!checkpoint} halfway. *)
+
+val encode_image : Pt_common.Intf.concurrent -> Bytes.t
+(** The checkpoint blob of a table: its non-empty buckets' images in
+    ascending bucket order, checksummed.  Run at quiescence. *)
+
+val decode_image :
+  Pt_common.Intf.concurrent ->
+  Bytes.t ->
+  (int * (int * int64 array) list) list option
+(** The [(bucket, image)] pairs of a blob, checked against the given
+    table's shape, which it does not touch; [None] for a blob that
+    fails its checksum, names a bucket out of range or out of order,
+    holds a node whose tag is not of its bucket or whose word count the
+    table never builds, ends short or has trailing bytes.  Never
+    raises. *)
 
 (** {2 Recovery} *)
 
@@ -114,7 +130,8 @@ val recovery_crashes : t -> int
 val replayed_records : t -> int
 
 val restored_mappings : t -> int
-(** Mappings restored from checkpoints across recoveries. *)
+(** Pages restored from checkpoints across recoveries: the sum of the
+    restored tables' populations, before WAL replay. *)
 
 val checkpoints_discarded : t -> int
 (** Torn checkpoints skipped by recoveries. *)

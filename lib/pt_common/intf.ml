@@ -145,10 +145,18 @@ module type CONCURRENT_TABLE = sig
       one-page case.  A hashed table removes page by page.  Crossing a
       section is the same caller error as for {!map_run}. *)
 
-  (** {2 Undo journal} *)
+  (** {2 Bucket images (undo journal and checkpoints)} *)
 
-  type bucket_image
-  (** Opaque copy of one bucket's chain. *)
+  type bucket_image = (int * int64 array) list
+  (** One bucket's chain, head first: each node's tag and stored words.
+      A hashed node is a one-word node; a clustered node has one word
+      (a partial-subblock or block-sized superpage node) or
+      {!pages_per_section} words (a block node).  On a 4 KB base table
+      (every table the service builds) a node's tag is the section it
+      serves, [vpn / pages_per_section] for its pages, so
+      [bucket_of ~vpn:(tag * pages_per_section)] is its bucket.  The
+      same shape for every table, so one checkpoint codec serves
+      both. *)
 
   val snapshot_bucket : t -> bucket:int -> bucket_image
   (** Copy [bucket]'s chain.  Take it under the bucket's write lock,
@@ -157,6 +165,14 @@ module type CONCURRENT_TABLE = sig
   val restore_bucket : t -> bucket:int -> bucket_image -> unit
   (** Put [bucket]'s chain back exactly as snapshotted (same node
       order, tags and words). *)
+
+  val iter_images : t -> (int -> int -> int64 array -> unit) -> unit
+  (** [f bucket tag words] for every chain node, buckets in ascending
+      order, each chain head first: every bucket's image, read in place
+      instead of copied as {!snapshot_bucket} does.  A clustered node
+      passes its own word array, so [f] must neither keep nor mutate
+      it; a hashed node passes a fresh one-word array.  Run at
+      quiescence. *)
 
   (** {2 Deferred reclamation (lock-free readers)}
 

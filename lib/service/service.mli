@@ -202,8 +202,9 @@ val fsck_table : t -> Fsck.table
 (** The backing table, packed with its implementation, as an {!Fsck}
     subject: what the cross-replica agreement check
     ([Fsck.check_replicas]) consumes when the same logical table is
-    replicated across NUMA nodes, and what [Fsck.corrupt_by_name]
-    damages. *)
+    replicated across NUMA nodes, what [Fsck.corrupt_by_name]
+    damages, and what a durable shard's checkpoint images and
+    recovery relinks. *)
 
 val fsck : t -> Fsck.report
 (** Integrity-check the backing table. *)

@@ -210,8 +210,8 @@ let test_double_crash_converges () =
 
 (* --- torn checkpoint: fall back to the previous one + longer suffix --- *)
 
-let test_torn_checkpoint_falls_back () =
-  let sh = mk_shard S.Hashed in
+let test_torn_checkpoint_falls_back org () =
+  let sh = mk_shard org in
   let model = Hashtbl.create 64 in
   let step op =
     ignore (D.submit sh op);
@@ -245,6 +245,301 @@ let test_torn_checkpoint_falls_back () =
    with Fault.Injected _ -> ());
   D.recover sh;
   check_live ~what:"post-fallback checkpoint" sh model
+
+(* --- checkpoint images: round trip, size, fuzz --- *)
+
+type table = Pt_common.Intf.concurrent
+
+let table_of sh : table = S.fsck_table (D.service sh)
+
+let blocks = 24
+
+(* Fill [sh]'s table straight through its interface (no WAL: the
+   checkpoint is the only record) in a seed-shuffled order, so chains
+   hold their nodes in no particular order, then remove a few pages.  A
+   clustered table gets base, partial-subblock and superpage nodes:
+   per block a base subset, a psb PTE beside base pages, a 16 KB
+   superpage beside base pages, or a block-sized superpage, and the
+   first four blocks hold one 256 KB superpage.  The hashed table the
+   service builds holds base pages only. *)
+let fill_shuffled sh org seed =
+  let (Pt_common.Intf.Concurrent ((module T), tbl)) = table_of sh in
+  let rng = Random.State.make [| seed |] in
+  let attr = Pte.Attr.default in
+  let vpn_of k off = Int64.of_int ((k * 16) + off) in
+  let base k off =
+    let vpn = vpn_of k off in
+    fun () -> T.insert_base tbl ~vpn ~ppn:(ppn_of vpn) ~attr
+  in
+  let some_of ~excluding k =
+    List.filter_map
+      (fun off ->
+        if excluding land (1 lsl off) = 0 && Random.State.int rng 3 > 0 then
+          Some (base k off)
+        else None)
+      (List.init 16 Fun.id)
+  in
+  let sp k size =
+    let vpn = vpn_of k 0 in
+    fun () -> T.insert_superpage tbl ~vpn ~size ~ppn:(ppn_of vpn) ~attr
+  in
+  let actions =
+    List.concat
+      (List.init blocks (fun k ->
+           match org with
+           | S.Hashed -> some_of ~excluding:0 k
+           | S.Clustered when k < 4 ->
+               if k = 0 then [ sp 0 Addr.Page_size.kb256 ] else []
+           | S.Clustered -> (
+               match Random.State.int rng 4 with
+               | 0 -> some_of ~excluding:0 k
+               | 1 ->
+                   let vmask = 1 + Random.State.int rng 0xFFFF in
+                   let vpbn = Int64.of_int k in
+                   (fun () ->
+                     T.insert_psb tbl ~vpbn ~vmask ~ppn:(ppn_of (vpn_of k 0))
+                       ~attr)
+                   :: some_of ~excluding:vmask k
+               | 2 -> sp k Addr.Page_size.kb16 :: some_of ~excluding:0xF k
+               | _ -> [ sp k Addr.Page_size.kb64 ])))
+  in
+  let shuffled =
+    List.map (fun a -> (Random.State.bits rng, a)) actions
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  List.iter (fun (_, a) -> a ()) shuffled;
+  (* not in the 256 KB superpage: removing one of its pages drops only
+     that block's replica, and demoting it is the OS's business *)
+  for _ = 1 to 8 do
+    let k = 4 + Random.State.int rng (blocks - 4) in
+    T.remove tbl ~vpn:(vpn_of k (Random.State.int rng 16))
+  done
+
+(* every bucket's image, and the shape the images must carry over *)
+let shape ((Pt_common.Intf.Concurrent ((module T), tbl)) : table) =
+  ( List.init (T.buckets tbl) (fun bucket -> T.snapshot_bucket tbl ~bucket),
+    (T.population tbl, T.size_bytes tbl, T.node_count tbl) )
+
+let check_clean what ((Pt_common.Intf.Concurrent ((module T), tbl)) : table)
+    =
+  match T.check tbl with
+  | [] -> ()
+  | v :: _ -> QCheck.Test.fail_reportf "%s: %a" what T.pp_violation v
+
+let prop_checkpoint_roundtrip =
+  QCheck.Test.make ~count:40
+    ~name:"checkpoint then recover restores the table node for node"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      List.iter
+        (fun (org, locking) ->
+          let what =
+            Printf.sprintf "%s, %s" (S.org_name org) (S.locking_name locking)
+          in
+          let sh = D.create ~buckets:8 ~org ~locking ~ppn_of () in
+          fill_shuffled sh org seed;
+          check_clean (what ^ ", filled") (table_of sh);
+          let images, ((population, _, _) as counts) = shape (table_of sh) in
+          D.checkpoint sh;
+          D.recover sh;
+          check_clean (what ^ ", restored") (table_of sh);
+          if shape (table_of sh) <> (images, counts) then
+            QCheck.Test.fail_reportf "%s: the restored table differs" what;
+          if D.restored_mappings sh <> population then
+            QCheck.Test.fail_reportf "%s: %d pages restored of %d" what
+              (D.restored_mappings sh) population)
+        [
+          (S.Clustered, S.Striped);
+          (S.Clustered, S.Seqlock);
+          (S.Hashed, S.Striped);
+          (S.Hashed, S.Seqlock);
+        ];
+      true)
+
+(* Fig 9's ordering, carried into the checkpoint: on full page blocks a
+   clustered node is one tag and sixteen words, a hashed one a tag and
+   one word per page. *)
+let test_checkpoint_bytes_per_page () =
+  let per_page org =
+    let sh = D.create ~org ~locking:S.Striped ~ppn_of () in
+    for k = 0 to 63 do
+      ignore
+        (D.map sh ~asid:1
+           (Addr.Region.make ~first_vpn:(Int64.of_int (0x1000 + (k * 37 * 16)))
+              ~pages:16))
+    done;
+    let blob = D.encode_image (table_of sh) in
+    float (Bytes.length blob) /. float (S.population (D.service sh))
+  in
+  let clustered = per_page S.Clustered and hashed = per_page S.Hashed in
+  if clustered > 10. then
+    Alcotest.failf "clustered checkpoint: %.2f bytes per page (bound 10)"
+      clustered;
+  if clustered >= hashed then
+    Alcotest.failf "clustered %.2f bytes per page, hashed %.2f" clustered
+      hashed
+
+(* The documented format, written independently of the shard: each
+   image's bucket and node count, each node's tag, word count and words,
+   then the mix64 chain over 8-byte words (the last one zero-padded)
+   seeded with the length. *)
+let forge ?(trailing = "") images =
+  let b = Buffer.create 256 in
+  Buffer.add_int32_le b (Int32.of_int (List.length images));
+  List.iter
+    (fun (bucket, chain) ->
+      Buffer.add_int32_le b (Int32.of_int bucket);
+      Buffer.add_int32_le b (Int32.of_int (List.length chain));
+      List.iter
+        (fun (tag, words) ->
+          Buffer.add_int64_le b (Int64.of_int tag);
+          Buffer.add_uint16_le b (Array.length words);
+          Array.iter (Buffer.add_int64_le b) words)
+        chain)
+    images;
+  Buffer.add_string b trailing;
+  let len = Buffer.length b in
+  let padded = Bytes.make (((len + 7) / 8 * 8) + 8) '\000' in
+  Buffer.blit b 0 padded 0 len;
+  let h = ref (Addr.Bits.mix64 (Int64.of_int len)) in
+  for i = 0 to ((len + 7) / 8) - 1 do
+    h := Addr.Bits.mix64 (Int64.add !h (Bytes.get_int64_le padded (8 * i)))
+  done;
+  let blob = Bytes.sub padded 0 (len + 8) in
+  Bytes.set_int64_le blob len !h;
+  blob
+
+(* a filled shard of each organization, its table and its blob *)
+let fuzz_subjects =
+  lazy
+    (List.map
+       (fun org ->
+         let sh = D.create ~buckets:8 ~org ~locking:S.Striped ~ppn_of () in
+         fill_shuffled sh org 7;
+         (org, table_of sh, D.encode_image (table_of sh)))
+       [ S.Clustered; S.Hashed ])
+
+let rejects ~what table ~case blob =
+  match D.decode_image table blob with
+  | None -> ()
+  | Some _ -> Alcotest.failf "%s: accepted %s" what case
+  | exception e ->
+      Alcotest.failf "%s: %s raised %s" what case (Printexc.to_string e)
+
+let test_image_format_and_structure () =
+  List.iter
+    (fun (org, (table : table), blob) ->
+      let what = S.org_name org in
+      let images =
+        match D.decode_image table blob with
+        | Some images -> images
+        | None -> Alcotest.failf "%s: own blob rejected" what
+      in
+      Alcotest.(check bool)
+        (what ^ ": the documented format") true
+        (Bytes.equal (forge images) blob);
+      let (Pt_common.Intf.Concurrent ((module T), tbl)) = table in
+      let first_bucket, first_chain = List.hd images in
+      let tag, words = List.hd first_chain in
+      let foreign_tag =
+        let rec go t =
+          if T.bucket_of tbl ~vpn:(Int64.of_int (t * T.pages_per_section tbl))
+             <> first_bucket
+          then t
+          else go (t + 1)
+        in
+        go (tag + 1)
+      in
+      let with_first_node node =
+        (first_bucket, node :: List.tl first_chain) :: List.tl images
+      in
+      List.iter
+        (fun (case, forged) -> rejects ~what table ~case forged)
+        [
+          ( "a bucket out of range",
+            forge (images @ [ (T.buckets tbl, first_chain) ]) );
+          ("descending buckets", forge (List.rev images));
+          ("a repeated bucket", forge ((first_bucket, first_chain) :: images));
+          ("an empty image", forge ((first_bucket, []) :: List.tl images));
+          ( "a tag of another bucket",
+            forge (with_first_node (foreign_tag, words)) );
+          ("a negative tag", forge (with_first_node (-1, words)));
+          ( "three words",
+            forge (with_first_node (tag, Array.make 3 words.(0))) );
+          ("trailing bytes", forge ~trailing:"\000" images);
+        ])
+    (Lazy.force fuzz_subjects);
+  (* a hashed table never builds a sixteen-word node *)
+  match Lazy.force fuzz_subjects with
+  | [ (_, _, clustered_blob); (_, hashed, _) ] ->
+      rejects ~what:"hashed" hashed ~case:"a clustered blob" clustered_blob
+  | _ -> assert false
+
+let test_image_every_truncation_and_flip () =
+  List.iter
+    (fun (org, table, blob) ->
+      let what = S.org_name org in
+      for n = 0 to Bytes.length blob - 1 do
+        rejects ~what table
+          ~case:(Printf.sprintf "a truncation to %d bytes" n)
+          (Bytes.sub blob 0 n)
+      done;
+      for i = 0 to Bytes.length blob - 1 do
+        let b = Bytes.copy blob in
+        Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor 0xFF);
+        rejects ~what table ~case:(Printf.sprintf "byte %d flipped" i) b
+      done)
+    (Lazy.force fuzz_subjects)
+
+(* byte positions are taken modulo the blob's length *)
+type mutation =
+  | Flip of (int * int) list  (** xor byte [i] with [x] *)
+  | Truncate of int
+  | Append of string
+
+let pp_mutation = function
+  | Flip flips ->
+      String.concat ", "
+        (List.map (fun (i, x) -> Printf.sprintf "byte %d xor 0x%x" i x) flips)
+  | Truncate n -> Printf.sprintf "truncate to %d" n
+  | Append s -> Printf.sprintf "append %d bytes" (String.length s)
+
+let prop_image_mutations =
+  let mutations =
+    QCheck.Gen.(
+      oneof
+        [
+          map
+            (fun flips -> Flip flips)
+            (list_size (int_range 1 4) (pair nat (int_range 1 255)));
+          map (fun n -> Truncate n) nat;
+          map (fun s -> Append s) (string_size (int_range 1 24));
+        ])
+  in
+  QCheck.Test.make ~count:500 ~name:"a mutated checkpoint image never decodes"
+    QCheck.(pair bool (make ~print:pp_mutation mutations))
+    (fun (hashed, m) ->
+      let _, table, blob =
+        List.nth (Lazy.force fuzz_subjects) (if hashed then 1 else 0)
+      in
+      let len = Bytes.length blob in
+      let mutated =
+        match m with
+        | Flip flips ->
+            let b = Bytes.copy blob in
+            List.iter
+              (fun (i, x) ->
+                let i = i mod len in
+                Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor x))
+              flips;
+            b
+        | Truncate n -> Bytes.sub blob 0 (n mod len)
+        | Append s -> Bytes.cat blob (Bytes.of_string s)
+      in
+      (* two flips of one byte may cancel out *)
+      QCheck.assume (not (Bytes.equal mutated blob));
+      rejects ~what:"mutated" table ~case:(pp_mutation m) mutated;
+      true)
 
 (* --- the chaos soak: gate + domain invariance --- *)
 
@@ -303,7 +598,17 @@ let suite =
       Alcotest.test_case "double crash converges" `Quick
         test_double_crash_converges;
       Alcotest.test_case "torn checkpoint falls back" `Quick
-        test_torn_checkpoint_falls_back;
+        (test_torn_checkpoint_falls_back S.Hashed);
+      Alcotest.test_case "torn clustered checkpoint falls back" `Quick
+        (test_torn_checkpoint_falls_back S.Clustered);
+      QCheck_alcotest.to_alcotest prop_checkpoint_roundtrip;
+      Alcotest.test_case "checkpoint bytes per page" `Quick
+        test_checkpoint_bytes_per_page;
+      Alcotest.test_case "checkpoint image format and structure" `Quick
+        test_image_format_and_structure;
+      Alcotest.test_case "checkpoint image truncations and flips" `Quick
+        test_image_every_truncation_and_flip;
+      QCheck_alcotest.to_alcotest prop_image_mutations;
       Alcotest.test_case "chaos soak gate" `Slow test_chaos_soak_gate;
       Alcotest.test_case "chaos domain-invariant" `Slow
         test_chaos_domain_invariance;

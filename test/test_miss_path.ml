@@ -624,7 +624,7 @@ let prop_hashed_fast_path =
     (fun (vpn, word) ->
       let t = H.create ~buckets:64 () in
       H.restore_bucket t ~bucket:(H.bucket_of t ~vpn)
-        [ (Int64.to_int vpn, word) ];
+        [ (Int64.to_int vpn, [| word |]) ];
       let got =
         outcome (fun () -> H.lookup_into t (Mem.Walk_acc.create ()) ~vpn)
       in
@@ -646,7 +646,9 @@ let test_invalid_s_raises () =
   Alcotest.(check bool) "bad single word" true
     (clustered_walk ~vpn [| bad |] = Error ());
   let t = H.create () in
-  H.restore_bucket t ~bucket:(H.bucket_of t ~vpn) [ (Int64.to_int vpn, bad) ];
+  H.restore_bucket t
+    ~bucket:(H.bucket_of t ~vpn)
+    [ (Int64.to_int vpn, [| bad |]) ];
   Alcotest.check_raises "bad hashed word"
     (Invalid_argument "Layout.s_class_of_code") (fun () ->
       ignore (H.lookup_into t (Mem.Walk_acc.create ()) ~vpn))

@@ -335,9 +335,49 @@ let prop name table make ~mixed ~hook =
     (QCheck.Test.make ~name ~count:150 QCheck.(int_bound 1_000_000_000)
        (fun seed -> run_case table make ~mixed ~hook seed))
 
+(* A hashed removal relinks only the predecessor of the node it
+   unlinks: on four buckets with long collided chains, removing nodes
+   from heads, middles and tails leaves every survivor in its chain
+   order, with or without a reclaim hook. *)
+let test_hashed_middle_removals ~hook () =
+  let module H = Baselines.Hashed_pt in
+  let t = hashed () in
+  let clock = ref 0 in
+  if hook then H.set_reclaim_hook t (Some (fun () -> !clock));
+  let pages = 96 in
+  for i = 0 to pages - 1 do
+    let vpn = Int64.of_int i in
+    H.insert_base t ~vpn ~ppn:(ppn_of vpn) ~attr:Pte.Attr.default
+  done;
+  let chains () =
+    List.init (H.buckets t) (fun bucket -> H.snapshot_bucket t ~bucket)
+  in
+  let before = chains () in
+  let gone tag = tag mod 3 = 1 in
+  for i = 0 to pages - 1 do
+    if gone i then H.remove t ~vpn:(Int64.of_int i)
+  done;
+  let survivors =
+    List.map (List.filter (fun (tag, _) -> not (gone tag))) before
+  in
+  Alcotest.(check bool) "survivors keep their chain order" true
+    (chains () = survivors);
+  Alcotest.(check int) "nodes" (pages - (pages / 3)) (H.node_count t);
+  Alcotest.(check int)
+    "limbo" (if hook then pages / 3 else 0) (H.limbo_nodes t);
+  Alcotest.(check bool) "checks clean" true (H.check t = []);
+  List.iter
+    (fun chain ->
+      Alcotest.(check bool) "long chains" true (List.length chain >= 16))
+    before
+
 let suite =
   ( "runs",
     [
+      Alcotest.test_case "hashed middle removals" `Quick
+        (test_hashed_middle_removals ~hook:false);
+      Alcotest.test_case "hashed middle removals, reclaim hook" `Quick
+        (test_hashed_middle_removals ~hook:true);
       prop "clustered runs = per-page loop"
         (module Clustered_pt.Table) clustered ~mixed:true ~hook:false;
       prop "clustered runs = per-page loop, reclaim hook"
