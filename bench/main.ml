@@ -377,7 +377,7 @@ let () =
             Printf.eprintf "bench: --domains expects an integer >= 1, got %S\n"
               s;
             exit 2)
-    | None -> Exec.Domain_pool.default_domains ()
+    | None -> Domain.recommended_domain_count ()
   in
   let options = { Sim.Runner.default_options with quick } in
   let t0 = Unix.gettimeofday () in

@@ -131,11 +131,11 @@ let announce_pool domains =
   let n =
     match domains with
     | Some d -> max 1 d
-    | None -> Exec.Domain_pool.default_domains ()
+    | None -> Domain.recommended_domain_count ()
   in
   Printf.printf "domain pool: %d domain%s (host recommends %d)\n%!" n
     (if n = 1 then "" else "s")
-    (Exec.Domain_pool.default_domains ())
+    (Domain.recommended_domain_count ())
 
 let run_table1 options domains =
   announce_pool domains;

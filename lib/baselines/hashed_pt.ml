@@ -19,19 +19,6 @@ type node = {
 
 let rec nil = { tag = min_int; word = 0L; addr = -1; next = nil }
 
-(* Deferred-reclamation limbo (see the clustered table for the full
-   story): a side list of unlinked nodes whose [next] pointers stay
-   intact so optimistic lock-free readers already past the unlink can
-   finish their walk.  Sharded by domain id to keep writer contention
-   off one mutex. *)
-type limbo_shard = {
-  lm : Mutex.t;
-  mutable l_entries : (node * int) list;  (* node, retire stamp *)
-  mutable l_count : int;
-}
-
-let limbo_shards = 8
-
 type t = {
   arena : Mem.Sim_memory.t;
   mode : sp_mode;
@@ -52,10 +39,11 @@ type t = {
      and the node counts are the only cross-bucket mutable state *)
   fine_nodes : int Atomic.t;
   coarse_nodes : int Atomic.t;
-  (* closure, not an [Epoch.t]: this library must not depend on the
-     epoch manager's home library *)
-  mutable reclaim_hook : (unit -> int) option;
-  limbo : limbo_shard array;
+  limbo : node Mem.Limbo.t;
+      (* deferred reclamation (see [Mem.Limbo] for the full story):
+         unlinked nodes whose [next] pointers stay intact so optimistic
+         lock-free readers already past the unlink can finish their
+         walk *)
 }
 
 let name = "hashed"
@@ -98,10 +86,7 @@ let create ?arena ?(buckets = 4096) ?(subblock_factor = 16) ?(packed = false)
     coarse_heads_addr = Int64.to_int coarse_heads_addr;
     fine_nodes = Atomic.make 0;
     coarse_nodes = Atomic.make 0;
-    reclaim_hook = None;
-    limbo =
-      Array.init limbo_shards (fun _ ->
-          { lm = Mutex.create (); l_entries = []; l_count = 0 });
+    limbo = Mem.Limbo.create ();
   }
 
 let mode t = t.mode
@@ -137,44 +122,18 @@ let release_node t n =
    the intact [next] pointer. *)
 let limbo_tag = min_int
 
-let retire_node t n stamp_of =
-  n.tag <- limbo_tag;
-  let stamp = stamp_of () in
-  let shard = t.limbo.((Domain.self () :> int) land (limbo_shards - 1)) in
-  Mutex.lock shard.lm;
-  shard.l_entries <- (n, stamp) :: shard.l_entries;
-  shard.l_count <- shard.l_count + 1;
-  Mutex.unlock shard.lm
-
 let unlink_node t n =
-  match t.reclaim_hook with
+  match Mem.Limbo.hook t.limbo with
   | None -> release_node t n
-  | Some stamp_of -> retire_node t n stamp_of
+  | Some stamp_of ->
+      n.tag <- limbo_tag;
+      Mem.Limbo.retire t.limbo ~stamp:(stamp_of ()) n
 
-let set_reclaim_hook t hook = t.reclaim_hook <- hook
+let set_reclaim_hook t hook = Mem.Limbo.set_hook t.limbo hook
 
-let reclaim t ~upto =
-  Array.iter
-    (fun shard ->
-      Mutex.lock shard.lm;
-      let safe, kept =
-        List.partition (fun (_, stamp) -> stamp < upto) shard.l_entries
-      in
-      shard.l_entries <- kept;
-      shard.l_count <- List.length kept;
-      Mutex.unlock shard.lm;
-      (* the arena has its own lock; free outside the shard mutex *)
-      List.iter (fun (n, _) -> release_node t n) safe)
-    t.limbo
+let reclaim t ~upto = Mem.Limbo.reclaim t.limbo ~upto (release_node t)
 
-let limbo_nodes t =
-  Array.fold_left
-    (fun acc shard ->
-      Mutex.lock shard.lm;
-      let c = shard.l_count in
-      Mutex.unlock shard.lm;
-      acc + c)
-    0 t.limbo
+let limbo_nodes t = Mem.Limbo.count t.limbo
 
 (* --- translations --- *)
 
@@ -635,12 +594,7 @@ let clear t =
   iter_nodes t (fun n -> nodes := n :: !nodes);
   List.iter (release_node t) !nodes;
   (* limbo nodes are unlinked, so the chain sweep missed them *)
-  Array.iter
-    (fun shard ->
-      List.iter (fun (n, _) -> release_node t n) shard.l_entries;
-      shard.l_entries <- [];
-      shard.l_count <- 0)
-    t.limbo;
+  Mem.Limbo.drain t.limbo (release_node t);
   Array.fill t.fine 0 (Array.length t.fine) nil;
   if Array.length t.coarse > 0 then
     Array.fill t.coarse 0 (Array.length t.coarse) nil;
@@ -930,23 +884,18 @@ let check t =
   (* limbo disjointness: a retired node must be off every chain and
      must wear the retired tag (no hashed free list, so two of the
      clustered checker's three ways) *)
-  let limbo_counted = ref 0 and limbo_recorded = ref 0 in
-  Array.iter
-    (fun shard ->
-      limbo_recorded := !limbo_recorded + shard.l_count;
-      List.iter
-        (fun (n, _) ->
-          incr limbo_counted;
-          if n.tag <> limbo_tag then add Limbo_live_tag;
-          match Hashtbl.find_opt live_seen n.addr with
-          | Some bucket -> add (Limbo_live_overlap { bucket })
-          | None -> ())
-        shard.l_entries)
-    t.limbo;
-  if !limbo_counted <> !limbo_recorded then
+  let limbo_counted = ref 0 in
+  Mem.Limbo.iter t.limbo (fun n ->
+      incr limbo_counted;
+      if n.tag <> limbo_tag then add Limbo_live_tag;
+      match Hashtbl.find_opt live_seen n.addr with
+      | Some bucket -> add (Limbo_live_overlap { bucket })
+      | None -> ());
+  let limbo_recorded = Mem.Limbo.count t.limbo in
+  if !limbo_counted <> limbo_recorded then
     add
       (Limbo_count_mismatch
-         { counted = !limbo_counted; recorded = !limbo_recorded });
+         { counted = !limbo_counted; recorded = limbo_recorded });
   List.rev !out
 
 (* --- repair --- *)
@@ -1060,11 +1009,7 @@ let repair t =
   Atomic.set t.coarse_nodes 0;
   (* abandon limbo with the rest of the old nodes: corruption may have
      relinked a limbo node into a chain, so freeing could double-free *)
-  Array.iter
-    (fun shard ->
-      shard.l_entries <- [];
-      shard.l_count <- 0)
-    t.limbo;
+  Mem.Limbo.forget t.limbo;
   List.iter
     (fun c ->
       if not (try_claim c) then incr dropped

@@ -22,20 +22,6 @@ let rec nil = { tag = min_int; words = [||]; addr = -1; node_bytes = 0; next = n
 
 let empty_tag = min_int
 
-(* Deferred reclamation (lock-free readers).  A limbo shard holds
-   unlinked nodes stamped with the epoch of their retirement; sharding
-   by domain id keeps retiring writers off each other's mutexes.  The
-   list is a side structure — limbo nodes are NOT threaded through
-   [next], because a concurrent optimistic reader may still be chasing
-   that pointer. *)
-type limbo_shard = {
-  lm : Mutex.t;
-  mutable l_entries : (node * int) list;
-  mutable l_count : int;
-}
-
-let limbo_shards = 8
-
 type t = {
   config : Config.t;
   arena : Mem.Sim_memory.t;
@@ -67,13 +53,10 @@ type t = {
   free_lock : Mutex.t;
       (* like the arena's lock: per-bucket locking covers the chains,
          not this cross-bucket reclamation state *)
-  mutable reclaim_hook : (unit -> int) option;
-      (* when set, unlinked nodes are retired to limbo under the stamp
-         this hook returns (an epoch clock) instead of parking on the
-         free lists; [reclaim] moves them on once the caller proves no
-         reader can still hold them.  A closure so this library does
-         not depend on the epoch manager's home library. *)
-  limbo : limbo_shard array;
+  limbo : node Mem.Limbo.t;
+      (* while its hook is set, unlinked nodes are retired here instead
+         of parking on the free lists; [reclaim] moves them on once the
+         caller proves no reader can still hold them *)
 }
 
 let name = "clustered"
@@ -105,10 +88,7 @@ let create ?arena config =
     free_single_n = 0;
     free_block_n = 0;
     free_lock = Mutex.create ();
-    reclaim_hook = None;
-    limbo =
-      Array.init limbo_shards (fun _ ->
-          { lm = Mutex.create (); l_entries = []; l_count = 0 });
+    limbo = Mem.Limbo.create ();
   }
 
 let config t = t.config
@@ -189,62 +169,35 @@ let park_free t n =
   end;
   Mutex.unlock t.free_lock
 
-(* Unlink bookkeeping: the node leaves the live set and parks on its
-   size class's free list.  The tag is reset to the unmatchable
-   [empty_tag] so a stale pointer can never tag-match. *)
-let release_node t n =
+(* Unlink bookkeeping: the node leaves the live set.  The tag is reset
+   to the unmatchable [empty_tag] so a stale pointer can never
+   tag-match. *)
+let leave_live t n =
   ignore (Atomic.fetch_and_add t.logical_bytes (-n.node_bytes));
   ignore (Atomic.fetch_and_add t.nodes (-1));
-  n.tag <- empty_tag;
+  n.tag <- empty_tag
+
+let release_node t n =
+  leave_live t n;
   park_free t n
 
-(* Deferred unlink: same accounting and tag reset, but the node waits
-   in limbo under the hook's epoch stamp.  [next] and [words] are left
-   exactly as they were — an optimistic reader that reached this node
+(* With a reclaim hook the node waits in limbo instead, its [next] and
+   [words] exactly as they were: an optimistic reader that reached it
    before the unlink must be able to finish its (doomed, to-be-retried)
    walk without chasing recycled pointers. *)
-let retire_node t n stamp_of =
-  ignore (Atomic.fetch_and_add t.logical_bytes (-n.node_bytes));
-  ignore (Atomic.fetch_and_add t.nodes (-1));
-  n.tag <- empty_tag;
-  let stamp = stamp_of () in
-  let shard = t.limbo.((Domain.self () :> int) land (limbo_shards - 1)) in
-  Mutex.lock shard.lm;
-  shard.l_entries <- (n, stamp) :: shard.l_entries;
-  shard.l_count <- shard.l_count + 1;
-  Mutex.unlock shard.lm
-
 let unlink_node t n =
-  match t.reclaim_hook with
-  | None -> release_node t n
-  | Some stamp_of -> retire_node t n stamp_of
+  leave_live t n;
+  match Mem.Limbo.hook t.limbo with
+  | None -> park_free t n
+  | Some stamp_of -> Mem.Limbo.retire t.limbo ~stamp:(stamp_of ()) n
 
-let set_reclaim_hook t hook = t.reclaim_hook <- hook
+let set_reclaim_hook t hook = Mem.Limbo.set_hook t.limbo hook
 
-let reclaim t ~upto =
-  Array.iter
-    (fun shard ->
-      Mutex.lock shard.lm;
-      let safe, keep =
-        List.partition (fun (_, stamp) -> stamp < upto) shard.l_entries
-      in
-      shard.l_entries <- keep;
-      shard.l_count <- List.length keep;
-      Mutex.unlock shard.lm;
-      (* free-list threading may now scribble on [next]: no reader
-         pinned at or before [stamp] remains, per the caller's epoch
-         manager *)
-      List.iter (fun (n, _) -> park_free t n) safe)
-    t.limbo
+(* free-list threading may now scribble on [next]: no reader pinned
+   before [upto] remains, per the caller's epoch manager *)
+let reclaim t ~upto = Mem.Limbo.reclaim t.limbo ~upto (park_free t)
 
-let limbo_nodes t =
-  Array.fold_left
-    (fun acc shard ->
-      Mutex.lock shard.lm;
-      let c = shard.l_count in
-      Mutex.unlock shard.lm;
-      acc + c)
-    0 t.limbo
+let limbo_nodes t = Mem.Limbo.count t.limbo
 
 (* really return a node's bytes to the arena (only [clear] does) *)
 let arena_free t n =
@@ -807,12 +760,7 @@ let clear t =
   t.free_block_n <- 0;
   (* limbo nodes left the logical accounting at retirement; their
      bytes go back to the arena like the free lists' *)
-  Array.iter
-    (fun shard ->
-      List.iter (fun (n, _) -> arena_free t n) shard.l_entries;
-      shard.l_entries <- [];
-      shard.l_count <- 0)
-    t.limbo;
+  Mem.Limbo.drain t.limbo (arena_free t);
   Array.fill t.heads 0 (Array.length t.heads) nil;
   Array.fill t.head_tags 0 (Array.length t.head_tags) empty_tag
 
@@ -1364,25 +1312,20 @@ let check t =
   (* three-way disjointness: a limbo node must be neither chained nor
      on a free list — it is exactly the state between unlink and
      recycling — and must already wear the retired tag *)
-  let limbo_counted = ref 0 and limbo_recorded = ref 0 in
-  Array.iter
-    (fun shard ->
-      limbo_recorded := !limbo_recorded + shard.l_count;
-      List.iter
-        (fun ((n : node), _) ->
-          incr limbo_counted;
-          if n.tag <> empty_tag then add Limbo_live_tag;
-          (match Hashtbl.find_opt seen n.addr with
-          | Some bucket -> add (Limbo_live_overlap { bucket })
-          | None -> ());
-          if Hashtbl.mem free_seen n.addr then
-            add (Limbo_free_overlap { single = Array.length n.words = 1 }))
-        shard.l_entries)
-    t.limbo;
-  if !limbo_counted <> !limbo_recorded then
+  let limbo_counted = ref 0 in
+  Mem.Limbo.iter t.limbo (fun n ->
+      incr limbo_counted;
+      if n.tag <> empty_tag then add Limbo_live_tag;
+      (match Hashtbl.find_opt seen n.addr with
+      | Some bucket -> add (Limbo_live_overlap { bucket })
+      | None -> ());
+      if Hashtbl.mem free_seen n.addr then
+        add (Limbo_free_overlap { single = Array.length n.words = 1 }));
+  let limbo_recorded = Mem.Limbo.count t.limbo in
+  if !limbo_counted <> limbo_recorded then
     add
       (Limbo_count_mismatch
-         { counted = !limbo_counted; recorded = !limbo_recorded });
+         { counted = !limbo_counted; recorded = limbo_recorded });
   let recorded_nodes = Atomic.get t.nodes in
   if !counted <> recorded_nodes then
     add (Node_count_mismatch { counted = !counted; recorded = recorded_nodes });
@@ -1568,11 +1511,7 @@ let repair t =
       t.free_block <- nil;
       t.free_single_n <- 0;
       t.free_block_n <- 0;
-      Array.iter
-        (fun shard ->
-          shard.l_entries <- [];
-          shard.l_count <- 0)
-        t.limbo;
+      Mem.Limbo.forget t.limbo;
       List.iter
         (fun c ->
           if not (try_claim c) then incr dropped
@@ -1629,7 +1568,7 @@ let restore_bucket t ~bucket image =
       (* [link] prepends, so rebuild tail-first to restore chain order *)
       List.iter
         (fun (tag, words) ->
-          let n = alloc_node t ~tag ~words:(Array.copy words) in
+          let n = alloc_node t ~tag ~words in
           link t bucket n)
         (List.rev image))
 

@@ -216,10 +216,14 @@ let encode_image (Pt_common.Intf.Concurrent ((module T), tbl)) =
 
 exception Reject
 
+let s_code w = Int64.to_int (Int64.shift_right_logical w Pte.Layout.s_lo) land 3
+
 (* The images of [blob], for [T]'s table; [None] on a bad checksum, a
    bucket out of range or out of order, a node whose tag is not of its
-   bucket or whose word count the table never builds, a short read or
-   trailing bytes.  Never raises. *)
+   bucket or whose word count the table never builds, a base PTE word
+   in a one-word node of a table with several pages per section (a
+   clustered table keeps base words in block nodes only), a short read
+   or trailing bytes.  Never raises. *)
 let decode_image (Pt_common.Intf.Concurrent ((module T), tbl)) blob =
   let len = Bytes.length blob - checksum_bytes in
   if
@@ -248,7 +252,12 @@ let decode_image (Pt_common.Intf.Concurrent ((module T), tbl)) blob =
         || (width <> 1 && width <> per)
       then raise Reject;
       let at = take (8 * width) in
-      (tag, Array.init width (fun i -> Bytes.get_int64_le blob (at + (8 * i))))
+      let words =
+        Array.init width (fun i -> Bytes.get_int64_le blob (at + (8 * i)))
+      in
+      (* the S field read with shifts: code 3 must not raise here *)
+      if width = 1 && per > 1 && s_code words.(0) = 0 then raise Reject;
+      (tag, words)
     in
     let rec chain bucket k acc =
       if k = 0 then List.rev acc else chain bucket (k - 1) (node bucket :: acc)

@@ -1,6 +1,7 @@
-(** Fixed logical streams dealt over a {!Worker_pool}: the executor
-    every soak driver (faultsim, throughput, numa, fleet, chaos) runs
-    its rounds on.
+(** The one way this library fans work out over domains, on a
+    {!Worker_pool}: fixed logical streams, the executor every soak
+    driver (faultsim, throughput, numa, fleet, chaos) runs its rounds
+    on, and {!map}, the index-keyed fan-out the experiments use.
 
     {b Determinism contract.}  A soak's unit of work is the logical
     {e stream}, never the domain.  Stream [s] runs on worker
@@ -41,3 +42,22 @@ val each : t -> (int -> unit) -> unit
 
 val restarts : t -> int
 (** Worker domains respawned by supervision since {!with_streams}. *)
+
+val map : ?domains:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
+(** [map ~domains f inputs] is [Array.mapi f inputs] computed on a
+    {!Worker_pool} of [min domains (Array.length inputs)] workers
+    ([domains] defaults to [Domain.recommended_domain_count ()]); the
+    workers claim indices from one shared counter.  With one domain,
+    or at most one input, the jobs run in ascending index on the
+    calling domain.
+
+    {b Determinism contract.}  The unit of work is the index, as the
+    stream is for {!each}: a job derives its seeds from its index and
+    input, never from execution order, and does not observe the other
+    jobs' results.  Then the result array is identical for every
+    [domains].
+
+    If jobs raise, [map] re-raises the exception of the lowest failing
+    index once the workers are idle (no index is claimed after a
+    failure, but every lower one has been).  Raises [Invalid_argument]
+    if [domains < 1]. *)

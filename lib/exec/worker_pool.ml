@@ -1,11 +1,11 @@
-(* Long-lived worker domains.
+(* Long-lived worker domains: the only place this library spawns one.
 
-   Domain_pool forks and joins a fresh set of domains per call, which
-   is fine for coarse experiment fan-out but wrong for a shared-memory
-   service benchmark: domain startup (~hundreds of microseconds plus
-   GC registration) would sit inside the timed region, and a
-   lookup/insert service wants the same domains to run phase after
-   phase against the same shared structure.
+   Forking and joining a fresh set of domains per call would put
+   domain startup (~hundreds of microseconds plus GC registration)
+   inside any timed region, and a lookup/insert service wants the same
+   domains to run phase after phase against the same shared structure.
+   [Soak] builds both of its executors (streams and the index-keyed
+   [map]) on this pool.
 
    A pool spawns its domains once.  Each [run] publishes one job under
    the pool mutex, bumps an epoch, and wakes every worker; workers run

@@ -1,8 +1,8 @@
 (** A pool of long-lived worker domains.
 
-    {!Domain_pool} forks and joins fresh domains on every call, which
-    puts domain startup inside any timed region and gives each phase a
-    cold set of domains.  A [Worker_pool.t] spawns its domains once at
+    Forking and joining fresh domains on every call would put domain
+    startup inside any timed region and give each phase a cold set of
+    domains.  A [Worker_pool.t] spawns its domains once at
     {!create}; each {!run} dispatches one job to all of them and
     barriers until every worker has finished, so repeated phases (warm
     up, measure, verify) reuse the same domains against the same shared

@@ -164,7 +164,13 @@ module type CONCURRENT_TABLE = sig
 
   val restore_bucket : t -> bucket:int -> bucket_image -> unit
   (** Put [bucket]'s chain back exactly as snapshotted (same node
-      order, tags and words). *)
+      order, tags and words).  The table takes ownership of the
+      image's word arrays (a clustered node keeps its array and later
+      writes it in place), so the caller must not read, mutate or
+      restore the image again.  {!snapshot_bucket} hands out copies,
+      the undo journal drops its image after a rollback and a
+      checkpoint decode builds fresh arrays, so each node's words are
+      copied once on the way back. *)
 
   val iter_images : t -> (int -> int -> int64 array -> unit) -> unit
   (** [f bucket tag words] for every chain node, buckets in ascending
@@ -179,7 +185,8 @@ module type CONCURRENT_TABLE = sig
       With a reclaim hook installed, unlinked nodes are retired to a
       limbo list stamped by the hook (an epoch clock) instead of being
       recycled: a retired node keeps its [next] pointer and words, so an
-      optimistic reader already past the unlink can finish its walk. *)
+      optimistic reader already past the unlink can finish its walk.
+      Both hashed tables keep that list in a [Mem.Limbo]. *)
 
   val set_reclaim_hook : t -> (unit -> int) option -> unit
   (** Install or remove the hook.  Flip only at quiescence. *)

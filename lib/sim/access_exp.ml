@@ -245,7 +245,7 @@ let run_residency ?(seed = 0x7ACE_1995L) ?(length = 80_000)
   let misses, n =
     record_misses trace tlb ~reference ~design:Single ~subblock_factor
   in
-  Exec.Domain_pool.map_list ?domains
+  Exec.Soak.map ?domains
     (fun _ kind ->
       let tables = build kind in
       let cache = Mem.Cache_sim.create ~line_size ~sets ~ways () in
@@ -273,4 +273,5 @@ let run_residency ?(seed = 0x7ACE_1995L) ?(length = 80_000)
         warm_lines = float_of_int !warm /. float_of_int n;
         hit_ratio = Mem.Cache_sim.hit_ratio cache;
       })
-    pt_kinds
+    (Array.of_list pt_kinds)
+  |> Array.to_list

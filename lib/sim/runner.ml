@@ -13,13 +13,14 @@ let trace_specs options =
     [ Workload.Table1.coral; Workload.Table1.gcc; Workload.Table1.nasa7 ]
   else Workload.Table1.all
 
-(* Fan independent jobs (one per workload or configuration) out to a
-   domain pool, then print from the joined results.  Each job derives
-   its seeds from its own spec/index, never from execution order, so
-   every entry point is bit-identical for any [domains], including the
-   serial [~domains:1] legacy path. *)
+(* Fan independent jobs (one per workload or configuration) out over
+   [Exec.Soak.map], then print from the joined results.  Each job
+   derives its seeds from its own spec/index, never from execution
+   order, so every entry point is bit-identical for any [domains],
+   including [~domains:1], which runs the jobs in order on the calling
+   domain. *)
 let par_map ?domains f xs =
-  Exec.Domain_pool.map_list ?domains (fun _ x -> f x) xs
+  Array.to_list (Exec.Soak.map ?domains (fun _ x -> f x) (Array.of_list xs))
 
 (* --- Table 1 --- *)
 

@@ -3,10 +3,10 @@
     programmatic use (benchmarks, tests, EXPERIMENTS.md).
 
     Every entry point takes [?domains]: its independent workloads fan
-    out over a {!Exec.Domain_pool} of that many domains (default
+    out over {!Exec.Soak.map} on that many domains (default
     [Domain.recommended_domain_count ()]).  Results are deterministic —
     identical for every domain count, including [~domains:1], which
-    runs the legacy serial path. *)
+    runs the jobs in order on the calling domain. *)
 
 type options = {
   seed : int64;

@@ -59,9 +59,10 @@ let figure9 ?(seed = default_seed) ?domains
       ("clustered", Factory.clustered16, `Base);
     ]
   in
-  Exec.Domain_pool.map_list ?domains
+  Exec.Soak.map ?domains
     (fun _ spec -> row_of spec ~seed ~placement_p:0.95 ~columns)
-    specs
+    (Array.of_list specs)
+  |> Array.to_list
 
 let figure10 ?(seed = default_seed) ?domains ?(placement_p = 0.95)
     ?(specs = Workload.Table1.all_with_kernel) () =
@@ -76,9 +77,10 @@ let figure10 ?(seed = default_seed) ?domains ?(placement_p = 0.95)
       ("clustered+both", Factory.clustered16, `Mixed);
     ]
   in
-  Exec.Domain_pool.map_list ?domains
+  Exec.Soak.map ?domains
     (fun _ spec -> row_of spec ~seed ~placement_p ~columns)
-    specs
+    (Array.of_list specs)
+  |> Array.to_list
 
 let subblock_sweep ?(seed = default_seed) ~factors spec =
   let assignments = assignments_of spec ~seed ~placement_p:0.95 in

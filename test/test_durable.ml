@@ -469,10 +469,13 @@ let test_image_format_and_structure () =
           ("trailing bytes", forge ~trailing:"\000" images);
         ])
     (Lazy.force fuzz_subjects);
-  (* a hashed table never builds a sixteen-word node *)
   match Lazy.force fuzz_subjects with
-  | [ (_, _, clustered_blob); (_, hashed, _) ] ->
-      rejects ~what:"hashed" hashed ~case:"a clustered blob" clustered_blob
+  | [ (_, clustered, clustered_blob); (_, hashed, hashed_blob) ] ->
+      (* a hashed table never builds a sixteen-word node *)
+      rejects ~what:"hashed" hashed ~case:"a clustered blob" clustered_blob;
+      (* nor a clustered one a one-word node holding a base word, though
+         the tags of a hashed blob of as many buckets all hash right *)
+      rejects ~what:"clustered" clustered ~case:"a hashed blob" hashed_blob
   | _ -> assert false
 
 let test_image_every_truncation_and_flip () =

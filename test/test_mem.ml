@@ -241,6 +241,69 @@ let prop_reservation_all_placed_when_plenty =
           | None -> false)
         (List.sort_uniq compare vpns |> List.map (fun v -> v)))
 
+(* --- Limbo: the tables' deferred reclamation --- *)
+
+(* retire [main] on this domain, then [other] on a second one (under
+   the same stamps), and return the expected hand-over order: shard by
+   shard (the domain id's low bits), each shard newest first *)
+let limbo_of_two_domains ~main ~other =
+  let l = Mem.Limbo.create () in
+  List.iter (fun (n, stamp) -> Mem.Limbo.retire l ~stamp n) main;
+  let other_id =
+    Domain.join
+      (Domain.spawn (fun () ->
+           List.iter (fun (n, stamp) -> Mem.Limbo.retire l ~stamp n) other;
+           (Domain.self () :> int)))
+  in
+  let shard id = id land 7 in
+  let tagged id = List.mapi (fun i (n, _) -> (shard id, -i, n)) in
+  let expected =
+    List.sort compare
+      (tagged (Domain.self () :> int) main @ tagged other_id other)
+    |> List.map (fun (_, _, n) -> n)
+  in
+  (l, expected)
+
+let collect f =
+  let got = ref [] in
+  f (fun n -> got := n :: !got);
+  List.rev !got
+
+let test_limbo_reclaim () =
+  let l, _ =
+    limbo_of_two_domains ~main:[ (1, 4); (2, 5) ] ~other:[ (3, 4); (4, 6) ]
+  in
+  Alcotest.(check int) "count over both domains" 4 (Mem.Limbo.count l);
+  Alcotest.(check (list int))
+    "strictly below upto only" [ 1; 3 ]
+    (List.sort compare (collect (Mem.Limbo.reclaim l ~upto:5)));
+  Alcotest.(check int) "a stamp equal to upto is kept" 2 (Mem.Limbo.count l);
+  Alcotest.(check (list int))
+    "nothing twice" [] (collect (Mem.Limbo.reclaim l ~upto:5));
+  Alcotest.(check (list int))
+    "the rest once upto passes them" [ 2; 4 ]
+    (List.sort compare (collect (Mem.Limbo.reclaim l ~upto:7)));
+  Alcotest.(check int) "empty" 0 (Mem.Limbo.count l)
+
+let test_limbo_order () =
+  let main = List.init 5 (fun i -> (i, 0)) in
+  let other = List.init 4 (fun i -> (10 + i, 0)) in
+  let l, expected = limbo_of_two_domains ~main ~other in
+  Alcotest.(check (list int))
+    "iter: shard by shard, newest first" expected (collect (Mem.Limbo.iter l));
+  Alcotest.(check (list int))
+    "reclaim: the same order" expected (collect (Mem.Limbo.reclaim l ~upto:1));
+  let l, expected = limbo_of_two_domains ~main ~other in
+  Alcotest.(check (list int))
+    "drain: every node once, in order" expected (collect (Mem.Limbo.drain l));
+  Alcotest.(check int) "drained" 0 (Mem.Limbo.count l);
+  Alcotest.(check (list int)) "nothing left" [] (collect (Mem.Limbo.iter l));
+  let l, _ = limbo_of_two_domains ~main ~other in
+  Mem.Limbo.forget l;
+  Alcotest.(check int) "forgotten" 0 (Mem.Limbo.count l);
+  Alcotest.(check (list int))
+    "forget hands nothing over" [] (collect (Mem.Limbo.drain l))
+
 let suite =
   ( "mem",
     [
@@ -264,6 +327,8 @@ let suite =
       Alcotest.test_case "reservation free cycle" `Quick
         test_reservation_free_cycle;
       QCheck_alcotest.to_alcotest prop_reservation_all_placed_when_plenty;
+      Alcotest.test_case "limbo reclaim by stamp" `Quick test_limbo_reclaim;
+      Alcotest.test_case "limbo hand-over order" `Quick test_limbo_order;
     ] )
 
 (* buddy blocks are always aligned to their order and pairwise disjoint *)

@@ -591,8 +591,10 @@ let s_code w = Int64.to_int (Int64.shift_right_logical w Pte.Layout.s_lo) land 3
 let clustered_walk ~vpn words =
   let t = T.create Clustered_pt.Config.default in
   let vpbn, _ = split vpn in
+  (* the table takes ownership of restored words: hand it a copy, the
+     callers reuse [words] *)
   T.restore_bucket t ~bucket:(T.bucket_of t ~vpn)
-    [ (Int64.to_int vpbn, words) ];
+    [ (Int64.to_int vpbn, Array.copy words) ];
   outcome (fun () -> T.lookup_into t (Mem.Walk_acc.create ()) ~vpn)
 
 let prop_clustered_fast_path =

@@ -10,9 +10,11 @@ let options =
     quick = true;
   }
 
+(* --- Soak.map: the index-keyed fan-out --- *)
+
 let test_pool_map_order () =
   let inputs = Array.init 100 (fun i -> i) in
-  let out = Exec.Domain_pool.map ~domains:4 (fun _ x -> x * x) inputs in
+  let out = Exec.Soak.map ~domains:4 (fun _ x -> x * x) inputs in
   Alcotest.(check (array int))
     "results land at their input's index"
     (Array.map (fun x -> x * x) inputs)
@@ -21,25 +23,44 @@ let test_pool_map_order () =
 let test_pool_map_empty () =
   Alcotest.(check (array int))
     "empty input" [||]
-    (Exec.Domain_pool.map ~domains:4 (fun _ x -> x) [||])
+    (Exec.Soak.map ~domains:4 (fun _ x -> x) [||])
 
 let test_pool_serial_matches_parallel () =
   let inputs = Array.init 33 (fun i -> i) in
   let f _ x = (x * 7) + 1 in
   Alcotest.(check (array int))
     "domains:1 = domains:4"
-    (Exec.Domain_pool.map ~domains:1 f inputs)
-    (Exec.Domain_pool.map ~domains:4 f inputs)
+    (Exec.Soak.map ~domains:1 f inputs)
+    (Exec.Soak.map ~domains:4 f inputs);
+  (* one domain runs the jobs in ascending index on the caller *)
+  let order = ref [] and caller = Domain.self () in
+  ignore
+    (Exec.Soak.map ~domains:1
+       (fun i _ ->
+         if Domain.self () <> caller then Alcotest.fail "left the caller";
+         order := i :: !order)
+       inputs);
+  Alcotest.(check (list int))
+    "ascending on the calling domain" (List.init 33 Fun.id)
+    (List.rev !order)
+
+exception Boom of int
 
 let test_pool_propagates_failure () =
-  match
-    Exec.Domain_pool.map ~domains:4
-      (fun _ x -> if x = 5 then failwith "boom" else x)
+  let failing bad =
+    Exec.Soak.map ~domains:4
+      (fun _ x -> if List.mem x bad then raise (Boom x) else x)
       (Array.init 16 (fun i -> i))
-  with
-  | _ -> Alcotest.fail "expected Job_failed"
-  | exception Exec.Domain_pool.Job_failed (5, Failure _) -> ()
-  | exception e -> raise e
+  in
+  (match failing [ 5 ] with
+  | _ -> Alcotest.fail "expected the job's own exception"
+  | exception Boom 5 -> ());
+  (* two failures: the lowest index wins, whichever ran first *)
+  for _ = 1 to 20 do
+    match failing [ 11; 3 ] with
+    | _ -> Alcotest.fail "expected the job's own exception"
+    | exception Boom 3 -> ()
+  done
 
 (* --- Worker_pool: the long-lived variant --- *)
 
