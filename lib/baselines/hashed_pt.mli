@@ -46,15 +46,17 @@ val load_factor : t -> float
 
 (** {2 Integrity verification and repair (fsck)}
 
-    Mirrors {!Clustered_pt.Table.check}: chain acyclicity, bucket
-    residency for every tag kind of every mode, word-format legality
-    (a non-base word on a fine chain is the signature a torn update
-    leaves), duplicate (tag, kind) nodes, coarse-table superpage
-    replica consistency, representation exclusivity via a global
-    page-coverage map, and the node accounting.  Cycle-safe.  [repair]
-    harvests surviving mode-legal PTEs cycle-safely, arbitrates
-    double-mapped pages first-wins, then resets both tables and
-    reinserts; the old nodes' arena bytes are abandoned. *)
+    Both tables (fine and coarse) are chain sets of
+    {!Pt_common.Chain}, the engine the clustered table runs on, with
+    one word per node held inline.  So fsck is the engine's
+    chain-shape checks (cycles, cross-links, bucket residency for every
+    tag kind of every mode, node counts, limbo disjointness) plus this
+    table's word rules: word-format legality (a non-base word on a fine
+    chain is the signature a torn update leaves), duplicate (tag, kind)
+    nodes, coarse superpage replica consistency and representation
+    exclusivity via a global page-coverage map.  [repair] is the
+    engine's: harvest the mode-legal PTEs, abandon both tables, and
+    reinsert first-wins. *)
 
 type violation =
   | Chain_cycle of { coarse : bool; bucket : int }
@@ -69,7 +71,6 @@ type violation =
   | Limbo_live_overlap of { bucket : int }
       (** a retired limbo node is still chained *)
   | Limbo_live_tag  (** a limbo node kept its live tag *)
-  | Limbo_count_mismatch of { counted : int; recorded : int }
   | Node_count_mismatch of { coarse : bool; counted : int; recorded : int }
 
 include

@@ -33,23 +33,21 @@ val config : t -> Config.t
 
 (** {2 Integrity verification and repair (fsck)}
 
-    The checker verifies every structural invariant the table relies
-    on: chain acyclicity and bucket residency, the flattened head-tag
-    mirror, tag liveness, node shape and word formats (a psb word can
-    only head a single node — the signature a torn multi-word update
-    leaves), superpage replica consistency within and across buckets,
-    representation exclusivity (no page reachable through two PTEs),
-    free-list acyclicity and disjointness from the live set, and the
-    byte/node accounting.  It is cycle-safe: visited sets bound every
-    traversal, so corruption cannot trap the checker.
+    The chains, their limbo, images, fsck walks and repair live in
+    {!Pt_common.Chain}, shared with the hashed table; a node's payload
+    is its word array.  On top of the engine's chain-shape checks
+    (cycles, cross-links, bucket residency, node count, limbo
+    disjointness) the checker verifies the head-tag mirror, tag
+    liveness, node shape and word formats (a psb word can only head a
+    single node — the signature a torn multi-word update leaves),
+    superpage replica consistency within and across buckets,
+    representation exclusivity, the free lists (acyclic, retired,
+    disjoint from chains and limbo, counted) and the byte count.
 
-    [repair] harvests every decodable PTE from the (possibly corrupt)
-    chains with cycle-safe traversal, arbitrates double-mapped pages
-    first-wins in deterministic order, then resets the bucket array,
-    counters and free lists and reinserts the survivors.  The old
-    nodes' arena bytes are abandoned (corrupt chains are unsafe to walk
-    for freeing); injection sites are suspended for the duration, so
-    repair can never itself fault. *)
+    [repair] harvests every decodable PTE cycle-safely, resets the
+    chains and free lists, abandoning the old nodes' arena bytes, and
+    reinserts the survivors first-wins, with injection sites
+    suspended. *)
 
 type violation =
   | Chain_cycle of { bucket : int }
@@ -79,7 +77,6 @@ type violation =
   | Limbo_free_overlap of { single : bool }
       (** a limbo node is also on a free list (double reclamation) *)
   | Limbo_live_tag  (** a limbo node kept its live tag *)
-  | Limbo_count_mismatch of { counted : int; recorded : int }
   | Node_count_mismatch of { counted : int; recorded : int }
   | Byte_count_mismatch of { counted : int; recorded : int }
 

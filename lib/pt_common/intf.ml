@@ -148,15 +148,14 @@ module type CONCURRENT_TABLE = sig
   (** {2 Bucket images (undo journal and checkpoints)} *)
 
   type bucket_image = (int * int64 array) list
-  (** One bucket's chain, head first: each node's tag and stored words.
-      A hashed node is a one-word node; a clustered node has one word
-      (a partial-subblock or block-sized superpage node) or
-      {!pages_per_section} words (a block node).  On a 4 KB base table
-      (every table the service builds) a node's tag is the section it
-      serves, [vpn / pages_per_section] for its pages, so
-      [bucket_of ~vpn:(tag * pages_per_section)] is its bucket.  The
-      same shape for every table, so one checkpoint codec serves
-      both. *)
+  (** One bucket's chain, head first: each node's tag and stored words
+      ({!Chain.payload}).  A hashed node is a one-word node; a
+      clustered node has one word (a partial-subblock or block-sized
+      superpage node) or {!pages_per_section} words (a block node).  On
+      a 4 KB base table (every table the service builds) a node's tag
+      is the section it serves, so [bucket_of ~vpn:(tag *
+      pages_per_section)] is its bucket.  One shape, one chain engine,
+      one checkpoint codec for both. *)
 
   val snapshot_bucket : t -> bucket:int -> bucket_image
   (** Copy [bucket]'s chain.  Take it under the bucket's write lock,
@@ -164,29 +163,26 @@ module type CONCURRENT_TABLE = sig
 
   val restore_bucket : t -> bucket:int -> bucket_image -> unit
   (** Put [bucket]'s chain back exactly as snapshotted (same node
-      order, tags and words).  The table takes ownership of the
-      image's word arrays (a clustered node keeps its array and later
-      writes it in place), so the caller must not read, mutate or
-      restore the image again.  {!snapshot_bucket} hands out copies,
-      the undo journal drops its image after a rollback and a
-      checkpoint decode builds fresh arrays, so each node's words are
-      copied once on the way back. *)
+      order, tags and words).  The table owns the image's word arrays
+      from then on (a clustered node keeps its array and writes it in
+      place), so the caller must not touch or restore the image again:
+      {!snapshot_bucket} hands out copies, and the undo journal and a
+      checkpoint decode each use an image once. *)
 
   val iter_images : t -> (int -> int -> int64 array -> unit) -> unit
-  (** [f bucket tag words] for every chain node, buckets in ascending
-      order, each chain head first: every bucket's image, read in place
-      instead of copied as {!snapshot_bucket} does.  A clustered node
-      passes its own word array, so [f] must neither keep nor mutate
-      it; a hashed node passes a fresh one-word array.  Run at
-      quiescence. *)
+  (** [f bucket tag words] for every chain node, buckets ascending,
+      each chain head first: every image, read in place.  A clustered
+      node passes its own word array, which [f] must neither keep nor
+      mutate.  Run at quiescence. *)
 
   (** {2 Deferred reclamation (lock-free readers)}
 
-      With a reclaim hook installed, unlinked nodes are retired to a
-      limbo list stamped by the hook (an epoch clock) instead of being
-      recycled: a retired node keeps its [next] pointer and words, so an
-      optimistic reader already past the unlink can finish its walk.
-      Both hashed tables keep that list in a [Mem.Limbo]. *)
+      With a reclaim hook installed, an unlinked node is retired to a
+      limbo stamped by the hook (an epoch clock) instead of being
+      recycled: it keeps its [next] pointer and words, so an optimistic
+      reader already past the unlink can finish its walk.  Both tables
+      unlink and retire through one {!Chain} engine, each chain set
+      into its own [Mem.Limbo]. *)
 
   val set_reclaim_hook : t -> (unit -> int) option -> unit
   (** Install or remove the hook.  Flip only at quiescence. *)

@@ -269,21 +269,43 @@ let collect f =
   f (fun n -> got := n :: !got);
   List.rev !got
 
+(* [iter] visits exactly [count] nodes, whatever the limbo went
+   through: a table's [limbo_nodes] reads the count, its fsck walks
+   [iter] *)
+let check_iter_count what l =
+  Alcotest.(check int)
+    (what ^ ": iter visits count nodes")
+    (Mem.Limbo.count l)
+    (List.length (collect (Mem.Limbo.iter l)))
+
 let test_limbo_reclaim () =
   let l, _ =
     limbo_of_two_domains ~main:[ (1, 4); (2, 5) ] ~other:[ (3, 4); (4, 6) ]
   in
   Alcotest.(check int) "count over both domains" 4 (Mem.Limbo.count l);
+  check_iter_count "retire" l;
   Alcotest.(check (list int))
     "strictly below upto only" [ 1; 3 ]
     (List.sort compare (collect (Mem.Limbo.reclaim l ~upto:5)));
   Alcotest.(check int) "a stamp equal to upto is kept" 2 (Mem.Limbo.count l);
+  check_iter_count "reclaim" l;
   Alcotest.(check (list int))
     "nothing twice" [] (collect (Mem.Limbo.reclaim l ~upto:5));
   Alcotest.(check (list int))
     "the rest once upto passes them" [ 2; 4 ]
     (List.sort compare (collect (Mem.Limbo.reclaim l ~upto:7)));
-  Alcotest.(check int) "empty" 0 (Mem.Limbo.count l)
+  Alcotest.(check int) "empty" 0 (Mem.Limbo.count l);
+  check_iter_count "reclaim all" l;
+  let l, _ =
+    limbo_of_two_domains ~main:[ (1, 4); (2, 5) ] ~other:[ (3, 4); (4, 6) ]
+  in
+  ignore (collect (Mem.Limbo.drain l));
+  check_iter_count "drain" l;
+  let l, _ =
+    limbo_of_two_domains ~main:[ (1, 4); (2, 5) ] ~other:[ (3, 4); (4, 6) ]
+  in
+  Mem.Limbo.forget l;
+  check_iter_count "forget" l
 
 let test_limbo_order () =
   let main = List.init 5 (fun i -> (i, 0)) in

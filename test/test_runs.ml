@@ -335,41 +335,122 @@ let prop name table make ~mixed ~hook =
     (QCheck.Test.make ~name ~count:150 QCheck.(int_bound 1_000_000_000)
        (fun seed -> run_case table make ~mixed ~hook seed))
 
-(* A hashed removal relinks only the predecessor of the node it
-   unlinks: on four buckets with long collided chains, removing nodes
-   from heads, middles and tails leaves every survivor in its chain
-   order, with or without a reclaim hook. *)
-let test_hashed_middle_removals ~hook () =
-  let module H = Baselines.Hashed_pt in
-  let t = hashed () in
+(* With subblock factor 1 a page block is one page, so a clustered
+   node is a hashed node: a 24-byte node per page, tagged by its VPN,
+   hashed to the same bucket and linked at the head.  The two tables
+   run on one chain engine, so they must agree node for node. *)
+let clustered_factor1 () =
+  Clustered_pt.Table.create
+    (Clustered_pt.Config.make ~subblock_factor:1 ~buckets:4 ())
+
+(* A removal relinks only the predecessor of the node it unlinks: on
+   four buckets with long collided chains, removing nodes from heads,
+   middles and tails leaves every survivor in its chain order, with or
+   without a reclaim hook. *)
+let test_middle_removals (type a)
+    (module T : Pt_common.Intf.CONCURRENT_TABLE with type t = a)
+    (make : unit -> a) ~hook () =
+  let t = make () in
   let clock = ref 0 in
-  if hook then H.set_reclaim_hook t (Some (fun () -> !clock));
+  if hook then T.set_reclaim_hook t (Some (fun () -> !clock));
   let pages = 96 in
   for i = 0 to pages - 1 do
     let vpn = Int64.of_int i in
-    H.insert_base t ~vpn ~ppn:(ppn_of vpn) ~attr:Pte.Attr.default
+    T.insert_base t ~vpn ~ppn:(ppn_of vpn) ~attr:Pte.Attr.default
   done;
   let chains () =
-    List.init (H.buckets t) (fun bucket -> H.snapshot_bucket t ~bucket)
+    List.init (T.buckets t) (fun bucket -> T.snapshot_bucket t ~bucket)
   in
   let before = chains () in
   let gone tag = tag mod 3 = 1 in
   for i = 0 to pages - 1 do
-    if gone i then H.remove t ~vpn:(Int64.of_int i)
+    if gone i then T.remove t ~vpn:(Int64.of_int i)
   done;
   let survivors =
     List.map (List.filter (fun (tag, _) -> not (gone tag))) before
   in
   Alcotest.(check bool) "survivors keep their chain order" true
     (chains () = survivors);
-  Alcotest.(check int) "nodes" (pages - (pages / 3)) (H.node_count t);
+  Alcotest.(check int) "nodes" (pages - (pages / 3)) (T.node_count t);
   Alcotest.(check int)
-    "limbo" (if hook then pages / 3 else 0) (H.limbo_nodes t);
-  Alcotest.(check bool) "checks clean" true (H.check t = []);
+    "limbo" (if hook then pages / 3 else 0) (T.limbo_nodes t);
+  Alcotest.(check bool) "checks clean" true (T.check t = []);
   List.iter
     (fun chain ->
       Alcotest.(check bool) "long chains" true (List.length chain >= 16))
     before
+
+let test_hashed_middle_removals =
+  test_middle_removals (module Baselines.Hashed_pt) hashed
+
+let test_factor1_middle_removals =
+  test_middle_removals (module Clustered_pt.Table) clustered_factor1
+
+(* One random stream of single-page operations, fed to a factor-1
+   clustered table and a hashed table alike: after every step the two
+   must hold the same chains, bucket by bucket, and the same counts,
+   and both must check clean. *)
+let factor1_case ~hook seed =
+  let module C = Clustered_pt.Table in
+  let module H = Baselines.Hashed_pt in
+  let rng = Random.State.make [| seed |] in
+  let c = clustered_factor1 () and h = hashed () in
+  let clock = ref 0 in
+  if hook then begin
+    C.set_reclaim_hook c (Some (fun () -> !clock));
+    H.set_reclaim_hook h (Some (fun () -> !clock))
+  end;
+  let fail step what =
+    QCheck.Test.fail_reportf "seed %d, step %d: %s" seed step what
+  in
+  for step = 1 to 60 do
+    let vpn = Int64.of_int (Random.State.int rng 40) in
+    let attr = attr_w (Random.State.bool rng) in
+    (match Random.State.int rng 5 with
+    | 0 ->
+        C.insert_base c ~vpn ~ppn:(ppn_of vpn) ~attr;
+        H.insert_base h ~vpn ~ppn:(ppn_of vpn) ~attr
+    | 1 ->
+        C.remove c ~vpn;
+        H.remove h ~vpn
+    | 2 ->
+        C.map_run c ~vpn ~pages:1 ~ppn_of ~attr;
+        H.map_run h ~vpn ~pages:1 ~ppn_of ~attr
+    | 3 ->
+        C.unmap_run c ~vpn ~pages:1;
+        H.unmap_run h ~vpn ~pages:1
+    | _ ->
+        let region =
+          Addr.Region.make ~first_vpn:vpn ~pages:(1 + Random.State.int rng 4)
+        in
+        let f a = { a with Pte.Attr.writable = not a.Pte.Attr.writable } in
+        if C.set_attr_range c region ~f <> H.set_attr_range h region ~f then
+          fail step "set_attr_range searches differ");
+    incr clock;
+    if hook && step mod 5 = 0 then begin
+      C.reclaim c ~upto:!clock;
+      H.reclaim h ~upto:!clock
+    end;
+    for bucket = 0 to H.buckets h - 1 do
+      if C.snapshot_bucket c ~bucket <> H.snapshot_bucket h ~bucket then
+        fail step (Printf.sprintf "bucket %d images differ" bucket)
+    done;
+    let same name a b =
+      if a <> b then
+        fail step (Printf.sprintf "%s: clustered %d, hashed %d" name a b)
+    in
+    same "population" (C.population c) (H.population h);
+    same "size_bytes" (C.size_bytes c) (H.size_bytes h);
+    same "node_count" (C.node_count c) (H.node_count h);
+    same "limbo_nodes" (C.limbo_nodes c) (H.limbo_nodes h);
+    if C.check c <> [] || H.check h <> [] then fail step "a check is not clean"
+  done;
+  true
+
+let prop_factor1 name ~hook =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:150 QCheck.(int_bound 1_000_000_000)
+       (factor1_case ~hook))
 
 let suite =
   ( "runs",
@@ -378,6 +459,13 @@ let suite =
         (test_hashed_middle_removals ~hook:false);
       Alcotest.test_case "hashed middle removals, reclaim hook" `Quick
         (test_hashed_middle_removals ~hook:true);
+      Alcotest.test_case "factor-1 clustered middle removals" `Quick
+        (test_factor1_middle_removals ~hook:false);
+      Alcotest.test_case "factor-1 clustered middle removals, reclaim hook"
+        `Quick
+        (test_factor1_middle_removals ~hook:true);
+      prop_factor1 "factor-1 clustered = hashed" ~hook:false;
+      prop_factor1 "factor-1 clustered = hashed, reclaim hook" ~hook:true;
       prop "clustered runs = per-page loop"
         (module Clustered_pt.Table) clustered ~mixed:true ~hook:false;
       prop "clustered runs = per-page loop, reclaim hook"
