@@ -4,11 +4,13 @@
    (Table 1, Figures 9/10/11a-d, the appendix Table 2 cross-check, and
    the Section 6.3/7 ablations) through Sim.Runner.
 
-   Part 2 runs Bechamel micro-benchmarks — one group per experiment
-   family — timing the real data-structure operations the figures
-   proxy: lookups, inserts, block prefetches and range operations on
-   every page-table organization, plus the TLB models.  Pass --quick
-   to restrict the trace-driven experiments to three workloads. *)
+   Part 2 runs micro-benchmarks — one group per experiment family —
+   over the real data-structure operations the figures proxy: lookups,
+   inserts, block prefetches and range operations on every page-table
+   organization, plus the TLB models.  Each micro's minor-heap words
+   per call are counted exactly over a fixed number of calls, then
+   Bechamel times it.  Pass --quick to restrict the trace-driven
+   experiments to three workloads. *)
 
 open Bechamel
 open Toolkit
@@ -135,90 +137,102 @@ let tlb_bench make_tlb =
           | Some tr -> Tlb.Intf.fill tlb tr
           | None -> ()))
 
-let grouped name elts = Test.make_grouped ~name ~fmt:"%s/%s" elts
+let grouped group elts =
+  List.map (fun (name, fn) -> (group ^ "/" ^ name, fn)) elts
 
-let tests =
+let micros =
   lazy
-    [
-      (* Figure 11a's primitive: one TLB-miss walk per organization *)
-      grouped "fig11a-lookup"
-        [
-          Test.make ~name:"clustered"
-            (lookup_bench Sim.Factory.clustered16 ~policy:`Base);
-          Test.make ~name:"hashed" (lookup_bench Sim.Factory.Hashed ~policy:`Base);
-          Test.make ~name:"linear" (lookup_bench Sim.Factory.Linear1 ~policy:`Base);
-          Test.make ~name:"fwd-mapped"
-            (lookup_bench Sim.Factory.Forward_mapped ~policy:`Base);
-          Test.make ~name:"inverted"
-            (lookup_bench Sim.Factory.Inverted ~policy:`Base);
-          Test.make ~name:"software-tlb"
-            (lookup_bench Sim.Factory.Software_tlb ~policy:`Base);
-          Test.make ~name:"clustered-tsb"
-            (lookup_bench Sim.Factory.Clustered_tsb ~policy:`Base);
-          Test.make ~name:"fwd-guarded"
-            (lookup_bench Sim.Factory.Forward_guarded ~policy:`Base);
-          Test.make ~name:"clustered-var"
-            (lookup_bench Sim.Factory.Clustered_variable ~policy:`Base);
-        ];
-      (* Figure 11b/c: lookups against superpage/psb-bearing tables *)
-      grouped "fig11bc-lookup"
-        [
-          Test.make ~name:"clustered+sp"
-            (lookup_bench Sim.Factory.clustered16 ~policy:`Superpage);
-          Test.make ~name:"clustered+psb"
-            (lookup_bench Sim.Factory.clustered16 ~policy:`Psb);
-          Test.make ~name:"hashed-2t+sp"
-            (lookup_bench
-               (Sim.Factory.Hashed_two_tables { coarse_first = false })
-               ~policy:`Superpage);
-          Test.make ~name:"hashed-2t+psb"
-            (lookup_bench
-               (Sim.Factory.Hashed_two_tables { coarse_first = false })
-               ~policy:`Psb);
-        ];
-      (* Figure 11d's primitive: whole-block prefetch *)
-      grouped "fig11d-prefetch"
-        [
-          Test.make ~name:"clustered" (lookup_block_bench Sim.Factory.clustered16);
-          Test.make ~name:"linear" (lookup_block_bench Sim.Factory.Linear1);
-          Test.make ~name:"hashed" (lookup_block_bench Sim.Factory.Hashed);
-        ];
-      (* Figures 9/10 exercise construction: insert/remove cycles *)
-      grouped "fig9-insert-remove"
-        [
-          Test.make ~name:"clustered" (insert_remove_bench Sim.Factory.clustered16);
-          Test.make ~name:"hashed" (insert_remove_bench Sim.Factory.Hashed);
-          Test.make ~name:"linear" (insert_remove_bench Sim.Factory.Linear1);
-          Test.make ~name:"fwd-mapped"
-            (insert_remove_bench Sim.Factory.Forward_mapped);
-          Test.make ~name:"clustered-var"
-            (insert_remove_bench Sim.Factory.Clustered_variable);
-        ];
-      (* Section 3.1: block-at-a-time insertion (the amortization claim) *)
-      grouped "sec3.1-insert-block16"
-        [
-          Test.make ~name:"clustered" (insert_block_bench Sim.Factory.clustered16);
-          Test.make ~name:"hashed" (insert_block_bench Sim.Factory.Hashed);
-          Test.make ~name:"linear" (insert_block_bench Sim.Factory.Linear1);
-        ];
-      (* Section 3.1: range operations *)
-      grouped "sec3.1-range-op"
-        [
-          Test.make ~name:"clustered" (range_op_bench Sim.Factory.clustered16);
-          Test.make ~name:"clustered-var"
-            (range_op_bench Sim.Factory.Clustered_variable);
-          Test.make ~name:"hashed" (range_op_bench Sim.Factory.Hashed);
-        ];
-      (* Table 1's instrument: the TLB models themselves *)
-      grouped "tlb-access"
-        [
-          Test.make ~name:"fa-64" (tlb_bench (fun () -> Tlb.Intf.fa ~entries:64 ()));
-          Test.make ~name:"superpage"
-            (tlb_bench (fun () -> Tlb.Intf.superpage ~entries:64 ()));
-          Test.make ~name:"psb" (tlb_bench (fun () -> Tlb.Intf.psb ~entries:64 ()));
-          Test.make ~name:"csb" (tlb_bench (fun () -> Tlb.Intf.csb ~entries:64 ()));
-        ];
-    ]
+    (List.concat
+       [
+         (* Figure 11a's primitive: one TLB-miss walk per organization *)
+         grouped "fig11a-lookup"
+           [
+             ("clustered", lookup_bench Sim.Factory.clustered16 ~policy:`Base);
+             ("hashed", lookup_bench Sim.Factory.Hashed ~policy:`Base);
+             ("linear", lookup_bench Sim.Factory.Linear1 ~policy:`Base);
+             ( "fwd-mapped",
+               lookup_bench Sim.Factory.Forward_mapped ~policy:`Base );
+             ("inverted", lookup_bench Sim.Factory.Inverted ~policy:`Base);
+             ( "software-tlb",
+               lookup_bench Sim.Factory.Software_tlb ~policy:`Base );
+             ( "clustered-tsb",
+               lookup_bench Sim.Factory.Clustered_tsb ~policy:`Base );
+             ( "fwd-guarded",
+               lookup_bench Sim.Factory.Forward_guarded ~policy:`Base );
+             ( "clustered-var",
+               lookup_bench Sim.Factory.Clustered_variable ~policy:`Base );
+           ];
+         (* Figure 11b/c: lookups against superpage/psb-bearing tables *)
+         grouped "fig11bc-lookup"
+           [
+             ( "clustered+sp",
+               lookup_bench Sim.Factory.clustered16 ~policy:`Superpage );
+             ( "clustered+psb",
+               lookup_bench Sim.Factory.clustered16 ~policy:`Psb );
+             ( "hashed-2t+sp",
+               lookup_bench
+                 (Sim.Factory.Hashed_two_tables { coarse_first = false })
+                 ~policy:`Superpage );
+             ( "hashed-2t+psb",
+               lookup_bench
+                 (Sim.Factory.Hashed_two_tables { coarse_first = false })
+                 ~policy:`Psb );
+           ];
+         (* Figure 11d's primitive: whole-block prefetch *)
+         grouped "fig11d-prefetch"
+           [
+             ("clustered", lookup_block_bench Sim.Factory.clustered16);
+             ("linear", lookup_block_bench Sim.Factory.Linear1);
+             ("hashed", lookup_block_bench Sim.Factory.Hashed);
+           ];
+         (* Figures 9/10 exercise construction: insert/remove cycles *)
+         grouped "fig9-insert-remove"
+           [
+             ("clustered", insert_remove_bench Sim.Factory.clustered16);
+             ("hashed", insert_remove_bench Sim.Factory.Hashed);
+             ("linear", insert_remove_bench Sim.Factory.Linear1);
+             ("fwd-mapped", insert_remove_bench Sim.Factory.Forward_mapped);
+             ( "clustered-var",
+               insert_remove_bench Sim.Factory.Clustered_variable );
+           ];
+         (* Section 3.1: block-at-a-time insertion (the amortization claim) *)
+         grouped "sec3.1-insert-block16"
+           [
+             ("clustered", insert_block_bench Sim.Factory.clustered16);
+             ("hashed", insert_block_bench Sim.Factory.Hashed);
+             ("linear", insert_block_bench Sim.Factory.Linear1);
+           ];
+         (* Section 3.1: range operations *)
+         grouped "sec3.1-range-op"
+           [
+             ("clustered", range_op_bench Sim.Factory.clustered16);
+             ("clustered-var", range_op_bench Sim.Factory.Clustered_variable);
+             ("hashed", range_op_bench Sim.Factory.Hashed);
+           ];
+         (* Table 1's instrument: the TLB models themselves *)
+         grouped "tlb-access"
+           [
+             ("fa-64", tlb_bench (fun () -> Tlb.Intf.fa ~entries:64 ()));
+             ( "superpage",
+               tlb_bench (fun () -> Tlb.Intf.superpage ~entries:64 ()) );
+             ("psb", tlb_bench (fun () -> Tlb.Intf.psb ~entries:64 ()));
+             ("csb", tlb_bench (fun () -> Tlb.Intf.csb ~entries:64 ()));
+           ];
+       ])
+
+(* Minor-heap words per call, counted: [counted_calls] calls between two
+   Gc.minor_words reads.  Every fixture is deterministic, so the figure
+   repeats exactly from run to run (a regression estimate of the same
+   quantity drifts by hundreds of words). *)
+let counted_calls = 4096
+
+let words_per_call fn =
+  let fn = Staged.unstage fn in
+  let before = Gc.minor_words () in
+  for _ = 1 to counted_calls do
+    fn ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int counted_calls
 
 let run_micro () =
   (* no GC stabilization between samples: it eats the quota and leaves
@@ -233,42 +247,34 @@ let run_micro () =
   in
   Printf.printf
     "\n== Microbenchmarks (ns and minor-heap words per operation) ==\n%!";
-  let estimate instance m =
-    match Analyze.OLS.estimates (Analyze.one ols instance m) with
-    | Some (x :: _) -> Some x
-    | _ -> None
-  in
-  List.concat_map
-    (fun test ->
-      List.filter_map
-        (fun elt ->
-          let m =
-            Benchmark.run cfg
-              Instance.[ monotonic_clock; minor_allocated ]
-              elt
-          in
-          match
-            ( estimate Instance.monotonic_clock m,
-              estimate Instance.minor_allocated m )
-          with
-          | Some ns, Some words ->
-              Printf.printf "%-36s %10.1f ns/op %8.1f words/op\n%!"
-                (Test.Elt.name elt) ns words;
-              Some (Test.Elt.name elt, ns, words)
-          | _ ->
-              Printf.printf "%-36s (no estimate)\n%!" (Test.Elt.name elt);
-              None)
-        (Test.elements test))
-    (Lazy.force tests)
+  List.filter_map
+    (fun (name, fn) ->
+      (* counted first, so the fixture's state is the same every run *)
+      let words = words_per_call fn in
+      let elt = List.hd (Test.elements (Test.make ~name fn)) in
+      let m = Benchmark.run cfg [ Instance.monotonic_clock ] elt in
+      match
+        Analyze.OLS.estimates (Analyze.one ols Instance.monotonic_clock m)
+      with
+      | Some (ns :: _) ->
+          Printf.printf "%-36s %10.1f ns/op %10.3f words/op\n%!" name ns words;
+          Some (name, ns, words)
+      | _ ->
+          Printf.printf "%-36s (no estimate)\n%!" name;
+          None)
+    (Lazy.force micros)
 
 (* --json FILE: machine-readable results for cross-commit comparison.
-   schema_version 3: results grouped per experiment name under
+   schema_version 4: results grouped per experiment name under
    "experiments" — the paper-claim booleans and cache-lines-per-miss
-   values ("claims", "lines_per_miss"), the churn tables, and the
-   concurrent-service throughput rows — plus the flat micro list.  CI
-   diffs the deterministic fields of this file against a committed
-   baseline (tools/bench_diff); timing fields (wall clocks, ops/sec,
-   ns/op) are emitted for humans and skipped by the diff. *)
+   values ("claims", "lines_per_miss"), the churn tables, the
+   concurrent-service throughput rows, the NUMA, fleet and chaos
+   outcomes and the merged telemetry — plus the flat micro list, whose
+   "minor_words" are exact counts.  CI gates this file against the
+   committed bench/baseline/bench.json with `ptsim report`, whose rule
+   table (tools/obs_report) holds every deterministic field equal and
+   ignores the timing fields (wall clocks, ops/sec, ns/op) emitted for
+   humans. *)
 let emit_json path ~quick ~domains ~experiments_s ~churn_s ~churn_rows
     ~(report : Sim.Runner.verify_report) ~throughput_rows ~curve_rows
     ~(numa : Sim.Runner.numa_suite) ~(fleet : Sim.Runner.fleet_suite)
@@ -310,28 +316,18 @@ let emit_json path ~quick ~domains ~experiments_s ~churn_s ~churn_rows
         Jsonx.obj
           [ ("rows", tp_rows throughput_rows); ("curve", tp_rows curve_rows) ]
       );
-      (* the NUMA replication matrix (Runner.numa_for_suite) — every
-         field is deterministic (no timing columns), so bench_diff
-         compares the whole object *)
+      (* the NUMA replication matrix, fleet matrix and chaos soak
+         (Runner.{numa,fleet,chaos}_for_suite): the same deterministic
+         documents as `ptsim numa|fleet|chaos --json` *)
       ("numa", Numa.Numa_sim.outcome_to_json numa.numa_cfg numa.numa_outcome);
-      (* the multi-tenant fleet matrix (Runner.fleet_for_suite) —
-         emitted with its timing columns (ops_per_sec, elapsed_s,
-         p99_ns, mean_ns) for humans; bench_diff compares only the
-         deterministic fields *)
       ( "fleet",
-        Fleet.Fleet_sim.outcome_to_json ~timing:true fleet.fleet_cfg
-          fleet.fleet_outcome );
-      (* the crash/recovery chaos soak (Runner.chaos_for_suite) — same
-         contract as fleet: timing columns for humans, everything else
-         deterministic and diffed *)
+        Fleet.Fleet_sim.outcome_to_json fleet.fleet_cfg fleet.fleet_outcome );
       ( "chaos",
-        Fleet.Chaos_sim.outcome_to_json ~timing:true chaos.chaos_cfg
-          chaos.chaos_outcome );
+        Fleet.Chaos_sim.outcome_to_json chaos.chaos_cfg chaos.chaos_outcome );
       (* every counter and histogram the suite's instrumented paths
-         recorded, merged across domains; bench_diff ignores this
-         section (histogram sums carry no timing, but the set of
-         metrics grows with instrumentation and should not fail the
-         baseline diff) *)
+         recorded, merged across domains; the report holds these to
+         ratio rules, not equality (the set of metrics grows with
+         instrumentation) *)
       ( "telemetry",
         Jsonx.obj (Obs.Metrics.json_fields (Obs.Ambient.merged ())) );
     ]
@@ -339,7 +335,7 @@ let emit_json path ~quick ~domains ~experiments_s ~churn_s ~churn_rows
   let doc =
     Jsonx.obj
       [
-        ("schema_version", Jsonx.int 3); ("quick", Jsonx.bool quick);
+        ("schema_version", Jsonx.int 4); ("quick", Jsonx.bool quick);
         ("domains", Jsonx.int domains); ("experiments", Jsonx.obj experiments);
         ( "micro_ns_per_op",
           Jsonx.list
@@ -348,7 +344,7 @@ let emit_json path ~quick ~domains ~experiments_s ~churn_s ~churn_rows
                  Jsonx.obj
                    [
                      ("name", Jsonx.string name); ("ns", Jsonx.fixed ~dp:1 ns);
-                     ("minor_words", Jsonx.fixed ~dp:1 words);
+                     ("minor_words", Jsonx.fixed ~dp:3 words);
                    ])
                micro) );
       ]

@@ -587,7 +587,7 @@ let run_chaos quick tenants shards rounds ops switch ckpt crash_at orgs
   else Format.printf "@[<v>%a@]@." CS.pp_outcome outcome;
   finish_with_dump dump_dir ~cmd:"chaos" ~clean:(CS.all_clean outcome)
 
-(* --- report: the anomaly gate over two JSON artifacts --- *)
+(* --- report: the CI gate over two JSON artifacts --- *)
 
 let run_report baseline current json =
   let load path =
@@ -1542,11 +1542,12 @@ let () =
             ~doc:"Print the findings as one JSON object instead of a table.")
     in
     cmd "report"
-      "Anomaly gate: flatten two JSON artifacts (metrics dumps, --json \
-       outcomes or benchmark files), diff the shared keys, and flag p99 \
-       regressions, lock-contention spikes, eviction storms and tracer \
-       drops against declarative thresholds; exit 1 on any breach, 2 on \
-       unreadable input"
+      "The CI gate: flatten two JSON artifacts (metrics dumps, --json \
+       outcomes, benchmark files or perfbench result lines) and judge \
+       each key by one rule table -- host-dependent timing ignored, \
+       deterministic fields held equal, allocation capped, p99s, lock \
+       contention, evictions and tracer drops held to thresholds; exit 1 \
+       on any breach, 2 on unreadable input"
       Term.(const run_report $ baseline $ current $ json)
   in
   let info =

@@ -411,23 +411,29 @@ let set_attr_range t region ~f =
   Addr.Region.iter_vpns region (fun vpn ->
       incr searches;
       let key = Int64.to_int vpn and block = Int64.to_int (vpbn t vpn) in
-      (* re-encode every node of [table]'s bucket for [key] that maps
-         [vpn] and passes [want] *)
-      let update_chain c key ~want =
+      (* re-encode every node of [c]'s bucket for [key] that [maps] *)
+      let update_chain c key ~maps =
         Chain.iter_bucket c ~bucket:(hash t key) (fun n ->
-            if want n && node_matches t ~vpn n then
+            if maps n then
               match Pt_common.Decode.reencode_attr n.w ~f with
               | Some w -> n.w <- w
               | None -> ())
       in
+      let fine_maps (n : node) = n.tag = key && node_matches t ~vpn n in
       match t.mode with
-      | No_superpages ->
-          update_chain t.fine key ~want:(fun (n : node) -> n.tag = key)
-      | Superpage_index -> update_chain t.fine block ~want:(fun _ -> true)
+      | No_superpages -> update_chain t.fine key ~maps:fine_maps
+      | Superpage_index -> update_chain t.fine block ~maps:(node_matches t ~vpn)
       | Two_tables _ ->
-          update_chain t.fine key ~want:(fun (n : node) -> n.tag = key);
+          update_chain t.fine key ~maps:fine_maps;
           incr searches;
-          update_chain t.coarse block ~want:(fun (n : node) -> n.tag = block));
+          (* coarse nodes are tagged by VPBN, not VPN *)
+          update_chain t.coarse block ~maps:(fun (n : node) ->
+              n.tag = block
+              &&
+              match Pte.Word.decode n.w with
+              | Pte.Word.Superpage sp -> sp.valid
+              | Pte.Word.Psb p -> Pte.Psb_pte.valid_at p ~boff:(boff t vpn)
+              | Pte.Word.Base _ -> false));
   !searches
 
 (* --- accounting --- *)

@@ -26,9 +26,7 @@
      supervisor after recovery, so cursors always advance and the
      fleet converges on the full trace.
    - Crash handling, recovery, checkpoints and the convergence audit
-     all run at the round barrier.
-
-   Timing fields appear only with [~timing:true] (the bench report). *)
+     all run at the round barrier. *)
 
 module Service = Pt_service.Service
 module Wal = Durable.Wal
@@ -367,8 +365,6 @@ type row = {
   c_converged : bool;
   c_equivalent : bool;
   (* timing: human/bench report only, never in the deterministic JSON *)
-  c_elapsed_s : float;
-  c_ops_per_sec : float;
 }
 
 (* --- one org run --- *)
@@ -518,22 +514,17 @@ let run_one cfg ~org =
   in
   let series_label = Printf.sprintf "chaos:%s" (Service.org_name org) in
   let body () =
-    let elapsed =
-      Exec.Soak.with_streams ~domains:cfg.domains ~streams:cfg.shards
-      @@ fun soak ->
-      let t0 = Unix.gettimeofday () in
-      for round = 0 to cfg.rounds - 1 do
-        Exec.Soak.each soak (stream round);
-        supervise cfg state ~lock ~recovery_crash_armed;
-        checkpoint_shards cfg state ~round ~lock ~ckpt_crash_armed;
-        Obs.Series.mark ~label:series_label ~index:round
-      done;
-      Unix.gettimeofday () -. t0
-    in
-    finalize cfg state ~lock ~recovery_crash_armed;
-    elapsed
+    (Exec.Soak.with_streams ~domains:cfg.domains ~streams:cfg.shards
+    @@ fun soak ->
+    for round = 0 to cfg.rounds - 1 do
+      Exec.Soak.each soak (stream round);
+      supervise cfg state ~lock ~recovery_crash_armed;
+      checkpoint_shards cfg state ~round ~lock ~ckpt_crash_armed;
+      Obs.Series.mark ~label:series_label ~index:round
+    done);
+    finalize cfg state ~lock ~recovery_crash_armed
   in
-  let elapsed =
+  let () =
     match cfg.sites with
     | [] -> body ()
     | sites ->
@@ -615,9 +606,6 @@ let run_one cfg ~org =
     c_placement_clean = Fsck.clean placement;
     c_converged = Array.for_all (fun st -> st.converged) state;
     c_equivalent = equivalent;
-    c_elapsed_s = elapsed;
-    c_ops_per_sec =
-      (if elapsed > 0. then float_of_int tally.events /. elapsed else 0.);
   }
 
 (* --- the full run --- *)
@@ -654,52 +642,45 @@ let all_clean o =
 
 (* --- rendering --- *)
 
-let row_to_json ?(timing = false) r =
+let row_to_json r =
   let int = Jsonx.int and bool = Jsonx.bool in
   Jsonx.obj
-    ([
-       ("org", Jsonx.string (Service.org_name r.c_org));
-       ("locking", Jsonx.string (Service.locking_name r.c_locking));
-       ("tenants", int r.c_tenants); ("shards", int r.c_shards);
-       ("rounds", int r.c_rounds); ("events", int r.c_events);
-       ("mmaps", int r.c_mmaps); ("munmaps", int r.c_munmaps);
-       ("protects", int r.c_protects); ("touches", int r.c_touches);
-       ("touch_hits", int r.c_touch_hits);
-       ("touch_faults", int r.c_touch_faults);
-       ("pages_mapped", int r.c_pages_mapped);
-       ("pages_unmapped", int r.c_pages_unmapped);
-       ("range_pages", int r.c_range_pages); ("crashes", int r.c_crashes);
-       ("wal_records", int r.c_wal_records); ("wal_bytes", int r.c_wal_bytes);
-       ("torn_truncations", int r.c_torn_truncations);
-       ("truncated_bytes", int r.c_truncated_bytes);
-       ("checkpoints", int r.c_checkpoints);
-       ("torn_checkpoints", int r.c_torn_checkpoints);
-       ("compactions", int r.c_compactions);
-       ("checkpoints_discarded", int r.c_checkpoints_discarded);
-       ("recovery_attempts", int r.c_recovery_attempts);
-       ("recoveries", int r.c_recoveries);
-       ("recovery_crashes", int r.c_recovery_crashes);
-       ("replayed_records", int r.c_replayed_records);
-       ("restored_mappings", int r.c_restored_mappings);
-       ("degraded_retries", int r.c_degraded_retries);
-       ("degraded_rejections", int r.c_degraded_rejections);
-       ("pending_replayed", int r.c_pending_replayed);
-       ("resident", int r.c_resident); ("population", int r.c_population);
-       ("limbo_after_quiesce", int r.c_limbo);
-       ("fsck_clean", bool r.c_fsck_clean);
-       ("placement_clean", bool r.c_placement_clean);
-       ("recoveries_converged", bool r.c_converged);
-       ("oracle_equivalent", bool r.c_equivalent);
-     ]
-    @
-    if timing then
-      [
-        ("ops_per_sec", Jsonx.fixed ~dp:1 r.c_ops_per_sec);
-        ("elapsed_s", Jsonx.fixed ~dp:4 r.c_elapsed_s);
-      ]
-    else [])
+    [
+      ("org", Jsonx.string (Service.org_name r.c_org));
+      ("locking", Jsonx.string (Service.locking_name r.c_locking));
+      ("tenants", int r.c_tenants); ("shards", int r.c_shards);
+      ("rounds", int r.c_rounds); ("events", int r.c_events);
+      ("mmaps", int r.c_mmaps); ("munmaps", int r.c_munmaps);
+      ("protects", int r.c_protects); ("touches", int r.c_touches);
+      ("touch_hits", int r.c_touch_hits);
+      ("touch_faults", int r.c_touch_faults);
+      ("pages_mapped", int r.c_pages_mapped);
+      ("pages_unmapped", int r.c_pages_unmapped);
+      ("range_pages", int r.c_range_pages); ("crashes", int r.c_crashes);
+      ("wal_records", int r.c_wal_records); ("wal_bytes", int r.c_wal_bytes);
+      ("torn_truncations", int r.c_torn_truncations);
+      ("truncated_bytes", int r.c_truncated_bytes);
+      ("checkpoints", int r.c_checkpoints);
+      ("torn_checkpoints", int r.c_torn_checkpoints);
+      ("compactions", int r.c_compactions);
+      ("checkpoints_discarded", int r.c_checkpoints_discarded);
+      ("recovery_attempts", int r.c_recovery_attempts);
+      ("recoveries", int r.c_recoveries);
+      ("recovery_crashes", int r.c_recovery_crashes);
+      ("replayed_records", int r.c_replayed_records);
+      ("restored_mappings", int r.c_restored_mappings);
+      ("degraded_retries", int r.c_degraded_retries);
+      ("degraded_rejections", int r.c_degraded_rejections);
+      ("pending_replayed", int r.c_pending_replayed);
+      ("resident", int r.c_resident); ("population", int r.c_population);
+      ("limbo_after_quiesce", int r.c_limbo);
+      ("fsck_clean", bool r.c_fsck_clean);
+      ("placement_clean", bool r.c_placement_clean);
+      ("recoveries_converged", bool r.c_converged);
+      ("oracle_equivalent", bool r.c_equivalent);
+    ]
 
-let outcome_to_json ?timing cfg o =
+let outcome_to_json cfg o =
   let int = Jsonx.int in
   Jsonx.obj
     [
@@ -716,7 +697,7 @@ let outcome_to_json ?timing cfg o =
       ( "sites",
         Jsonx.list
           (List.map (fun s -> Jsonx.string (Fault.site_name s)) cfg.sites) );
-      ("rows", Jsonx.list (List.map (row_to_json ?timing) o.rows));
+      ("rows", Jsonx.list (List.map row_to_json o.rows));
     ]
 
 let pp_row ppf r =

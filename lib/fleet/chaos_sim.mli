@@ -19,7 +19,7 @@
     stream [asid mod shards]), so each WAL's byte offsets — including
     the planned crash points — and the whole outcome are independent
     of [domains].  {!outcome_to_json} is byte-identical for any domain
-    count and omits timing unless [~timing:true]. *)
+    count. *)
 
 module Service = Pt_service.Service
 
@@ -108,8 +108,6 @@ type row = {
       (** every post-recovery audit matched the acknowledged-op oracle *)
   c_equivalent : bool;
       (** final tables equal the never-crashed full-trace oracle *)
-  c_elapsed_s : float;
-  c_ops_per_sec : float;
 }
 
 type outcome = { rows : row list }
@@ -124,11 +122,10 @@ val all_clean : outcome -> bool
     converged and every final table oracle-equivalent — the chaos
     gate. *)
 
-val row_to_json : ?timing:bool -> row -> Jsonx.t
+val row_to_json : row -> Jsonx.t
 
-val outcome_to_json : ?timing:bool -> config -> outcome -> Jsonx.t
+val outcome_to_json : config -> outcome -> Jsonx.t
 (** Deterministic for a config (byte-identical for any [domains],
-    which is deliberately omitted); [~timing] adds wall-clock
-    fields. *)
+    which is deliberately omitted). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -374,51 +374,41 @@ let run cfg =
 
 (* The deterministic fields: everything an op tally, lock count, TLB
    model or integrity check produces.  Timing (elapsed, ops/s, p99)
-   varies run to run and only appears with [~timing:true] (the bench
-   report, whose differ ignores those fields) — never in the `ptsim
-   fleet --json` output CI byte-diffs across domain counts. *)
-let row_to_json ?(timing = false) r =
+   varies run to run and stays in the human table ([pp_outcome]). *)
+let row_to_json r =
   let int = Jsonx.int and str = Jsonx.string in
   Jsonx.obj
-    ([
-       ("mode", str (Sharded.range_mode_name r.f_mode));
-       ("org", str (Service.org_name r.f_org));
-       ("locking", str (Service.locking_name r.f_locking));
-       ("tenants", int r.f_tenants); ("shards", int r.f_shards);
-       ("streams", int r.f_streams); ("rounds", int r.f_rounds);
-       ("events", int r.f_events); ("mmaps", int r.f_mmaps);
-       ("munmaps", int r.f_munmaps); ("protects", int r.f_protects);
-       ("touches", int r.f_touches); ("touch_hits", int r.f_touch_hits);
-       ("touch_faults", int r.f_touch_faults); ("forks", int r.f_forks);
-       ("exits", int r.f_exits); ("pages_mapped", int r.f_pages_mapped);
-       ("pages_unmapped", int r.f_pages_unmapped);
-       ("range_pages", int r.f_range_pages);
-       ("range_sections", int r.f_range_sections);
-       ("locks_per_page", Jsonx.fixed ~dp:4 (locks_per_page r));
-       ("write_locks", int r.f_write_locks);
-       ("tagged_hits", int r.f_tagged_hits);
-       ("tagged_misses", int r.f_tagged_misses);
-       ("flush_hits", int r.f_flush_hits);
-       ("flush_misses", int r.f_flush_misses);
-       ("retained_hits", int (retained_hits r));
-       ("context_switches", int r.f_context_switches);
-       ("shootdowns", int r.f_shootdowns); ("evictions", int r.f_evictions);
-       ("evicted_pages", int r.f_evicted_pages); ("resident", int r.f_resident);
-       ("population", int r.f_population);
-       ("footprint_bytes", int r.f_footprint_bytes);
-       ("limbo_after_quiesce", int r.f_limbo);
-       ("fsck_clean", Jsonx.bool r.f_fsck_clean);
-     ]
-    @
-    if timing then
-      [
-        ("ops_per_sec", Jsonx.fixed ~dp:1 r.f_ops_per_sec);
-        ("elapsed_s", Jsonx.fixed ~dp:4 r.f_elapsed_s);
-        ("p99_ns", int r.f_p99_ns); ("mean_ns", Jsonx.fixed ~dp:1 r.f_mean_ns);
-      ]
-    else [])
+    [
+      ("mode", str (Sharded.range_mode_name r.f_mode));
+      ("org", str (Service.org_name r.f_org));
+      ("locking", str (Service.locking_name r.f_locking));
+      ("tenants", int r.f_tenants); ("shards", int r.f_shards);
+      ("streams", int r.f_streams); ("rounds", int r.f_rounds);
+      ("events", int r.f_events); ("mmaps", int r.f_mmaps);
+      ("munmaps", int r.f_munmaps); ("protects", int r.f_protects);
+      ("touches", int r.f_touches); ("touch_hits", int r.f_touch_hits);
+      ("touch_faults", int r.f_touch_faults); ("forks", int r.f_forks);
+      ("exits", int r.f_exits); ("pages_mapped", int r.f_pages_mapped);
+      ("pages_unmapped", int r.f_pages_unmapped);
+      ("range_pages", int r.f_range_pages);
+      ("range_sections", int r.f_range_sections);
+      ("locks_per_page", Jsonx.fixed ~dp:4 (locks_per_page r));
+      ("write_locks", int r.f_write_locks);
+      ("tagged_hits", int r.f_tagged_hits);
+      ("tagged_misses", int r.f_tagged_misses);
+      ("flush_hits", int r.f_flush_hits);
+      ("flush_misses", int r.f_flush_misses);
+      ("retained_hits", int (retained_hits r));
+      ("context_switches", int r.f_context_switches);
+      ("shootdowns", int r.f_shootdowns); ("evictions", int r.f_evictions);
+      ("evicted_pages", int r.f_evicted_pages); ("resident", int r.f_resident);
+      ("population", int r.f_population);
+      ("footprint_bytes", int r.f_footprint_bytes);
+      ("limbo_after_quiesce", int r.f_limbo);
+      ("fsck_clean", Jsonx.bool r.f_fsck_clean);
+    ]
 
-let outcome_to_json ?timing cfg o =
+let outcome_to_json cfg o =
   let int = Jsonx.int in
   Jsonx.obj
     [
@@ -430,7 +420,7 @@ let outcome_to_json ?timing cfg o =
       ("ops_per_tenant", int cfg.ops_per_tenant);
       ("switch_every", int cfg.switch_every);
       ("frame_budget", int cfg.frame_budget);
-      ("rows", Jsonx.list (List.map (row_to_json ?timing) o.rows));
+      ("rows", Jsonx.list (List.map row_to_json o.rows));
     ]
 
 let pp_row ppf r =

@@ -9,8 +9,8 @@
     tenant-visible state; budget enforcement runs at round barriers,
     with victims selected from merged Obs touch counters.  {!outcome_to_json} deliberately omits the domain count
     and all timing, and is byte-identical for any [domains]; timing
-    (ops/s, p99 from the Obs latency histogram) appears only with
-    [~timing:true] (the bench report) and in {!pp_outcome}. *)
+    (ops/s, p99 from the Obs latency histogram) appears only in
+    {!pp_outcome}. *)
 
 type config = {
   tenants : int;
@@ -92,12 +92,10 @@ val run : config -> outcome
 (** One row per (org × range mode).  Raises [Invalid_argument] on a
     non-positive [domains], [streams] or [rounds]. *)
 
-val row_to_json : ?timing:bool -> row -> Jsonx.t
+val row_to_json : row -> Jsonx.t
 
-val outcome_to_json : ?timing:bool -> config -> outcome -> Jsonx.t
-(** Deterministic for any [domains]; [~timing:true] appends the
-    run-to-run varying fields (ops_per_sec, elapsed_s, p99_ns,
-    mean_ns) for the bench report, whose differ ignores them. *)
+val outcome_to_json : config -> outcome -> Jsonx.t
+(** Deterministic: byte-identical for any [domains]. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 

@@ -51,7 +51,12 @@ let mark ~label ~index =
   let counters =
     List.filter_map
       (fun (name, v) ->
-        if timing_name name then None
+        (* seqlock retries and fallbacks depend on how readers and
+           writers interleave, so they vary with --domains too *)
+        if
+          timing_name name
+          || String.starts_with ~prefix:"service.seqlock_" name
+        then None
         else begin
           let before =
             match Hashtbl.find_opt prev name with Some p -> p | None -> 0

@@ -5,8 +5,9 @@
     snapshots the merged ambient registry and stores counter deltas
     since the previous mark plus cumulative p50/p90/p99 per histogram.
     Because the merge at a barrier is domain-invariant and timing
-    metrics (names ending [_ns] or containing [_ns.]) are excluded,
-    the emitted series is byte-identical for any [--domains] count.
+    metrics (names ending [_ns] or containing [_ns.]) and the seqlock
+    diagnostics ([service.seqlock_*]) are excluded, the emitted series
+    is byte-identical for any [--domains] count.
 
     Drivers without barriers (churn's independent per-row jobs) use
     {!push} with values they computed deterministically themselves.

@@ -431,7 +431,7 @@ let tiny =
 
 let strip_timing outcome =
   List.map
-    (fun row -> Jsonx.to_string (FS.row_to_json ~timing:false row))
+    (fun row -> Jsonx.to_string (FS.row_to_json row))
     outcome.FS.rows
 
 let test_fleet_sim_domain_invariance () =

@@ -184,6 +184,34 @@ let test_attr_range_per_page () =
       Alcotest.(check bool) "updated" false tr.Types.attr.Pte.Attr.writable
   | None, _ -> Alcotest.fail "page lost"
 
+(* Two_tables: a range update reaches the coarse table's superpage and
+   psb nodes, which are tagged by VPBN *)
+let test_attr_range_two_tables_coarse () =
+  let t = H.create ~mode:(H.Two_tables { coarse_first = false }) () in
+  H.insert_superpage t ~vpn:0x100L ~size:Addr.Page_size.kb64 ~ppn:0x400L ~attr;
+  H.insert_psb t ~vpbn:0x20L ~vmask:0b1011 ~ppn:0x500L ~attr;
+  let read_only a = { a with Pte.Attr.writable = false } in
+  ignore
+    (H.set_attr_range t (Addr.Region.make ~first_vpn:0x100L ~pages:16)
+       ~f:read_only);
+  ignore
+    (H.set_attr_range t (Addr.Region.make ~first_vpn:0x200L ~pages:16)
+       ~f:read_only);
+  List.iter
+    (fun (vpn, ppn) ->
+      match H.lookup t ~vpn with
+      | Some tr, _ ->
+          Alcotest.(check int64) (Printf.sprintf "ppn of %Lx" vpn) ppn
+            tr.Types.ppn;
+          Alcotest.(check bool)
+            (Printf.sprintf "%Lx read-only" vpn)
+            false tr.Types.attr.Pte.Attr.writable
+      | None, _ -> Alcotest.failf "vpn %Lx lost" vpn)
+    [
+      (0x100L, 0x400L); (0x107L, 0x407L); (0x10FL, 0x40FL); (0x200L, 0x500L);
+      (0x201L, 0x501L); (0x203L, 0x503L);
+    ]
+
 let prop_model_plain =
   Pt_model.model_test ~name:"hashed (plain) agrees with model"
     ~make:(fun () -> instance ())
@@ -226,6 +254,8 @@ let suite =
       Alcotest.test_case "block prefetch via psb" `Quick
         test_lookup_block_covers_via_psb;
       Alcotest.test_case "range op per page" `Quick test_attr_range_per_page;
+      Alcotest.test_case "range op reaches coarse nodes" `Quick
+        test_attr_range_two_tables_coarse;
       QCheck_alcotest.to_alcotest prop_model_plain;
       QCheck_alcotest.to_alcotest prop_model_packed;
       QCheck_alcotest.to_alcotest prop_model_spindex;

@@ -228,7 +228,10 @@ let golden_documents () =
       blocks
   in
   docs
-  @ [ In_channel.with_open_bin "../BENCH_PR10.json" In_channel.input_all ]
+  @ [
+      In_channel.with_open_bin "../bench/baseline/bench.json"
+        In_channel.input_all;
+    ]
 
 let test_golden_reprint () =
   let docs = golden_documents () in
@@ -243,14 +246,8 @@ let test_golden_reprint () =
       let layout =
         if String.contains doc '\n' then Jsonx.Indented else Jsonx.Compact
       in
-      (* the bench baseline predates the indented rule in its embedded
-         sections, so only its tree must survive *)
-      if String.starts_with ~prefix:"{\n  \"schema_version\": 3" doc then
-        Alcotest.(check bool) "baseline tree reprints" true
-          (Jsonx.parse (Jsonx.to_string ~layout v) = v)
-      else
-        Alcotest.(check string) "golden document reprints byte for byte" doc
-          (Jsonx.to_string ~layout v))
+      Alcotest.(check string) "golden document reprints byte for byte" doc
+        (Jsonx.to_string ~layout v))
     docs
 
 (* One golden document, cut at a random byte, or with a byte replaced,

@@ -1,10 +1,11 @@
-(* The anomaly gate (tools/obs_report) and the end-to-end observability
+(* The CI gate (tools/obs_report) and the end-to-end observability
    invariants it rides on: flattening of metrics dumps, outcomes and
    benchmark files to one key space; quantiles recomputed from
    serialized buckets matching the live histogram; the threshold rules
    (p99 regression, contention spike, eviction storm, tracer drops);
-   and the domain-count byte-identity of the flight-recorder dump and
-   the per-phase series. *)
+   the rule table over the committed baselines in bench/baseline (what
+   breaches, what host noise stays clean); and the domain-count
+   byte-identity of the flight-recorder dump and the per-phase series. *)
 
 module R = Obs_report
 module H = Obs.Hist
@@ -223,6 +224,157 @@ let test_render () =
   | Jsonx.Obj _ -> ()
   | _ -> Alcotest.fail "render_json did not produce an object"
 
+(* --- the committed baselines --- *)
+
+let baseline name =
+  match Jsonx.load_file ("../bench/baseline/" ^ name) with
+  | Ok v -> v
+  | Error e -> Alcotest.fail e
+
+(* [at path f doc]: [doc] with [f] applied to the value at [path] *)
+let rec at path f v =
+  match (path, v) with
+  | [], v -> f v
+  | key :: rest, Jsonx.Obj fields ->
+      Jsonx.obj
+        (List.map
+           (fun (k, x) -> (k, if k = key then at rest f x else x))
+           fields)
+  | _, v -> v
+
+(* every field [key], at any depth, through [f] *)
+let rec every key f = function
+  | Jsonx.Obj fields ->
+      Jsonx.obj
+        (List.map
+           (fun (k, x) -> (k, if k = key then f x else every key f x))
+           fields)
+  | Jsonx.List l -> Jsonx.list (List.map (every key f) l)
+  | v -> v
+
+(* the rows of a list that [pick] accepts, through [f] *)
+let rows pick f = function
+  | Jsonx.List l ->
+      Jsonx.list (List.map (fun r -> if pick r then f r else r) l)
+  | v -> v
+
+let drop_first = function Jsonx.List (_ :: rest) -> Jsonx.list rest | v -> v
+let add d v = Jsonx.float (Option.get (Jsonx.to_float v) +. d)
+let times k v = Jsonx.float (Option.get (Jsonx.to_float v) *. k)
+let has field value row = Jsonx.member field row = Some (Jsonx.string value)
+
+let gate ~baseline ~current = R.compare_files ~baseline ~current
+
+let breach_keys r = List.map (fun f -> f.R.key) (breaches r)
+
+let test_bench_breaches () =
+  let base = baseline "bench.json" in
+  Alcotest.(check (list string)) "baseline against itself" []
+    (breach_keys (gate ~baseline:base ~current:base));
+  let breaches_with name edit =
+    let r = gate ~baseline:base ~current:(edit base) in
+    Alcotest.(check bool) (name ^ " breaches") true (R.has_breach r);
+    breach_keys r
+  in
+  let exp = [ "experiments" ] in
+  let claim = "Fig 9: clustered < hashed on every workload" in
+  Alcotest.(check (list string)) "a flipped claim names it"
+    [ Printf.sprintf "claims[%s].holds" claim ]
+    (breaches_with "a flipped claim"
+       (at (exp @ [ "claims" ])
+          (rows (has "claim" claim)
+             (every "holds" (fun v -> Jsonx.bool (v <> Jsonx.bool true))))));
+  ignore
+    (breaches_with "a changed lines_per_miss"
+       (at (exp @ [ "lines_per_miss" ]) (every "lines" (add 0.0001))));
+  Alcotest.(check (list string)) "a dropped micro names its words"
+    [ "micro_ns_per_op[fig11a-lookup/clustered].minor_words" ]
+    (breaches_with "a dropped micro" (at [ "micro_ns_per_op" ] drop_first));
+  ignore
+    (breaches_with "a dropped churn row"
+       (at (exp @ [ "churn"; "tables" ]) drop_first));
+  (* one boxed int64 more per insert: 3 words *)
+  Alcotest.(check (list string)) "three more words per insert"
+    [ "micro_ns_per_op[fig9-insert-remove/clustered].minor_words" ]
+    (breaches_with "micro minor_words + 3"
+       (at [ "micro_ns_per_op" ]
+          (rows (has "name" "fig9-insert-remove/clustered")
+             (every "minor_words" (add 3.0)))))
+
+(* a bare outcome file is one section of the benchmark file: the other
+   sections are not missing from it, but its own rows are held *)
+let test_outcome_against_bench () =
+  let base = baseline "bench.json" in
+  let fleet =
+    Option.get
+      (Option.bind (Jsonx.member "experiments" base) (Jsonx.member "fleet"))
+  in
+  let r = gate ~baseline:base ~current:fleet in
+  Alcotest.(check (list string)) "fleet outcome against the baseline" []
+    (breach_keys r);
+  Alcotest.(check bool) "its keys were compared" true (r.R.compared > 100);
+  Alcotest.(check bool) "a dropped fleet row breaches" true
+    (R.has_breach
+       (gate ~baseline:base ~current:(at [ "rows" ] drop_first fleet)))
+
+let test_bench_host_noise_clean () =
+  let base = baseline "bench.json" in
+  let clean name edit =
+    let cur = edit base in
+    Alcotest.(check bool) (name ^ " changed the file") true (cur <> base);
+    Alcotest.(check (list string)) (name ^ " stays clean") []
+      (breach_keys (gate ~baseline:base ~current:cur))
+  in
+  clean "ops_per_sec" (every "ops_per_sec" (times 3.0));
+  clean "elapsed_s" (every "elapsed_s" (times 3.0));
+  clean "micro ns" (at [ "micro_ns_per_op" ] (every "ns" (times 3.0)));
+  clean "seqlock-row read_locks"
+    (at
+       [ "experiments"; "throughput"; "rows" ]
+       (rows (has "locking" "seqlock") (every "read_locks" (add 5.0))));
+  (* the wall-clock latency histograms: every bound scaled 4x moves
+     their p99 far past the 1.5x rule *)
+  let slow =
+    at
+      [ "experiments"; "telemetry"; "histograms" ]
+      (rows
+         (fun h ->
+           match Jsonx.member "name" h with
+           | Some (Jsonx.Str n) -> String.starts_with ~prefix:"fleet.op_ns" n
+           | _ -> false)
+         (fun h ->
+           List.fold_left
+             (fun h k -> every k (times 4.0) h)
+             h [ "min"; "max"; "lo"; "hi" ]))
+  in
+  let p99 doc =
+    List.assoc "fleet.op_ns.clustered.batched.p99" (R.flatten doc)
+  in
+  Alcotest.(check bool) "fleet.op_ns p99 moved past 1.5x" true
+    (p99 (slow base) > 1.5 *. p99 base);
+  clean "fleet.op_ns p99" slow
+
+let test_perfbench_pins () =
+  let metric name f = at [ "metrics"; name; "value" ] f in
+  let tlb = baseline "tlb-walk.json" in
+  Alcotest.(check bool) "tlb-walk line against itself" false
+    (R.has_breach (gate ~baseline:tlb ~current:tlb));
+  Alcotest.(check (list string)) "walk_lines off by 1e-5"
+    [ "metrics.core.walk_lines.value" ]
+    (breach_keys
+       (gate ~baseline:tlb ~current:(metric "core.walk_lines" (add 1e-5) tlb)));
+  Alcotest.(check (list string)) "walk_words 41"
+    [ "metrics.core.walk_words.value" ]
+    (breach_keys
+       (gate ~baseline:tlb
+          ~current:(metric "core.walk_words" (fun _ -> Jsonx.int 41) tlb)));
+  let durable = baseline "durable-churn.json" in
+  Alcotest.(check (list string)) "restored_mappings off by one"
+    [ "metrics.durable.restored_mappings.value" ]
+    (breach_keys
+       (gate ~baseline:durable
+          ~current:(metric "durable.restored_mappings" (add 1.0) durable)))
+
 (* --- end-to-end: the dump and the series are domain-invariant --- *)
 
 let test_faultsim_dump_domain_invariant () =
@@ -294,6 +446,14 @@ let suite =
       Alcotest.test_case "one-sided keys are ignored" `Quick
         test_one_sided_keys_ignored;
       Alcotest.test_case "renderings" `Quick test_render;
+      Alcotest.test_case "baseline: deterministic fields breach" `Quick
+        test_bench_breaches;
+      Alcotest.test_case "baseline: a bare outcome gates its section" `Quick
+        test_outcome_against_bench;
+      Alcotest.test_case "baseline: host noise stays clean" `Quick
+        test_bench_host_noise_clean;
+      Alcotest.test_case "baseline: perfbench pins and caps" `Quick
+        test_perfbench_pins;
       Alcotest.test_case "faultsim dump domain-invariant" `Slow
         test_faultsim_dump_domain_invariant;
       Alcotest.test_case "fleet series domain-invariant" `Slow

@@ -1,13 +1,12 @@
-(* The anomaly gate behind `ptsim report`.
+(* The one CI gate behind `ptsim report`.
 
    Two JSON artifacts go in — telemetry metrics dumps, simulation
-   outcomes, or whole benchmark files — and a finding list comes out:
-   threshold breaches (p99 regressions, lock-contention spikes,
-   eviction storms, tracer drops) plus informational deltas on every
-   other shared key.  Keys present on only one side are counted and
-   ignored, so `ptsim fleet --quick --json` (no timing fields) gates
-   cleanly against the committed benchmark baseline (timing fields
-   included).  Reads and writes JSON through Jsonx. *)
+   outcomes, whole benchmark files or perfbench result lines — and a
+   finding list comes out.  Both are flattened to one key space and
+   every key is judged by the first rule of one table that matches it:
+   ignored (host-dependent), exact (deterministic), capped or held to a
+   ratio of its baseline.  Any other shared key that changed is an
+   informational delta.  Reads and writes JSON through Jsonx. *)
 
 (* --- histogram quantiles from serialized buckets --- *)
 
@@ -114,15 +113,16 @@ let row_discriminator i fields =
 let flatten root =
   let acc = ref [] in
   let emit key v = acc := (key, v) :: !acc in
+  let scalar key = function
+    | Jsonx.Num _ as v -> Option.iter (emit key) (Jsonx.to_float v)
+    | Jsonx.Bool b -> emit key (if b then 1.0 else 0.0)
+    | _ -> ()
+  in
   let rec obj prefix fields =
     List.iter
       (fun (key, v) ->
         if not (skipped_key key) then
           match v with
-          | Jsonx.Num _ ->
-              Option.iter (emit (join prefix key)) (Jsonx.to_float v)
-          | Jsonx.Bool b -> emit (join prefix key) (if b then 1.0 else 0.0)
-          | Jsonx.Str _ | Jsonx.Null -> ()
           | Jsonx.Obj inner ->
               (* "experiments" is a container, not a measurement — its
                  children flatten at top level so a bare outcome file
@@ -131,7 +131,8 @@ let flatten root =
                 if prefix = "" && key = "experiments" then "" else join prefix key
               in
               obj prefix inner
-          | Jsonx.List rows -> row_list (join prefix key) rows)
+          | Jsonx.List rows -> row_list (join prefix key) rows
+          | v -> scalar (join prefix key) v)
       fields
   and row_list prefix rows =
     (* rows sharing every string field (e.g. throughput sweeps keyed
@@ -172,7 +173,7 @@ let flatten root =
                     List.iter (fun (k, v) -> emit (join name k) v) stats
                 | None ->
                     obj (Printf.sprintf "%s[%s]" prefix (unique disc)) fields))
-        | _ -> ())
+        | v -> scalar (Printf.sprintf "%s[%s]" prefix disc) v)
       discs rows
   in
   (match root with
@@ -186,7 +187,134 @@ let flatten root =
   | _ -> ());
   List.rev !acc
 
-(* --- the anomaly rules --- *)
+(* --- the rule table --- *)
+
+type kind =
+  | Ignore
+  | Exact of int  (* significant digits *)
+  | Cap of float
+  | Ratio of { ratio : float; floor : float; absent_is_zero : bool }
+
+type rule = { name : string; kind : kind; keys : string list }
+
+let fields section names = List.map (fun n -> section ^ "." ^ n) names
+
+(* The first rule whose key pattern matches decides a key; '*' matches
+   any run of characters.  Bench sections are spelled out because the
+   telemetry counters flatten to bare names that share their prefixes
+   (fleet.touch.1, numa.catchups, throughput.ops.insert). *)
+let rules =
+  [
+    (* what another host cannot reproduce: wall clocks, and the
+       seqlock diagnostics, which depend on the interleaving (so do
+       seqlock rows' read_locks: fallback acquisitions only) *)
+    {
+      name = "host-dependent";
+      kind = Ignore;
+      keys =
+        [
+          "*ops_per_sec"; "*elapsed_s"; "*wall_clock_s";
+          "micro_ns_per_op[*].ns"; "*read_contention"; "*seqlock_retries";
+          "*seqlock_fallbacks"; "throughput.*/seqlock*].read_locks";
+          "fleet.op_ns.*"; "service.seqlock_*";
+        ];
+    };
+    (* bench/main.exe --json: everything else in these sections is a
+       function of (seed, --quick, --domains), micro words included *)
+    {
+      name = "bench drift";
+      kind = Exact 17;
+      keys =
+        [
+          "quick"; "domains"; "claims[*"; "lines_per_miss[*"; "churn.tables[*";
+          "throughput.rows[*"; "throughput.curve[*"; "numa.rows[*";
+          "numa.policy[*"; "numa.seed"; "numa.fault_rate_ppm"; "fleet.rows[*";
+          "chaos.rows[*"; "chaos.crash_offsets[*";
+          "micro_ns_per_op[*].minor_words";
+        ]
+        @ fields "fleet"
+            [
+              "seed"; "tenants"; "shards"; "streams"; "rounds";
+              "ops_per_tenant"; "switch_every"; "frame_budget";
+            ]
+        @ fields "chaos"
+            [
+              "seed"; "tenants"; "shards"; "rounds"; "ops_per_tenant";
+              "switch_every"; "checkpoint_every"; "recovery_delay";
+              "retry_budget"; "rate_ppm";
+            ];
+    };
+    (* perfbench's counted metrics, against a committed result line of
+       the same command (one seed and --seconds) *)
+    {
+      name = "perfbench pin";
+      kind = Exact 6;
+      keys =
+        fields "metrics"
+          [
+            "core.walk_lines.value"; "baselines.hashed_walk_lines.value";
+            "pt_bytes_per_page.value"; "durable.restored_mappings.value";
+            "durable.replayed_records.value";
+            "durable.wal_bytes_per_page.value";
+          ];
+    };
+    (* the miss path allocates only the translation it returns *)
+    {
+      name = "miss-path words";
+      kind = Cap 40.0;
+      keys = [ "metrics.core.walk_words.value" ];
+    };
+    (* batched range ops store one word per page *)
+    {
+      name = "range words per page";
+      kind = Cap 20.0;
+      keys = [ "metrics.service.range_words_per_page.value" ];
+    };
+    (* a saturated ring means the trace artifact is incomplete *)
+    { name = "tracer drops"; kind = Cap 0.0; keys = [ "*obs.trace.dropped" ] };
+    (* tiny counts ratio up violently (1 -> 3 evictions is not a storm),
+       so a current value under the floor never breaches *)
+    {
+      name = "p99 regression";
+      kind = Ratio { ratio = 1.5; floor = 64.0; absent_is_zero = false };
+      keys = [ "*.p99"; "*p99_ns" ];
+    };
+    {
+      name = "lock-contention spike";
+      kind = Ratio { ratio = 1.5; floor = 128.0; absent_is_zero = false };
+      keys = [ "*write_locks*" ];
+    };
+    {
+      name = "eviction storm";
+      kind = Ratio { ratio = 2.0; floor = 16.0; absent_is_zero = false };
+      keys = [ "*evictions*"; "*evicted_pages*" ];
+    };
+    (* shards crash-looping or checkpoints no longer compacting *)
+    {
+      name = "recovery storm";
+      kind = Ratio { ratio = 2.0; floor = 64.0; absent_is_zero = false };
+      keys = [ "*replayed_records*" ];
+    };
+    (* tenant-visible unavailability: a run that starts rejecting when
+       its baseline never did breaches (there is no ratio over zero) *)
+    {
+      name = "degraded-rejection surge";
+      kind = Ratio { ratio = 2.0; floor = 1.0; absent_is_zero = true };
+      keys = [ "*degraded_rejections*" ];
+    };
+  ]
+
+(* does pattern [p] from [i] match key [k] from [j]? *)
+let rec glob p i k j =
+  if i = String.length p then j = String.length k
+  else if p.[i] = '*' then
+    glob p (i + 1) k j || (j < String.length k && glob p i k (j + 1))
+  else j < String.length k && p.[i] = k.[j] && glob p (i + 1) k (j + 1)
+
+let rule_of key =
+  List.find_opt (fun r -> List.exists (fun p -> glob p 0 key 0) r.keys) rules
+
+(* --- judging --- *)
 
 type severity = Info | Breach
 
@@ -205,104 +333,97 @@ type report = {
   current_only : int;
 }
 
-let contains ~sub s =
-  let ls = String.length sub and l = String.length s in
-  let rec go i = i + ls <= l && (String.sub s i ls = sub || go (i + 1)) in
-  ls > 0 && go 0
+(* A key's section: its first component. *)
+let section key =
+  List.hd (String.split_on_char '.' (List.hd (String.split_on_char '[' key)))
 
-let p99_key k =
-  String.ends_with ~suffix:".p99" k || String.ends_with ~suffix:"p99_ns" k
+(* A bare outcome file (tagged by "experiment") is one section of a
+   benchmark file: the other file's keys outside that section are not
+   missing from it. *)
+let covers doc key =
+  match Jsonx.member "experiment" doc with
+  | Some (Jsonx.Str tag) -> section key = tag
+  | _ -> true
 
-let contention_key k =
-  contains ~sub:"write_locks" k
-  || contains ~sub:"read_contention" k
-  || contains ~sub:"seqlock_fallbacks" k
-
-let eviction_key k =
-  contains ~sub:"evictions" k || contains ~sub:"evicted_pages" k
-
-let dropped_key k = String.ends_with ~suffix:"obs.trace.dropped" k
-
-(* recovery.replayed_records and its chaos-row mirror: a jump means
-   shards are crash-looping or checkpoints stopped compacting *)
-let recovery_key k = contains ~sub:"replayed_records" k
-
-(* degraded_rejections is tenant-visible unavailability: a run that
-   starts rejecting when its baseline never did breaches outright
-   (there is no ratio over zero), and an established count may at most
-   double — crash soaks that expect a fixed rejection count are also
-   gated by bench_diff's exact row equality *)
-let rejection_key k = contains ~sub:"degraded_rejections" k
-
-(* Each rule needs both a ratio and an absolute floor: tiny counts
-   ratio up violently (1 -> 3 evictions is not a storm), so a current
-   value under the floor never breaches. *)
-let ratio_rule ~name ~ratio ~floor ~base ~cur =
-  if cur > ratio *. base && cur >= floor then
-    Some
-      (Printf.sprintf "%s: %.2fx over baseline (limit %.2fx, floor %g)" name
-         (if base > 0.0 then cur /. base else infinity)
-         ratio floor)
-  else None
-
-let judge ~key ~base ~cur =
-  if p99_key key then
-    ratio_rule ~name:"p99 regression" ~ratio:1.5 ~floor:64.0 ~base ~cur
-  else if contention_key key then
-    ratio_rule ~name:"lock-contention spike" ~ratio:1.5 ~floor:128.0 ~base ~cur
-  else if eviction_key key then
-    ratio_rule ~name:"eviction storm" ~ratio:2.0 ~floor:16.0 ~base ~cur
-  else if recovery_key key then
-    ratio_rule ~name:"recovery storm" ~ratio:2.0 ~floor:64.0 ~base ~cur
-  else if rejection_key key then
-    ratio_rule ~name:"degraded-rejection surge" ~ratio:2.0 ~floor:1.0 ~base
-      ~cur
-  else None
+(* The note of a breach, or None.  A key an exact rule matches is
+   drift when only one file has it and the other file [covers] it; caps
+   judge the current value alone. *)
+let judge ~covered ~base ~cur rule =
+  match (rule.kind, base, cur) with
+  | Exact d, Some b, Some c ->
+      if Printf.sprintf "%.*g" d b = Printf.sprintf "%.*g" d c then None
+      else
+        Some
+          (Printf.sprintf "%s: %+g, must equal the baseline" rule.name (c -. b))
+  | Exact _, None, _ when covered ->
+      Some (rule.name ^ ": missing from the baseline")
+  | Exact _, _, None when covered ->
+      Some (rule.name ^ ": missing from the current file")
+  | Cap cap, _, Some c when c > cap ->
+      Some (Printf.sprintf "%s: above the cap of %g" rule.name cap)
+  | Ratio r, Some _, Some c
+  | Ratio ({ absent_is_zero = true; _ } as r), None, Some c ->
+      let b = Option.value ~default:0.0 base in
+      if c > r.ratio *. b && c >= r.floor then
+        Some
+          (Printf.sprintf "%s: %.2fx over baseline (limit %.2fx, floor %g)"
+             rule.name
+             (if b > 0.0 then c /. b else infinity)
+             r.ratio r.floor)
+      else None
+  | _ -> None
 
 let compare_files ~baseline ~current =
-  let fb = flatten baseline and fc = flatten current in
-  let base_tbl = Hashtbl.create 256 in
-  List.iter (fun (k, v) -> Hashtbl.replace base_tbl k v) fb;
-  let cur_tbl = Hashtbl.create 256 in
-  List.iter (fun (k, v) -> Hashtbl.replace cur_tbl k v) fc;
-  let finding (key, cur) =
-    let base = Hashtbl.find_opt base_tbl key in
+  (* every key with the rule that decides it, ignored keys dropped *)
+  let judged doc =
+    List.filter_map
+      (fun (k, v) ->
+        match rule_of k with
+        | Some { kind = Ignore; _ } -> None
+        | rule -> Some (k, v, rule))
+      (flatten doc)
+  in
+  let fb = judged baseline and fc = judged current in
+  let table flat =
+    let t = Hashtbl.create 256 in
+    List.iter (fun (k, v, _) -> Hashtbl.replace t k v) flat;
+    t
+  in
+  let base_tbl = table fb and cur_tbl = table fc in
+  let finding ~other key rule ~base ~cur =
     let found severity note =
-      Some { severity; key; baseline = base; current = Some cur; note }
+      Some { severity; key; baseline = base; current = cur; note }
     in
-    match base with
-    (* tracer drops and degraded rejections breach even with no
-       baseline counterpart: a saturated ring means the trace artifact
-       is incomplete, and a rejection means a tenant saw
-       unavailability *)
-    | _ when dropped_key key && cur > 0.0 ->
-        found Breach
-          (Printf.sprintf "tracer dropped %g event(s); must be 0" cur)
-    | None when rejection_key key && cur > 0.0 ->
-        found Breach
-          (Printf.sprintf
-             "%g degraded rejection(s) with no baseline counterpart: \
-              tenants saw unavailability a baseline run never did"
-             cur)
-    | None -> None
-    | Some base -> (
-        match judge ~key ~base ~cur with
-        | Some note -> found Breach note
-        | None when cur <> base ->
-            found Info (Printf.sprintf "%+g" (cur -. base))
-        | None -> None)
+    match Option.bind rule (judge ~covered:(covers other key) ~base ~cur) with
+    | Some note -> found Breach note
+    | None -> (
+        match (base, cur) with
+        | Some b, Some c when b <> c ->
+            found Info (Printf.sprintf "%+g" (c -. b))
+        | _ -> None)
+  in
+  let findings =
+    List.filter_map
+      (fun (k, v, rule) ->
+        finding ~other:baseline k rule ~base:(Hashtbl.find_opt base_tbl k)
+          ~cur:(Some v))
+      fc
+    @ List.filter_map
+        (fun (k, v, rule) ->
+          if Hashtbl.mem cur_tbl k then None
+          else finding ~other:current k rule ~base:(Some v) ~cur:None)
+        fb
   in
   let breaches, infos =
-    List.partition (fun f -> f.severity = Breach) (List.filter_map finding fc)
+    List.partition (fun f -> f.severity = Breach) findings
   in
   let compared =
-    List.length (List.filter (fun (k, _) -> Hashtbl.mem base_tbl k) fc)
+    List.length (List.filter (fun (k, _, _) -> Hashtbl.mem base_tbl k) fc)
   in
   {
     findings = breaches @ infos;
     compared;
-    baseline_only =
-      List.length (List.filter (fun (k, _) -> not (Hashtbl.mem cur_tbl k)) fb);
+    baseline_only = List.length fb - compared;
     current_only = List.length fc - compared;
   }
 
@@ -319,8 +440,7 @@ let render_table ~baseline_path ~current_path r =
     (Printf.sprintf "obs report: %s vs %s\n" baseline_path current_path);
   Buffer.add_string b
     (Printf.sprintf
-       "  %d shared key(s) compared; ignored %d baseline-only, %d \
-        current-only\n"
+       "  %d shared key(s) compared; %d baseline-only, %d current-only\n"
        r.compared r.baseline_only r.current_only);
   let key_w =
     List.fold_left (fun w f -> max w (String.length f.key)) 8 r.findings

@@ -1,32 +1,40 @@
-(** The anomaly gate behind [ptsim report].
+(** The one CI gate behind [ptsim report].
 
     Reads two JSON artifacts — telemetry metrics dumps
-    ([--metrics-out]), simulation outcomes ([ptsim fleet --json], ...)
-    or whole benchmark files (BENCH_PR10.json) — normalizes both to a
-    flat [dotted.key -> number] view, and compares the shared keys
-    against declarative anomaly thresholds:
+    ([--metrics-out]), simulation outcomes ([ptsim fleet --json], ...),
+    whole benchmark files ([bench/baseline/bench.json]) or perfbench
+    result lines — normalizes both to a flat [dotted.key -> number]
+    view, and judges every key by the first rule of one table (OCaml
+    data, in document order) whose glob pattern matches it:
 
-    - p99 keys ([.p99] / [p99_ns]): breach when current exceeds 1.5x
-      baseline and the floor of 64;
-    - lock-contention keys ([write_locks], [read_contention],
-      [seqlock_fallbacks]): 1.5x over a floor of 128;
-    - eviction keys ([evictions], [evicted_pages]): 2x over a floor
-      of 16;
-    - recovery keys ([replayed_records]): 2x over a floor of 64 — a
-      recovery storm means shards are crash-looping or checkpoints
-      stopped compacting;
-    - [obs.trace.dropped] > 0 in the current file breaches
-      unconditionally — the tracer ring must never saturate in CI;
-    - [degraded_rejections] > 0 breaches even with no baseline
-      counterpart (tenant-visible unavailability a baseline run never
-      showed has no ratio to judge); with one, an established count
-      may at most double (crash soaks that expect a fixed rejection
-      count are also gated by bench_diff's exact row equality).
+    - ignore: what another host cannot reproduce — [*ops_per_sec],
+      [*elapsed_s], [*wall_clock_s], micro [ns], the seqlock and
+      contention diagnostics ([*read_contention], [*seqlock_retries],
+      [*seqlock_fallbacks], [read_locks] on seqlock throughput rows,
+      [service.seqlock_*]) and the [fleet.op_ns.*] latency histograms;
+    - exact: the benchmark's deterministic sections (claims,
+      lines_per_miss, churn tables, throughput rows, NUMA, fleet and
+      chaos outcomes, micro [minor_words], [quick], [domains]) must be
+      equal, and perfbench's counted metrics ([core.walk_lines],
+      [baselines.hashed_walk_lines], [pt_bytes_per_page],
+      [durable.{restored_mappings,replayed_records,wal_bytes_per_page}])
+      equal at 6 significant digits.  A key such a rule matches that
+      only one file holds is drift — unless the other file is a bare
+      outcome (tagged by ["experiment"]) and the key lies outside its
+      section, which is what lets [ptsim fleet --json] gate against a
+      whole benchmark file;
+    - cap: [core.walk_words] <= 40, [service.range_words_per_page] <=
+      20, [obs.trace.dropped] <= 0, judged on the current file alone;
+    - ratio: p99 ([.p99] / [p99_ns]) 1.5x over a floor of 64;
+      [write_locks] 1.5x over 128; [evictions]/[evicted_pages] 2x
+      over 16; [replayed_records] 2x over 64; [degraded_rejections] 2x
+      over 1, where a current count with no baseline counterpart is
+      judged against 0.
 
     Every other shared key that changed becomes an [Info] finding;
-    keys present on only one side are counted, not reported, so a
-    metrics dump can be gated against a richer benchmark file.
-    Stdlib only, plus {!Jsonx} for reading and writing JSON. *)
+    other one-sided keys are counted, not reported, so a metrics dump
+    can be gated against a richer benchmark file.  Stdlib only, plus
+    {!Jsonx} for reading and writing JSON. *)
 
 val bucket_quantile :
   count:int ->
@@ -54,6 +62,7 @@ val flatten : Jsonx.t -> (string * float) list
       [n.p50]/[n.p90]/[n.p99];
     - other object lists key each row by its string-valued fields
       joined with ['/'], e.g. [fleet.rows[batched/clustered/...]];
+    - lists of numbers flatten to [key[i]];
     - booleans become 0/1; strings are row discriminators, not
       values; [schema_version], [command], [experiment] and [series]
       are skipped. *)
@@ -64,15 +73,15 @@ type finding = {
   severity : severity;
   key : string;
   baseline : float option;  (** [None] for current-only breaches *)
-  current : float option;
+  current : float option;  (** [None] for baseline-only breaches *)
   note : string;  (** which rule fired, or the delta *)
 }
 
 type report = {
   findings : finding list;  (** breaches first, then info, stable *)
   compared : int;  (** shared keys examined *)
-  baseline_only : int;  (** keys ignored: absent from current *)
-  current_only : int;  (** keys ignored: absent from baseline *)
+  baseline_only : int;  (** judged keys absent from current *)
+  current_only : int;  (** judged keys absent from baseline *)
 }
 
 val compare_files : baseline:Jsonx.t -> current:Jsonx.t -> report
@@ -87,4 +96,4 @@ val render_table :
 val render_json :
   baseline_path:string -> current_path:string -> report -> Jsonx.t
 (** One JSON object ({["kind":"obs_report"]}) with the finding list
-    and the ignored-key counts. *)
+    and the one-sided key counts. *)
