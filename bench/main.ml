@@ -36,22 +36,22 @@ let populated kind ~policy =
   List.iter (fun a -> Sim.Builder.populate pt a ~policy) (Lazy.force assignments);
   pt
 
+(* the first mapped page of every block, in insertion order: the
+   micros' exact minor-word counts depend on this sample *)
 let sample_vpns =
   lazy
     (let out = ref [] in
      List.iter
-       (fun a ->
-         List.iter
-           (fun (b : Sim.Builder.block_info) ->
-             match b.Sim.Builder.boffs_ppns with
-             | (boff, _) :: _ ->
-                 out :=
-                   Int64.add
-                     (Int64.shift_left b.Sim.Builder.vpbn 4)
-                     (Int64.of_int boff)
-                   :: !out
-             | [] -> ())
-           a.Sim.Builder.blocks)
+       (fun (a : Sim.Builder.assignment) ->
+         let last = ref None in
+         Sim.Builder.iter_pages a (fun vpn _ ->
+             let block =
+               Some (Addr.Vaddr.vpbn_of_vpn ~subblock_factor:a.factor vpn)
+             in
+             if block <> !last then begin
+               last := block;
+               out := vpn :: !out
+             end))
        (Lazy.force assignments);
      Array.of_list !out)
 
@@ -277,8 +277,7 @@ let run_micro () =
    humans. *)
 let emit_json path ~quick ~domains ~experiments_s ~churn_s ~churn_rows
     ~(report : Sim.Runner.verify_report) ~throughput_rows ~curve_rows
-    ~(numa : Sim.Runner.numa_suite) ~(fleet : Sim.Runner.fleet_suite)
-    ~(chaos : Sim.Runner.chaos_suite) ~micro =
+    ~numa ~fleet ~chaos ~micro =
   let tp_rows rows =
     Jsonx.list (List.map Sim.Runner.throughput_row_to_json rows)
   in
@@ -316,14 +315,9 @@ let emit_json path ~quick ~domains ~experiments_s ~churn_s ~churn_rows
         Jsonx.obj
           [ ("rows", tp_rows throughput_rows); ("curve", tp_rows curve_rows) ]
       );
-      (* the NUMA replication matrix, fleet matrix and chaos soak
-         (Runner.{numa,fleet,chaos}_for_suite): the same deterministic
-         documents as `ptsim numa|fleet|chaos --json` *)
-      ("numa", Numa.Numa_sim.outcome_to_json numa.numa_cfg numa.numa_outcome);
-      ( "fleet",
-        Fleet.Fleet_sim.outcome_to_json fleet.fleet_cfg fleet.fleet_outcome );
-      ( "chaos",
-        Fleet.Chaos_sim.outcome_to_json chaos.chaos_cfg chaos.chaos_outcome );
+      (* the NUMA replication matrix, fleet matrix and chaos soak: the
+         same deterministic documents as `ptsim numa|fleet|chaos --json` *)
+      ("numa", numa); ("fleet", fleet); ("chaos", chaos);
       (* every counter and histogram the suite's instrumented paths
          recorded, merged across domains; the report holds these to
          ratio rules, not equality (the set of metrics grows with
@@ -352,6 +346,17 @@ let emit_json path ~quick ~domains ~experiments_s ~churn_s ~churn_rows
   Out_channel.with_open_text path (fun oc ->
       output_string oc (Jsonx.to_string ~layout:Indented doc ^ "\n"));
   Printf.printf "\nwrote %s\n%!" path
+
+(* One soak at suite scale: run it, print its table and a wall-clock
+   line, and keep its deterministic JSON document. *)
+let soak ~title ~name ~domains ~verdict ~run ~pp ~to_json cfg =
+  let t = Unix.gettimeofday () in
+  let outcome = run cfg in
+  Format.printf "@.== %s ==@.%a" title pp outcome;
+  Printf.printf "\n%s wall clock: %.1fs (%d domains, %s)\n%!" name
+    (Unix.gettimeofday () -. t)
+    domains (verdict outcome);
+  to_json cfg outcome
 
 let arg_value flag =
   let rec go i =
@@ -391,24 +396,29 @@ let () =
     (List.length report.Sim.Runner.claims);
   let throughput_rows = Sim.Runner.throughput_for_suite ~options () in
   let curve_rows = Sim.Runner.throughput_curve_for_suite ~options () in
-  let t2 = Unix.gettimeofday () in
-  let numa = Sim.Runner.numa_for_suite ~options ~domains () in
-  Printf.printf "\nnuma wall clock: %.1fs (%d domains, fsck %s)\n%!"
-    (Unix.gettimeofday () -. t2)
-    domains
-    (if Sim.Runner.numa_suite_clean numa then "clean" else "DIRTY");
-  let t3 = Unix.gettimeofday () in
-  let fleet = Sim.Runner.fleet_for_suite ~options ~domains () in
-  Printf.printf "\nfleet wall clock: %.1fs (%d domains, fsck %s)\n%!"
-    (Unix.gettimeofday () -. t3)
-    domains
-    (if Sim.Runner.fleet_suite_clean fleet then "clean" else "DIRTY");
-  let t4 = Unix.gettimeofday () in
-  let chaos = Sim.Runner.chaos_for_suite ~options ~domains () in
-  Printf.printf "\nchaos wall clock: %.1fs (%d domains, recoveries %s)\n%!"
-    (Unix.gettimeofday () -. t4)
-    domains
-    (if Sim.Runner.chaos_suite_clean chaos then "converged" else "DIVERGED");
+  let module NS = Numa.Numa_sim in
+  let numa =
+    soak ~title:"NUMA-replicated service" ~name:"numa" ~domains
+      ~verdict:(fun o -> if NS.all_clean o then "fsck clean" else "fsck DIRTY")
+      ~run:NS.run ~pp:NS.pp_outcome ~to_json:NS.outcome_to_json
+      { (if quick then NS.quick_config else NS.default_config) with domains }
+  in
+  let module FS = Fleet.Fleet_sim in
+  let fleet =
+    soak ~title:"Multi-tenant fleet" ~name:"fleet" ~domains
+      ~verdict:(fun o -> if FS.all_clean o then "fsck clean" else "fsck DIRTY")
+      ~run:FS.run ~pp:FS.pp_outcome ~to_json:FS.outcome_to_json
+      { (if quick then FS.quick_config else FS.default_config) with domains }
+  in
+  let module CS = Fleet.Chaos_sim in
+  let chaos =
+    soak ~title:"Crash/recovery chaos soak" ~name:"chaos" ~domains
+      ~verdict:(fun o ->
+        if CS.all_clean o then "recoveries converged"
+        else "recoveries DIVERGED")
+      ~run:CS.run ~pp:CS.pp_outcome ~to_json:CS.outcome_to_json
+      { (if quick then CS.quick_config else CS.default_config) with domains }
+  in
   let micro = run_micro () in
   Option.iter
     (fun path ->

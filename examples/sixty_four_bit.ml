@@ -27,6 +27,7 @@ let () =
       (fun i proc ->
         Sim.Builder.assign proc ~seed:(Int64.add seed (Int64.of_int i)) ())
       snap.Workload.Snapshot.procs
+    |> Array.of_list
   in
   let size kind = Sim.Size_exp.size_of kind ~policy:`Base ~assignments in
   let hashed = size Sim.Factory.Hashed in
@@ -83,25 +84,16 @@ let () =
   let instance =
     Pt_common.Intf.Instance ((module Clustered_pt.Table), table)
   in
-  List.iter (fun a -> Sim.Builder.populate instance a ~policy:`Base) assignments;
+  Array.iter
+    (fun a -> Sim.Builder.populate instance a ~policy:`Base)
+    assignments;
   let counter = Mem.Cache_model.create_counter () in
-  List.iter
+  Array.iter
     (fun a ->
-      List.iter
-        (fun (b : Sim.Builder.block_info) ->
-          List.iter
-            (fun (boff, _) ->
-              let vpn =
-                Int64.add
-                  (Int64.shift_left b.Sim.Builder.vpbn 4)
-                  (Int64.of_int boff)
-              in
-              let _, w = Clustered_pt.Table.lookup table ~vpn in
-              ignore
-                (Mem.Cache_model.record_walk counter
-                   w.Pt_common.Types.accesses))
-            b.Sim.Builder.boffs_ppns)
-        a.Sim.Builder.blocks)
+      Sim.Builder.iter_pages a (fun vpn _ ->
+          let _, w = Clustered_pt.Table.lookup table ~vpn in
+          ignore
+            (Mem.Cache_model.record_walk counter w.Pt_common.Types.accesses)))
     assignments;
   Printf.printf "  clustered @ 16384 buckets: %.2f lines/lookup\n"
     (Mem.Cache_model.mean_lines counter)

@@ -71,7 +71,8 @@ type miss = { proc : int; vpn : int64; block_miss : bool }
 (* Run the trace through a TLB, filling from the reference tables, and
    record the miss stream.  Prefetch fills apply for Csb designs
    (Section 4.4). *)
-let record_misses trace tlb ~reference ~design ~subblock_factor =
+let record_misses ?(design = Single) ?(subblock_factor = 16) trace tlb
+    ~reference =
   let misses = ref [] and count = ref 0 in
   let acc = Mem.Walk_acc.create () in
   Array.iter
@@ -99,7 +100,9 @@ let record_misses trace tlb ~reference ~design ~subblock_factor =
     trace;
   (List.rev !misses, !count)
 
-let replay_misses ?hist misses tables ~design ~line_size ~subblock_factor =
+let replay_misses ?hist ?(design = Single)
+    ?(line_size = Mem.Cache_model.default_line_size) ?(subblock_factor = 16)
+    misses tables =
   let counter = Mem.Cache_model.create_counter ~line_size () in
   let acc = Mem.Walk_acc.create () in
   List.iter
@@ -134,34 +137,16 @@ let run ?(seed = 0x7ACE_1995L) ?(length = 80_000)
     ?(line_size = Mem.Cache_model.default_line_size) ?(placement_p = 0.95)
     ?(subblock_factor = 16) ~design ~pt_kinds spec =
   let policy = policy_of_design design in
-  let snap = Workload.Snapshot.generate spec ~seed in
-  let assignments =
-    List.mapi
-      (fun i proc ->
-        Builder.assign proc ~placement_p
-          ~seed:(Int64.add seed (Int64.of_int (i + 1)))
-          ())
-      snap.Workload.Snapshot.procs
-    |> Array.of_list
-  in
-  let build kind =
-    Array.map
-      (fun assignment ->
-        let pt = Factory.make kind in
-        Builder.populate pt assignment ~policy;
-        pt)
-      assignments
-  in
+  let fx = Builder.fixture spec ~seed ~placement_p ~length in
+  let build kind = Builder.tables kind ~policy fx.Builder.assignments in
   (* the clustered table supports every PTE format natively, so it
      serves as the fill reference for the miss-recording pass *)
   let reference = build Factory.clustered16 in
-  let trace =
-    Workload.Trace.generate spec snap ~seed:(Int64.add seed 0x77L) ~length
-  in
+  let trace = Lazy.force fx.Builder.trace in
   (* the Table 1 metric: misses of a 64-entry single-page-size TLB *)
   let base_misses =
     let tlb = make_tlb Single ~entries:64 ~subblock_factor in
-    snd (record_misses trace tlb ~reference ~design:Single ~subblock_factor)
+    snd (record_misses trace tlb ~reference)
   in
   let tlb64 = make_tlb design ~entries:64 ~subblock_factor in
   let misses64, n64 =
@@ -218,32 +203,12 @@ let run ?(seed = 0x7ACE_1995L) ?(length = 80_000)
 let run_residency ?(seed = 0x7ACE_1995L) ?(length = 80_000)
     ?(placement_p = 0.95) ?(line_size = Mem.Cache_model.default_line_size)
     ?domains ~sets ~ways ~pt_kinds spec =
-  let subblock_factor = 16 in
-  let snap = Workload.Snapshot.generate spec ~seed in
-  let assignments =
-    List.mapi
-      (fun i proc ->
-        Builder.assign proc ~placement_p
-          ~seed:(Int64.add seed (Int64.of_int (i + 1)))
-          ())
-      snap.Workload.Snapshot.procs
-    |> Array.of_list
-  in
-  let build kind =
-    Array.map
-      (fun assignment ->
-        let pt = Factory.make kind in
-        Builder.populate pt assignment ~policy:`Base;
-        pt)
-      assignments
-  in
-  let reference = build Factory.clustered16 in
-  let trace =
-    Workload.Trace.generate spec snap ~seed:(Int64.add seed 0x77L) ~length
-  in
-  let tlb = make_tlb Single ~entries:64 ~subblock_factor in
+  let fx = Builder.fixture spec ~seed ~placement_p ~length in
+  let build kind = Builder.tables kind ~policy:`Base fx.Builder.assignments in
   let misses, n =
-    record_misses trace tlb ~reference ~design:Single ~subblock_factor
+    record_misses (Lazy.force fx.Builder.trace)
+      (Tlb.Intf.fa ~entries:64 ())
+      ~reference:(build Factory.clustered16)
   in
   Exec.Soak.map ?domains
     (fun _ kind ->

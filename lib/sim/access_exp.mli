@@ -38,6 +38,32 @@ type workload_run = {
   results : result list;
 }
 
+type miss = { proc : int; vpn : int64; block_miss : bool }
+
+val record_misses :
+  ?design:design ->
+  ?subblock_factor:int ->
+  Workload.Trace.t ->
+  Tlb.Intf.instance ->
+  reference:Pt_common.Intf.instance array ->
+  miss list * int
+(** Run the trace through the TLB (flushed at every context switch),
+    filling each miss from the process's [reference] table, and return
+    the miss stream and its length.  Under [Csb] (default [Single]) a
+    block miss prefetches the whole block (Section 4.4). *)
+
+val replay_misses :
+  ?hist:Obs.Hist.t ->
+  ?design:design ->
+  ?line_size:int ->
+  ?subblock_factor:int ->
+  miss list ->
+  Pt_common.Intf.instance array ->
+  int
+(** Walk every recorded miss in the process's table and return the
+    total distinct cache lines touched; each walk's count also goes to
+    [hist]. *)
+
 val run :
   ?seed:int64 ->
   ?length:int ->

@@ -120,3 +120,46 @@ let populate pt assignment ~policy =
             I.insert_base pt ~vpn ~ppn ~attr)
           b.boffs_ppns)
     assignment.blocks
+
+let iter_pages a f =
+  List.iter
+    (fun b ->
+      List.iter
+        (fun (boff, ppn) ->
+          f (Addr.Vaddr.vpn_of_vpbn ~subblock_factor:a.factor b.vpbn ~boff) ppn)
+        b.boffs_ppns)
+    a.blocks
+
+let assignments ?subblock_factor ?placement_p ~seed snap =
+  List.mapi
+    (fun i proc ->
+      assign proc ?subblock_factor ?placement_p
+        ~seed:(Int64.add seed (Int64.of_int (i + 1)))
+        ())
+    snap.Workload.Snapshot.procs
+  |> Array.of_list
+
+type fixture = {
+  snap : Workload.Snapshot.t;
+  assignments : assignment array;
+  trace : Workload.Trace.t Lazy.t;
+}
+
+let fixture ?placement_p ?(length = 80_000) ?quantum ~seed spec =
+  let snap = Workload.Snapshot.generate spec ~seed in
+  {
+    snap;
+    assignments = assignments ?placement_p ~seed snap;
+    trace =
+      lazy
+        (Workload.Trace.generate ?quantum spec snap
+           ~seed:(Int64.add seed 0x77L) ~length);
+  }
+
+let tables kind ~policy assignments =
+  Array.map
+    (fun a ->
+      let pt = Factory.make kind in
+      populate pt a ~policy;
+      pt)
+    assignments

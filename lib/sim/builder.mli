@@ -31,7 +31,9 @@ type block_info = {
 }
 
 type assignment = {
-  blocks : block_info list;  (** ascending VPBN *)
+  blocks : block_info list;
+      (** insertion order: shuffled, so head insertion gives uniform
+          chain positions *)
   pages : int;
   factor : int;  (** the subblock factor the blocks were formed with *)
 }
@@ -53,3 +55,44 @@ val populate :
 
 val attr : Pte.Attr.t
 (** The attribute every built mapping uses. *)
+
+val iter_pages : assignment -> (int64 -> int64 -> unit) -> unit
+(** [iter_pages a f] calls [f vpn ppn] for every mapped page, block by
+    block in {!populate}'s insertion order, ascending within a block.
+    The VPN is derived at the assignment's own subblock factor. *)
+
+(** {2 Experiment fixtures}
+
+    Every experiment derives its inputs from one seed the same way:
+    the snapshot from [seed], process [i]'s assignment from
+    [seed + i + 1] and the reference trace from [seed + 0x77].  Keeping
+    the derivation here keeps every experiment on identical inputs. *)
+
+val assignments :
+  ?subblock_factor:int ->
+  ?placement_p:float ->
+  seed:int64 ->
+  Workload.Snapshot.t ->
+  assignment array
+(** One assignment per process of the snapshot. *)
+
+type fixture = {
+  snap : Workload.Snapshot.t;
+  assignments : assignment array;  (** one per process *)
+  trace : Workload.Trace.t Lazy.t;  (** generated on first use *)
+}
+
+val fixture :
+  ?placement_p:float ->
+  ?length:int ->
+  ?quantum:int ->
+  seed:int64 ->
+  Workload.Spec.t ->
+  fixture
+(** Default trace length 80_000 accesses; [quantum] as in
+    {!Workload.Trace.generate}. *)
+
+val tables :
+  Factory.kind -> policy:pte_policy -> assignment array ->
+  Pt_common.Intf.instance array
+(** A fresh table of [kind] per assignment, populated under [policy]. *)

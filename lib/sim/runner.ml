@@ -22,6 +22,22 @@ let trace_specs options =
 let par_map ?domains f xs =
   Array.to_list (Exec.Soak.map ?domains (fun _ x -> f x) (Array.of_list xs))
 
+let fixture ?quantum options spec =
+  Builder.fixture spec ~seed:options.seed ~placement_p:options.placement_p
+    ~length:options.length ?quantum
+
+let base_size kind fx =
+  Size_exp.size_of kind ~policy:`Base ~assignments:fx.Builder.assignments
+
+(* TLB misses of [fx]'s trace, each filled from a clustered table: the
+   reference tables are built once and serve every TLB passed in *)
+let tlb_misses fx =
+  let reference =
+    Builder.tables Factory.clustered16 ~policy:`Base fx.Builder.assignments
+  in
+  let trace = Lazy.force fx.Builder.trace in
+  fun tlb -> snd (Access_exp.record_misses trace tlb ~reference)
+
 (* --- Table 1 --- *)
 
 let table1 ?(options = default_options) ?domains () =
@@ -34,18 +50,7 @@ let table1 ?(options = default_options) ?domains () =
             ~placement_p:options.placement_p ~design:Access_exp.Single
             ~pt_kinds:[ Factory.Hashed ] spec
         in
-        let snap = Workload.Snapshot.generate spec ~seed:options.seed in
-        let assignments =
-          List.mapi
-            (fun i proc ->
-              Builder.assign proc ~placement_p:options.placement_p
-                ~seed:(Int64.add options.seed (Int64.of_int (i + 1)))
-                ())
-            snap.Workload.Snapshot.procs
-        in
-        let hashed_bytes =
-          Size_exp.size_of Factory.Hashed ~policy:`Base ~assignments
-        in
+        let hashed_bytes = base_size Factory.Hashed (fixture options spec) in
         (* 40-cycle miss penalty (Section 6.2).  Trace events are
            page-granular; one event stands for ~25 in-page references of
            a real instruction stream (calibration constant, see
@@ -175,16 +180,9 @@ let table2 ?(options = default_options) ?domains () =
   let rows =
     par_map ?domains
       (fun spec ->
-        let snap = Workload.Snapshot.generate spec ~seed:options.seed in
-        let assignments =
-          List.mapi
-            (fun i proc ->
-              Builder.assign proc ~placement_p:options.placement_p
-                ~seed:(Int64.add options.seed (Int64.of_int (i + 1)))
-                ())
-            snap.Workload.Snapshot.procs
-        in
-        let sim kind = Size_exp.size_of kind ~policy:`Base ~assignments in
+        let fx = fixture options spec in
+        let snap = fx.Builder.snap in
+        let sim kind = base_size kind fx in
         let n1 = nactive snap 1 in
         let n16 = nactive snap 16 in
         let hashed_ratio =
@@ -277,16 +275,7 @@ let ablation_subblock ?(options = default_options) ?domains () =
     ~rows
 
 let ablation_buckets ?(options = default_options) ?domains () =
-  let spec = Workload.Table1.ml in
-  let snap = Workload.Snapshot.generate spec ~seed:options.seed in
-  let assignments =
-    List.mapi
-      (fun i proc ->
-        Builder.assign proc ~placement_p:options.placement_p
-          ~seed:(Int64.add options.seed (Int64.of_int (i + 1)))
-          ())
-      snap.Workload.Snapshot.procs
-  in
+  let assignments = (fixture options Workload.Table1.ml).Builder.assignments in
   let out =
     par_map ?domains
       (fun buckets ->
@@ -298,25 +287,17 @@ let ablation_buckets ?(options = default_options) ?domains () =
         let instance =
           Pt_common.Intf.Instance ((module Clustered_pt.Table), table)
         in
-        List.iter (fun a -> Builder.populate instance a ~policy:`Base) assignments;
+        Array.iter
+          (fun a -> Builder.populate instance a ~policy:`Base)
+          assignments;
         let counter = Mem.Cache_model.create_counter () in
         let acc = Mem.Walk_acc.create () in
-        List.iter
+        Array.iter
           (fun a ->
-            List.iter
-              (fun (b : Builder.block_info) ->
-                List.iter
-                  (fun (boff, _) ->
-                    let vpn =
-                      Int64.add
-                        (Int64.shift_left b.Builder.vpbn 4)
-                        (Int64.of_int boff)
-                    in
-                    Mem.Walk_acc.reset acc;
-                    ignore (Clustered_pt.Table.lookup_into table acc ~vpn);
-                    ignore (Mem.Cache_model.record_acc counter acc))
-                  b.Builder.boffs_ppns)
-              a.Builder.blocks)
+            Builder.iter_pages a (fun vpn _ ->
+                Mem.Walk_acc.reset acc;
+                ignore (Clustered_pt.Table.lookup_into table acc ~vpn);
+                ignore (Mem.Cache_model.record_acc counter acc)))
           assignments;
         ( buckets,
           Clustered_pt.Table.load_factor table,
@@ -409,51 +390,21 @@ let ablation_asid ?(options = default_options) ?domains () =
   let out =
     par_map ?domains
       (fun spec ->
-        let snap = Workload.Snapshot.generate spec ~seed:options.seed in
-        let reference =
-          List.mapi
-            (fun i proc ->
-              let a =
-                Builder.assign proc ~placement_p:options.placement_p
-                  ~seed:(Int64.add options.seed (Int64.of_int (i + 1)))
-                  ()
-              in
-              let pt = Factory.make Factory.clustered16 in
-              Builder.populate pt a ~policy:`Base;
-              pt)
-            snap.Workload.Snapshot.procs
-          |> Array.of_list
-        in
         (* pipeline-synchronized processes (compress | sh; make/cc1)
            switch on pipe and wait boundaries, far more often than a
            timer quantum *)
-        let trace =
-          Workload.Trace.generate ~quantum:120 spec snap
-            ~seed:(Int64.add options.seed 0x77L)
-            ~length:options.length
+        let fx = fixture ~quantum:120 options spec in
+        let reference =
+          Builder.tables Factory.clustered16 ~policy:`Base
+            fx.Builder.assignments
+        in
+        let trace = Lazy.force fx.Builder.trace in
+        let flush_run entries =
+          let tlb = Tlb.Intf.fa ~entries () in
+          snd (Access_exp.record_misses trace tlb ~reference)
         in
         let acc = Mem.Walk_acc.create () in
-        let refill proc vpn =
-          Mem.Walk_acc.reset acc;
-          Pt_common.Intf.lookup_into reference.(proc) acc ~vpn
-        in
-        let flush_run entries () =
-          let tlb = Tlb.Intf.fa ~entries () in
-          Array.iter
-            (function
-              | Workload.Trace.Switch _ -> Tlb.Intf.flush tlb
-              | Workload.Trace.Access (proc, vpn) -> (
-                  match Tlb.Intf.access tlb ~vpn with
-                  | `Hit -> ()
-                  | `Block_miss | `Subblock_miss -> (
-                      match refill proc vpn with
-                      | Some tr -> Tlb.Intf.fill tlb tr
-                      | None -> ()))
-              | _ -> ())
-            trace;
-          Tlb.Stats.misses (Tlb.Intf.stats tlb)
-        in
-        let tagged_run entries () =
+        let tagged_run entries =
           let tlb = Tlb.Tagged_tlb.create (Tlb.Intf.fa ~entries ()) in
           Array.iter
             (function
@@ -464,7 +415,10 @@ let ablation_asid ?(options = default_options) ?domains () =
                   match Tlb.Tagged_tlb.access tlb ~vpn with
                   | `Hit -> ()
                   | `Block_miss | `Subblock_miss -> (
-                      match refill proc vpn with
+                      Mem.Walk_acc.reset acc;
+                      match
+                        Pt_common.Intf.lookup_into reference.(proc) acc ~vpn
+                      with
                       | Some tr -> Tlb.Tagged_tlb.fill tlb tr
                       | None -> ()))
               | _ -> ())
@@ -472,10 +426,10 @@ let ablation_asid ?(options = default_options) ?domains () =
           Tlb.Stats.misses (Tlb.Tagged_tlb.stats tlb)
         in
         ( spec.Workload.Spec.name,
-          flush_run 64 (),
-          tagged_run 64 (),
-          flush_run 256 (),
-          tagged_run 256 () ))
+          flush_run 64,
+          tagged_run 64,
+          flush_run 256,
+          tagged_run 256 ))
       specs
   in
   let pct f t =
@@ -545,48 +499,11 @@ let ablation_tlb_size ?(options = default_options) ?domains () =
   let rows =
     par_map ?domains
       (fun spec ->
-        let snap = Workload.Snapshot.generate spec ~seed:options.seed in
-        let reference =
-          List.mapi
-            (fun i proc ->
-              let a =
-                Builder.assign proc ~placement_p:options.placement_p
-                  ~seed:(Int64.add options.seed (Int64.of_int (i + 1)))
-                  ()
-              in
-              let pt = Factory.make Factory.clustered16 in
-              Builder.populate pt a ~policy:`Base;
-              pt)
-            snap.Workload.Snapshot.procs
-          |> Array.of_list
-        in
-        let trace =
-          Workload.Trace.generate spec snap
-            ~seed:(Int64.add options.seed 0x77L)
-            ~length:options.length
-        in
-        let acc = Mem.Walk_acc.create () in
-        let misses entries =
-          let tlb = Tlb.Intf.fa ~entries () in
-          Array.iter
-            (function
-              | Workload.Trace.Switch _ -> Tlb.Intf.flush tlb
-              | Workload.Trace.Access (proc, vpn) -> (
-                  match Tlb.Intf.access tlb ~vpn with
-                  | `Hit -> ()
-                  | `Block_miss | `Subblock_miss -> (
-                      Mem.Walk_acc.reset acc;
-                      match
-                        Pt_common.Intf.lookup_into reference.(proc) acc ~vpn
-                      with
-                      | Some tr -> Tlb.Intf.fill tlb tr
-                      | None -> ()))
-              | _ -> ())
-            trace;
-          Tlb.Stats.misses (Tlb.Intf.stats tlb)
-        in
+        let misses = tlb_misses (fixture options spec) in
         spec.Workload.Spec.name
-        :: List.map (fun e -> string_of_int (misses e)) [ 32; 64; 128; 256 ])
+        :: List.map
+             (fun entries -> string_of_int (misses (Tlb.Intf.fa ~entries ())))
+             [ 32; 64; 128; 256 ])
       specs
   in
   Report.print_table
@@ -629,15 +546,8 @@ let ablation_shared_table ?(options = default_options) ?domains () =
   (* gcc: four processes.  Per-process: one clustered table each, its
      own 4096 buckets.  Shared: one table, same total bucket count,
      VPNs tagged with the process id in the top bits. *)
-  let spec = Workload.Table1.gcc in
-  let snap = Workload.Snapshot.generate spec ~seed:options.seed in
   let assignments =
-    List.mapi
-      (fun i proc ->
-        Builder.assign proc ~placement_p:options.placement_p
-          ~seed:(Int64.add options.seed (Int64.of_int (i + 1)))
-          ())
-      snap.Workload.Snapshot.procs
+    (fixture options Workload.Table1.gcc).Builder.assignments
   in
   let tag proc vpn =
     Int64.logor vpn (Int64.shift_left (Int64.of_int (proc + 1)) 52)
@@ -646,15 +556,14 @@ let ablation_shared_table ?(options = default_options) ?domains () =
     (* independent tables: build one per domain-pool job.  The shared
        table below stays serial — its chain order depends on global
        insertion order *)
-    par_map ?domains
-      (fun a ->
+    Exec.Soak.map ?domains
+      (fun _ a ->
         let t = Clustered_pt.Table.create (Clustered_pt.Config.make ()) in
         Builder.populate
           (Pt_common.Intf.Instance ((module Clustered_pt.Table), t))
           a ~policy:`Base;
         t)
       assignments
-    |> Array.of_list
   in
   let per_process =
     Array.map
@@ -662,21 +571,11 @@ let ablation_shared_table ?(options = default_options) ?domains () =
       per_process_tables
   in
   let shared = Clustered_pt.Table.create (Clustered_pt.Config.make ()) in
-  List.iteri
+  Array.iteri
     (fun proc a ->
-      List.iter
-        (fun (b : Builder.block_info) ->
-          List.iter
-            (fun (boff, ppn) ->
-              let vpn =
-                Int64.add
-                  (Int64.shift_left b.Builder.vpbn 4)
-                  (Int64.of_int boff)
-              in
-              Clustered_pt.Table.insert_base shared ~vpn:(tag proc vpn) ~ppn
-                ~attr:Builder.attr)
-            b.Builder.boffs_ppns)
-        a.Builder.blocks)
+      Builder.iter_pages a (fun vpn ppn ->
+          Clustered_pt.Table.insert_base shared ~vpn:(tag proc vpn) ~ppn
+            ~attr:Builder.attr))
     assignments;
   (* chain statistics *)
   let max_chain table =
@@ -690,26 +589,16 @@ let ablation_shared_table ?(options = default_options) ?domains () =
   let counter_pp = Mem.Cache_model.create_counter () in
   let counter_sh = Mem.Cache_model.create_counter () in
   let acc = Mem.Walk_acc.create () in
-  List.iteri
+  Array.iteri
     (fun proc a ->
-      List.iter
-        (fun (b : Builder.block_info) ->
-          List.iter
-            (fun (boff, _) ->
-              let vpn =
-                Int64.add
-                  (Int64.shift_left b.Builder.vpbn 4)
-                  (Int64.of_int boff)
-              in
-              Mem.Walk_acc.reset acc;
-              ignore (Pt_common.Intf.lookup_into per_process.(proc) acc ~vpn);
-              ignore (Mem.Cache_model.record_acc counter_pp acc);
-              Mem.Walk_acc.reset acc;
-              ignore
-                (Clustered_pt.Table.lookup_into shared acc ~vpn:(tag proc vpn));
-              ignore (Mem.Cache_model.record_acc counter_sh acc))
-            b.Builder.boffs_ppns)
-        a.Builder.blocks)
+      Builder.iter_pages a (fun vpn _ ->
+          Mem.Walk_acc.reset acc;
+          ignore (Pt_common.Intf.lookup_into per_process.(proc) acc ~vpn);
+          ignore (Mem.Cache_model.record_acc counter_pp acc);
+          Mem.Walk_acc.reset acc;
+          ignore
+            (Clustered_pt.Table.lookup_into shared acc ~vpn:(tag proc vpn));
+          ignore (Mem.Cache_model.record_acc counter_sh acc)))
     assignments;
   Report.print_table
     ~title:"Ablation: shared vs per-process clustered tables (gcc)"
@@ -738,16 +627,7 @@ let ablation_shared_table ?(options = default_options) ?domains () =
 
 (* Serial: one spec, and both software TLBs mutate as the trace runs. *)
 let ablation_software_tlb ?(options = default_options) () =
-  let spec = Workload.Table1.ml in
-  let snap = Workload.Snapshot.generate spec ~seed:options.seed in
-  let assignments =
-    List.mapi
-      (fun i proc ->
-        Builder.assign proc ~placement_p:options.placement_p
-          ~seed:(Int64.add options.seed (Int64.of_int (i + 1)))
-          ())
-      snap.Workload.Snapshot.procs
-  in
+  let fx = fixture options Workload.Table1.ml in
   (* a conventional TSB: 4096 16-byte entries (64 KB, reach 16 MB) and
      the clustered TSB: 512 144-byte slots (72 KB, reach 32 MB) *)
   let conventional = Baselines.Software_tlb.create ~entries:4096 () in
@@ -758,16 +638,11 @@ let ablation_software_tlb ?(options = default_options) () =
   let clustered_i =
     Pt_common.Intf.Instance ((module Clustered_pt.Clustered_tsb), clustered_tsb)
   in
-  List.iter
+  Array.iter
     (fun a ->
       Builder.populate conventional_i a ~policy:`Base;
       Builder.populate clustered_i a ~policy:`Base)
-    assignments;
-  let trace =
-    Workload.Trace.generate spec snap
-      ~seed:(Int64.add options.seed 0x77L)
-      ~length:options.length
-  in
+    fx.Builder.assignments;
   let tlb = Tlb.Intf.fa ~entries:64 () in
   let c_conv = Mem.Cache_model.create_counter () in
   let c_clus = Mem.Cache_model.create_counter () in
@@ -789,7 +664,7 @@ let ablation_software_tlb ?(options = default_options) () =
               | Some tr -> Tlb.Intf.fill tlb tr
               | None -> ()))
       | _ -> ())
-    trace;
+    (Lazy.force fx.Builder.trace);
   let ratio hits misses =
     let t = hits + misses in
     if t = 0 then 0.0 else float_of_int hits /. float_of_int t
@@ -828,25 +703,11 @@ let ablation_nested_linear ?(options = default_options) ?domains () =
   let rows =
     par_map ?domains
       (fun spec ->
-        let snap = Workload.Snapshot.generate spec ~seed:options.seed in
-        let assignments =
-          List.mapi
-            (fun i proc ->
-              Builder.assign proc ~placement_p:options.placement_p
-                ~seed:(Int64.add options.seed (Int64.of_int (i + 1)))
-                ())
-            snap.Workload.Snapshot.procs
-          |> Array.of_list
+        let fx = fixture options spec in
+        let assignments = fx.Builder.assignments in
+        let reference =
+          Builder.tables Factory.clustered16 ~policy:`Base assignments
         in
-        let build kind =
-          Array.map
-            (fun a ->
-              let pt = Factory.make kind in
-              Builder.populate pt a ~policy:`Base;
-              pt)
-            assignments
-        in
-        let reference = build Factory.clustered16 in
         (* concrete linear tables (to ask for leaf-page VPNs) and the
            hashed side table holding the page table's own mappings *)
         let linears =
@@ -862,30 +723,15 @@ let ablation_nested_linear ?(options = default_options) ?domains () =
         let side = Baselines.Hashed_pt.create () in
         Array.iteri
           (fun pi a ->
-            List.iter
-              (fun (b : Builder.block_info) ->
-                List.iter
-                  (fun (boff, _) ->
-                    let vpn =
-                      Int64.add
-                        (Int64.shift_left b.Builder.vpbn 4)
-                        (Int64.of_int boff)
-                    in
-                    let leaf =
-                      Baselines.Linear_pt.leaf_page_vpn linears.(pi) ~vpn
-                    in
-                    (* the side table maps page-table pages; tag the
-                       process into low PPN bits to keep entries apart *)
-                    Baselines.Hashed_pt.insert_base side ~vpn:leaf
-                      ~ppn:(Int64.of_int pi) ~attr:Builder.attr)
-                  b.Builder.boffs_ppns)
-              a.Builder.blocks)
+            Builder.iter_pages a (fun vpn _ ->
+                let leaf =
+                  Baselines.Linear_pt.leaf_page_vpn linears.(pi) ~vpn
+                in
+                (* the side table maps page-table pages; tag the process
+                   into low PPN bits to keep entries apart *)
+                Baselines.Hashed_pt.insert_base side ~vpn:leaf
+                  ~ppn:(Int64.of_int pi) ~attr:Builder.attr))
           assignments;
-        let trace =
-          Workload.Trace.generate spec snap
-            ~seed:(Int64.add options.seed 0x77L)
-            ~length:options.length
-        in
         (* drive the data TLB; on each miss consult the reserved
            8-entry TLB for the page table's own mapping *)
         let tlb = Tlb.Intf.fa ~entries:56 () in
@@ -924,7 +770,7 @@ let ablation_nested_linear ?(options = default_options) ?domains () =
                     | Some tr -> Tlb.Intf.fill tlb tr
                     | None -> ()))
             | _ -> ())
-          trace;
+          (Lazy.force fx.Builder.trace);
         let r = float_of_int !nested /. float_of_int (max 1 !misses) in
         [
           spec.Workload.Spec.name;
@@ -957,19 +803,10 @@ let ablation_variable_factor ?(options = default_options) ?domains () =
   let rows =
     par_map ?domains
       (fun spec ->
-        let assignments =
-          let snap = Workload.Snapshot.generate spec ~seed:options.seed in
-          List.mapi
-            (fun i proc ->
-              Builder.assign proc ~placement_p:options.placement_p
-                ~seed:(Int64.add options.seed (Int64.of_int (i + 1)))
-                ())
-            snap.Workload.Snapshot.procs
-        in
-        let hashed = Size_exp.size_of Factory.Hashed ~policy:`Base ~assignments in
+        let fx = fixture options spec in
+        let hashed = base_size Factory.Hashed fx in
         let ratio kind =
-          float_of_int (Size_exp.size_of kind ~policy:`Base ~assignments)
-          /. float_of_int hashed
+          float_of_int (base_size kind fx) /. float_of_int hashed
         in
         [
           spec.Workload.Spec.name;
@@ -993,49 +830,11 @@ let ablation_replacement ?(options = default_options) ?domains () =
   let rows =
     par_map ?domains
       (fun spec ->
-        let snap = Workload.Snapshot.generate spec ~seed:options.seed in
-        let reference =
-          List.mapi
-            (fun i proc ->
-              let a =
-                Builder.assign proc ~placement_p:options.placement_p
-                  ~seed:(Int64.add options.seed (Int64.of_int (i + 1)))
-                  ()
-              in
-              let pt = Factory.make Factory.clustered16 in
-              Builder.populate pt a ~policy:`Base;
-              pt)
-            snap.Workload.Snapshot.procs
-          |> Array.of_list
-        in
-        let trace =
-          Workload.Trace.generate spec snap
-            ~seed:(Int64.add options.seed 0x77L)
-            ~length:options.length
-        in
-        let acc = Mem.Walk_acc.create () in
-        let misses policy =
-          let tlb = Tlb.Intf.fa ~policy ~entries:64 () in
-          Array.iter
-            (function
-              | Workload.Trace.Switch _ -> Tlb.Intf.flush tlb
-              | Workload.Trace.Access (proc, vpn) -> (
-                  match Tlb.Intf.access tlb ~vpn with
-                  | `Hit -> ()
-                  | `Block_miss | `Subblock_miss -> (
-                      Mem.Walk_acc.reset acc;
-                      match
-                        Pt_common.Intf.lookup_into reference.(proc) acc ~vpn
-                      with
-                      | Some tr -> Tlb.Intf.fill tlb tr
-                      | None -> ()))
-              | _ -> ())
-            trace;
-          Tlb.Stats.misses (Tlb.Intf.stats tlb)
-        in
+        let misses = tlb_misses (fixture options spec) in
         spec.Workload.Spec.name
         :: List.map
-             (fun p -> string_of_int (misses p))
+             (fun policy ->
+               string_of_int (misses (Tlb.Intf.fa ~policy ~entries:64 ())))
              [ Tlb.Assoc.Lru; Tlb.Assoc.Fifo; Tlb.Assoc.Random 0xC0DEL ])
       specs
   in
@@ -1281,15 +1080,7 @@ let churn ?(options = default_options) ?domains ?(seeds = 3) ?(ops = 8_000)
   | [] -> ());
   rows
 
-let all ?(options = default_options) ?domains () =
-  ignore (table1 ~options ?domains ());
-  ignore (figure9 ~options ?domains ());
-  ignore (figure10 ~options ?domains ());
-  ignore (figure11 ~options ?domains ~design:Access_exp.Single ());
-  ignore (figure11 ~options ?domains ~design:Access_exp.Superpage ());
-  ignore (figure11 ~options ?domains ~design:Access_exp.Psb ());
-  ignore (figure11 ~options ?domains ~design:Access_exp.Csb ());
-  table2 ~options ?domains ();
+let ablations ?(options = default_options) ?domains () =
   ignore (ablation_line_size ~options ?domains ());
   ablation_subblock ~options ?domains ();
   ignore (ablation_buckets ~options ?domains ());
@@ -1305,6 +1096,17 @@ let all ?(options = default_options) ?domains () =
   ablation_variable_factor ~options ?domains ();
   ablation_replacement ~options ?domains ();
   extension_future64 ~options ?domains ()
+
+let all ?(options = default_options) ?domains () =
+  ignore (table1 ~options ?domains ());
+  ignore (figure9 ~options ?domains ());
+  ignore (figure10 ~options ?domains ());
+  ignore (figure11 ~options ?domains ~design:Access_exp.Single ());
+  ignore (figure11 ~options ?domains ~design:Access_exp.Superpage ());
+  ignore (figure11 ~options ?domains ~design:Access_exp.Psb ());
+  ignore (figure11 ~options ?domains ~design:Access_exp.Csb ());
+  table2 ~options ?domains ();
+  ablations ~options ?domains ()
 
 (* churn defaults scaled for [all]-style full runs vs --quick smokes *)
 let churn_for_suite ?(options = default_options) ?domains () =
@@ -1381,22 +1183,13 @@ let verify_report ?(options = default_options) ?domains () =
   check "Fig 11d: prefetch from clustered stays near one line"
     (mean d "clustered" < 1.5);
   (* Table 2 *)
-  let snap = Workload.Snapshot.generate spec ~seed:options.seed in
-  let assignments =
-    List.mapi
-      (fun i proc ->
-        Builder.assign proc ~placement_p:options.placement_p
-          ~seed:(Int64.add options.seed (Int64.of_int (i + 1)))
-          ())
-      snap.Workload.Snapshot.procs
-  in
-  let n p = nactive snap p in
+  let fx = fixture options spec in
+  let n p = nactive fx.Builder.snap p in
   check "Table 2: clustered size = (8s+16) * Nactive(16)"
-    (Size_exp.size_of Factory.clustered16 ~policy:`Base ~assignments
+    (base_size Factory.clustered16 fx
     = Analytic.clustered_size ~subblock_factor:16 ~nactive_s:(n 16));
   check "Table 2: hashed size = 24 * Nactive(1)"
-    (Size_exp.size_of Factory.Hashed ~policy:`Base ~assignments
-    = Analytic.hashed_size ~nactive1:(n 1));
+    (base_size Factory.Hashed fx = Analytic.hashed_size ~nactive1:(n 1));
   let lines_of tag run =
     List.map
       (fun r -> (tag, r.Access_exp.pt, r.Access_exp.mean_lines))
@@ -1665,28 +1458,20 @@ let inspect ?(options = default_options) ?domains
   let rows =
     par_map ?domains
       (fun spec ->
-        let snap = Workload.Snapshot.generate spec ~seed:options.seed in
-        let assignments =
-          List.mapi
-            (fun i proc ->
-              Builder.assign proc ~placement_p:options.placement_p
-                ~seed:(Int64.add options.seed (Int64.of_int (i + 1)))
-                ())
-            snap.Workload.Snapshot.procs
-        in
+        let fx = fixture options spec in
         let report = Obs.Probe.create () in
         let nodes = ref 0
         and buckets = ref 0 in
-        List.iter
+        Array.iter
           (fun a ->
             let (Concurrent ((module T), table)) = make () in
             Builder.populate (Instance ((module T), table)) a ~policy:`Base;
             ignore (Obs.Probe.table (module T) ~into:report table);
             nodes := !nodes + T.node_count table;
             buckets := !buckets + T.buckets table)
-          assignments;
+          fx.Builder.assignments;
         let alpha =
-          float_of_int (nactive snap factor) /. float_of_int !buckets
+          float_of_int (nactive fx.Builder.snap factor) /. float_of_int !buckets
         in
         let lines = lines_at ~load_factor:alpha in
         (* export under a per-workload prefix so --metrics-out carries
@@ -1740,63 +1525,3 @@ let inspect ?(options = default_options) ?domains
     "mean chain = nodes/buckets over every bucket; the appendix's \
      lines-per-miss is 1 + alpha/2 (Table 2).";
   rows
-
-(* --- NUMA replication (PR 7) --- *)
-
-type numa_suite = {
-  numa_cfg : Numa.Numa_sim.config;
-  numa_outcome : Numa.Numa_sim.outcome;
-}
-
-let numa_for_suite ?(options = default_options) ?(domains = 1) () =
-  let base =
-    if options.quick then Numa.Numa_sim.quick_config
-    else Numa.Numa_sim.default_config
-  in
-  let cfg = { base with Numa.Numa_sim.domains } in
-  let outcome = Numa.Numa_sim.run cfg in
-  Format.printf "@.== NUMA-replicated service ==@.%a" Numa.Numa_sim.pp_outcome
-    outcome;
-  { numa_cfg = cfg; numa_outcome = outcome }
-
-let numa_suite_clean s = Numa.Numa_sim.all_clean s.numa_outcome
-
-(* --- multi-tenant fleet (PR 8) --- *)
-
-type fleet_suite = {
-  fleet_cfg : Fleet.Fleet_sim.config;
-  fleet_outcome : Fleet.Fleet_sim.outcome;
-}
-
-let fleet_for_suite ?(options = default_options) ?(domains = 1) () =
-  let base =
-    if options.quick then Fleet.Fleet_sim.quick_config
-    else Fleet.Fleet_sim.default_config
-  in
-  let cfg = { base with Fleet.Fleet_sim.domains } in
-  let outcome = Fleet.Fleet_sim.run cfg in
-  Format.printf "@.== Multi-tenant fleet ==@.%a" Fleet.Fleet_sim.pp_outcome
-    outcome;
-  { fleet_cfg = cfg; fleet_outcome = outcome }
-
-let fleet_suite_clean s = Fleet.Fleet_sim.all_clean s.fleet_outcome
-
-(* --- crash/recovery chaos soak (PR 10) --- *)
-
-type chaos_suite = {
-  chaos_cfg : Fleet.Chaos_sim.config;
-  chaos_outcome : Fleet.Chaos_sim.outcome;
-}
-
-let chaos_for_suite ?(options = default_options) ?(domains = 1) () =
-  let base =
-    if options.quick then Fleet.Chaos_sim.quick_config
-    else Fleet.Chaos_sim.default_config
-  in
-  let cfg = { base with Fleet.Chaos_sim.domains } in
-  let outcome = Fleet.Chaos_sim.run cfg in
-  Format.printf "@.== Crash/recovery chaos soak ==@.%a"
-    Fleet.Chaos_sim.pp_outcome outcome;
-  { chaos_cfg = cfg; chaos_outcome = outcome }
-
-let chaos_suite_clean s = Fleet.Chaos_sim.all_clean s.chaos_outcome

@@ -17,6 +17,10 @@ type options = {
 
 val default_options : options
 
+val fixture : ?quantum:int -> options -> Workload.Spec.t -> Builder.fixture
+(** {!Builder.fixture} at the options' seed, placement and trace
+    length. *)
+
 val table1 :
   ?options:options -> ?domains:int -> unit ->
   (string * int * float * int) list
@@ -163,6 +167,9 @@ val churn_for_suite :
     under [--quick]) — what [ptsim all] and the benchmark harness
     append after the paper suite. *)
 
+val ablations : ?options:options -> ?domains:int -> unit -> unit
+(** Every ablation above and {!extension_future64}, in order. *)
+
 val all : ?options:options -> ?domains:int -> unit -> unit
 (** Every table and figure in paper order (the churn extension is
     separate — see {!churn_for_suite}). *)
@@ -291,58 +298,3 @@ val inspect :
     within 5% (a tier-1 test holds this).  Also merges each workload's
     histograms into the ambient metrics under [inspect.<workload>.*]
     so [--metrics-out] captures them. *)
-
-(** {1 NUMA replication (PR 7)} *)
-
-type numa_suite = {
-  numa_cfg : Numa.Numa_sim.config;
-  numa_outcome : Numa.Numa_sim.outcome;
-}
-
-val numa_for_suite : ?options:options -> ?domains:int -> unit -> numa_suite
-(** The {!Numa} extension at suite scale: the {!Numa.Numa_sim} matrix
-    (node counts x organizations x replication modes, plus the
-    migration-policy experiment), printed as a table.  The quick
-    config rides [--quick].  [domains] sizes the worker pool only —
-    the outcome, and hence its JSON, is bit-identical for every
-    value. *)
-
-val numa_suite_clean : numa_suite -> bool
-(** Every row's replicas passed fsck. *)
-
-(** {1 Multi-tenant fleet (PR 8)} *)
-
-type fleet_suite = {
-  fleet_cfg : Fleet.Fleet_sim.config;
-  fleet_outcome : Fleet.Fleet_sim.outcome;
-}
-
-val fleet_for_suite : ?options:options -> ?domains:int -> unit -> fleet_suite
-(** The {!Fleet} extension at suite scale: churn tenants over sharded
-    services with ASID-tagged TLBs, batched range ops and frame-budget
-    eviction, printed as a table.  The quick config rides [--quick].
-    [domains] sizes the worker pool only — the outcome is bit-identical
-    for every value. *)
-
-val fleet_suite_clean : fleet_suite -> bool
-(** Every row fsck-clean (including cross-shard ASID placement) with
-    drained limbo. *)
-
-(** {1 Crash/recovery chaos soak (PR 10)} *)
-
-type chaos_suite = {
-  chaos_cfg : Fleet.Chaos_sim.config;
-  chaos_outcome : Fleet.Chaos_sim.outcome;
-}
-
-val chaos_for_suite : ?options:options -> ?domains:int -> unit -> chaos_suite
-(** The {!Fleet.Chaos_sim} soak at suite scale: tenants churning over
-    crash-consistent shards (per-shard WAL + checkpoints) while shards
-    are killed at planned WAL offsets, at random, mid-checkpoint and
-    mid-recovery.  The quick config rides [--quick]; [domains] sizes
-    the worker pool only — the outcome is bit-identical for every
-    value. *)
-
-val chaos_suite_clean : chaos_suite -> bool
-(** Every recovery converged, every final table oracle-equivalent,
-    fsck- and placement-clean, limbo drained. *)

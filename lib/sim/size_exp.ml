@@ -9,25 +9,16 @@ type row = {
 
 let default_seed = 0x5EED_1995L
 
-let assignments_of spec ~seed ~placement_p =
-  let snap = Workload.Snapshot.generate spec ~seed in
-  List.mapi
-    (fun i proc ->
-      Builder.assign proc ~placement_p
-        ~seed:(Int64.add seed (Int64.of_int (i + 1)))
-        ())
-    snap.Workload.Snapshot.procs
-
 let size_of kind ~policy ~assignments =
-  List.fold_left
-    (fun acc assignment ->
-      let pt = Factory.make kind in
-      Builder.populate pt assignment ~policy;
-      acc + Pt_common.Intf.size_bytes pt)
-    0 assignments
+  Array.fold_left
+    (fun acc pt -> acc + Pt_common.Intf.size_bytes pt)
+    0
+    (Builder.tables kind ~policy assignments)
 
 let row_of spec ~seed ~placement_p ~columns =
-  let assignments = assignments_of spec ~seed ~placement_p in
+  let assignments =
+    (Builder.fixture spec ~seed ~placement_p).Builder.assignments
+  in
   let hashed_bytes = size_of Factory.Hashed ~policy:`Base ~assignments in
   let cells =
     List.map
@@ -43,7 +34,7 @@ let row_of spec ~seed ~placement_p ~columns =
   {
     workload = spec.Workload.Spec.name;
     pages =
-      List.fold_left (fun acc a -> acc + a.Builder.pages) 0 assignments;
+      Array.fold_left (fun acc a -> acc + a.Builder.pages) 0 assignments;
     hashed_bytes;
     cells;
   }
@@ -83,24 +74,18 @@ let figure10 ?(seed = default_seed) ?domains ?(placement_p = 0.95)
   |> Array.to_list
 
 let subblock_sweep ?(seed = default_seed) ~factors spec =
-  let assignments = assignments_of spec ~seed ~placement_p:0.95 in
-  let hashed_bytes = size_of Factory.Hashed ~policy:`Base ~assignments in
+  let snap = Workload.Snapshot.generate spec ~seed in
+  let size kind ~subblock_factor =
+    size_of kind ~policy:`Base
+      ~assignments:(Builder.assignments snap ~seed ~subblock_factor)
+  in
+  let hashed_bytes = size Factory.Hashed ~subblock_factor:16 in
   List.map
     (fun factor ->
       (* blocks must be re-formed at each factor *)
-      let snap = Workload.Snapshot.generate spec ~seed in
-      let assignments =
-        List.mapi
-          (fun i proc ->
-            Builder.assign proc ~subblock_factor:factor
-              ~seed:(Int64.add seed (Int64.of_int (i + 1)))
-              ())
-          snap.Workload.Snapshot.procs
-      in
       let bytes =
-        size_of
-          (Factory.Clustered { subblock_factor = factor })
-          ~policy:`Base ~assignments
+        size (Factory.Clustered { subblock_factor = factor })
+          ~subblock_factor:factor
       in
       (factor, float_of_int bytes /. float_of_int hashed_bytes))
     factors

@@ -44,6 +44,6 @@ val subblock_sweep :
 val size_of :
   Factory.kind ->
   policy:Builder.pte_policy ->
-  assignments:Builder.assignment list ->
+  assignments:Builder.assignment array ->
   int
 (** Build fresh tables (one per process) and sum their sizes. *)

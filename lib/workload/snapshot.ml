@@ -157,49 +157,85 @@ let save t path =
             p.segments)
         t.procs)
 
+(* VPNs of a 64-bit address space with 4 KB pages *)
+let vpn_limit = Int64.shift_left 1L 52
+
+exception Bad_line of int * string
+
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let workload = ref "" and procs = ref [] and segs = ref [] in
-      let cur = ref None in
-      let flush_proc () =
-        match !cur with
-        | Some pname ->
-            procs := { pname; segments = List.rev !segs } :: !procs;
-            segs := []
-        | None -> ()
+  let parse n line =
+    let bad fmt = Printf.ksprintf (fun m -> raise (Bad_line (n, m))) fmt in
+    match String.split_on_char ' ' (String.trim line) with
+    | [ "workload"; name ] -> `Workload name
+    | [ "proc"; pname ] -> `Proc pname
+    | [ "seg"; kind; first; pages ] ->
+        let kind =
+          match kind with
+          | "dense" -> Dense
+          | "chunk" -> Chunk
+          | "sparse" -> Sparse
+          | k -> bad "bad segment kind %S" k
+        in
+        let first_vpn =
+          match Int64.of_string_opt ("0x" ^ first) with
+          | Some v -> v
+          | None -> bad "bad VPN %S" first
+        in
+        let pages =
+          match int_of_string_opt pages with
+          | Some p when p >= 1 -> p
+          | _ -> bad "bad page count %S" pages
+        in
+        if
+          first_vpn < 0L
+          || Int64.sub vpn_limit first_vpn < Int64.of_int pages
+        then bad "segment outside the 52-bit VPN space";
+        `Seg { kind; first_vpn; pages }
+    | [ "" ] | [] -> `Blank
+    | _ -> bad "bad line %S" line
+  in
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | text -> (
+      let workload = ref "" and procs = ref [] and cur = ref None in
+      let rec disjoint = function
+        | (m, p) :: ((n, s) :: _ as rest) ->
+            if Int64.add p.first_vpn (Int64.of_int p.pages) > s.first_vpn then
+              raise (Bad_line (n, Printf.sprintf "segment overlaps line %d" m));
+            disjoint rest
+        | _ -> ()
       in
-      (try
-         while true do
-           let line = input_line ic in
-           match String.split_on_char ' ' (String.trim line) with
-           | [ "workload"; name ] -> workload := name
-           | [ "proc"; pname ] ->
-               flush_proc ();
-               cur := Some pname
-           | [ "seg"; kind; first; pages ] ->
-               let kind =
-                 match kind with
-                 | "dense" -> Dense
-                 | "chunk" -> Chunk
-                 | "sparse" -> Sparse
-                 | k -> failwith ("Snapshot.load: bad segment kind " ^ k)
-               in
-               segs :=
-                 {
-                   kind;
-                   first_vpn = Int64.of_string ("0x" ^ first);
-                   pages = int_of_string pages;
-                 }
-                 :: !segs
-           | [ "" ] | [] -> ()
-           | _ -> failwith ("Snapshot.load: bad line: " ^ line)
-         done
-       with End_of_file -> ());
-      flush_proc ();
-      { workload = !workload; procs = List.rev !procs })
+      (* [generate] never overlaps a process's segments; a file that
+         does would count pages twice *)
+      let flush_proc () =
+        Option.iter
+          (fun (pname, segs) ->
+            disjoint
+              (List.sort
+                 (fun (n, a) (m, b) ->
+                   compare (a.first_vpn, n) (b.first_vpn, m))
+                 segs);
+            procs := { pname; segments = List.rev_map snd segs } :: !procs)
+          !cur
+      in
+      try
+        List.iteri
+          (fun i line ->
+            match parse (i + 1) line with
+            | `Workload name -> workload := name
+            | `Proc pname ->
+                flush_proc ();
+                cur := Some (pname, [])
+            | `Seg seg -> (
+                match !cur with
+                | Some (pname, segs) ->
+                    cur := Some (pname, (i + 1, seg) :: segs)
+                | None -> raise (Bad_line (i + 1, "segment before any proc")))
+            | `Blank -> ())
+          (String.split_on_char '\n' text);
+        flush_proc ();
+        Ok { workload = !workload; procs = List.rev !procs }
+      with Bad_line (n, msg) -> Error (Printf.sprintf "%s:%d: %s" path n msg))
 
 let pp ppf t =
   Format.fprintf ppf "%s:" t.workload;

@@ -38,7 +38,9 @@ val save : t -> string -> unit
 (** Write to a file in a line-oriented text format (one [proc] line
     per process, one [seg] line per segment). *)
 
-val load : string -> t
-(** Inverse of {!save}.  Raises [Failure] on malformed input. *)
+val load : string -> (t, string) result
+(** Inverse of {!save}.  Never raises: an unreadable file, a malformed
+    line, a segment outside the 52-bit VPN space or one overlapping
+    another of its process is an [Error] naming the file and line. *)
 
 val pp : Format.formatter -> t -> unit

@@ -205,82 +205,72 @@ let save t path =
           | Touch (p, vpn) -> Printf.fprintf oc "T %d %Lx\n" p vpn)
         t)
 
+(* VPNs of a 64-bit address space with 4 KB pages *)
+let vpn_limit = Int64.shift_left 1L 52
+
+exception Malformed
+
 let parse_line line =
+  let proc p =
+    match int_of_string_opt p with
+    | Some p when p >= 0 -> p
+    | _ -> raise Malformed
+  and vpn v =
+    match Int64.of_string_opt ("0x" ^ v) with
+    | Some v when v >= 0L && v < vpn_limit -> v
+    | _ -> raise Malformed
+  and int n =
+    match int_of_string_opt n with Some n -> n | None -> raise Malformed
+  in
   match String.split_on_char ' ' (String.trim line) with
-  | [ "A"; p; vpn ] ->
-      Some (Access (int_of_string p, Int64.of_string ("0x" ^ vpn)))
-  | [ "S"; p ] -> Some (Switch (int_of_string p))
-  | [ "M"; p; vpn; pages ] ->
-      Some
-        (Mmap
-           (int_of_string p, Int64.of_string ("0x" ^ vpn), int_of_string pages))
-  | [ "U"; p; vpn; pages ] ->
-      Some
-        (Munmap
-           (int_of_string p, Int64.of_string ("0x" ^ vpn), int_of_string pages))
-  | [ "P"; p; vpn; pages; w ] ->
-      Some
-        (Protect
-           ( int_of_string p,
-             Int64.of_string ("0x" ^ vpn),
-             int_of_string pages,
-             int_of_string w <> 0 ))
-  | [ "F"; parent; child ] ->
-      Some (Fork (int_of_string parent, int_of_string child))
-  | [ "X"; p ] -> Some (Exit (int_of_string p))
-  | [ "T"; p; vpn ] ->
-      Some (Touch (int_of_string p, Int64.of_string ("0x" ^ vpn)))
+  | [ "A"; p; v ] -> Some (Access (proc p, vpn v))
+  | [ "S"; p ] -> Some (Switch (proc p))
+  | [ "M"; p; v; pages ] -> Some (Mmap (proc p, vpn v, int pages))
+  | [ "U"; p; v; pages ] -> Some (Munmap (proc p, vpn v, int pages))
+  | [ "P"; p; v; pages; w ] ->
+      Some (Protect (proc p, vpn v, int pages, int w <> 0))
+  | [ "F"; parent; child ] -> Some (Fork (proc parent, proc child))
+  | [ "X"; p ] -> Some (Exit (proc p))
+  | [ "T"; p; v ] -> Some (Touch (proc p, vpn v))
   | [ "" ] | [] -> None
-  | _ -> failwith ("Trace.load: bad line: " ^ line)
+  | _ -> raise Malformed
 
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let events = ref [] in
-      let first = ref true in
-      (try
-         while true do
-           let line = input_line ic in
-           if !first then begin
-             first := false;
-             let n = String.length header_prefix in
-             if
-               String.length line > n && String.sub line 0 n = header_prefix
-             then begin
-               (* versioned header: reject files written by a format we
-                  do not know how to read *)
-               let v =
-                 match
-                   int_of_string_opt
-                     (String.trim
-                        (String.sub line n (String.length line - n)))
-                 with
-                 | Some v -> v
-                 | None -> failwith ("Trace.load: bad header: " ^ line)
-               in
-               if v < 1 || v > format_version then
-                 failwith
-                   (Printf.sprintf
-                      "Trace.load: unsupported trace format v%d (this build \
-                       reads up to v%d)"
-                      v format_version)
-             end
-             else begin
-               (* headerless v1 file: first line is already an event *)
-               match parse_line line with
-               | Some e -> events := e :: !events
-               | None -> ()
-             end
-           end
-           else
-             match parse_line line with
-             | Some e -> events := e :: !events
-             | None -> ()
-         done
-       with End_of_file -> ());
-      Array.of_list (List.rev !events))
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | text -> (
+      let error n fmt =
+        Printf.ksprintf
+          (fun m -> Error (Printf.sprintf "%s:%d: %s" path n m))
+          fmt
+      in
+      let rec events n acc = function
+        | [] -> Ok (Array.of_list (List.rev acc))
+        | line :: rest -> (
+            match parse_line line with
+            | Some e -> events (n + 1) (e :: acc) rest
+            | None -> events (n + 1) acc rest
+            | exception Malformed -> error n "bad event %S" line)
+      in
+      let n = String.length header_prefix in
+      match String.split_on_char '\n' text with
+      | first :: rest
+        when String.length first > n && String.sub first 0 n = header_prefix
+        -> (
+          (* versioned header: reject files written by a format we do
+             not know how to read *)
+          match
+            int_of_string_opt
+              (String.trim (String.sub first n (String.length first - n)))
+          with
+          | None -> error 1 "bad header %S" first
+          | Some v when v < 1 || v > format_version ->
+              error 1
+                "unsupported trace format v%d (this build reads up to v%d)" v
+                format_version
+          | Some _ -> events 2 [] rest)
+      (* a headerless v1 file: the first line is already an event *)
+      | lines -> events 1 [] lines)
 
 let accesses t =
   Array.fold_left

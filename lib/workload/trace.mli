@@ -48,9 +48,11 @@ val save : t -> string -> unit
     ["F <parent> <child>"], ["X <pid>"] (exit) or ["T <pid> <vpn-hex>"]
     (touch). *)
 
-val load : string -> t
-(** Inverse of {!save}; also reads headerless v1 files.  Raises
-    [Failure] on malformed input or an unsupported format version. *)
+val load : string -> (t, string) result
+(** Inverse of {!save}; also reads headerless v1 files.  Never raises:
+    an unreadable file, a malformed event (a negative process index, a
+    VPN outside the 52-bit VPN space) or an unsupported format version
+    is an [Error] naming the file and line. *)
 
 val accesses : t -> int
 

@@ -62,7 +62,8 @@ let test_builder_all_tables_agree () =
 let test_builder_policies () =
   let assignments = assignments_of Workload.Table1.ml in
   let size policy =
-    Sim.Size_exp.size_of Sim.Factory.clustered16 ~policy ~assignments
+    Sim.Size_exp.size_of Sim.Factory.clustered16 ~policy
+      ~assignments:(Array.of_list assignments)
   in
   let base = size `Base and sp = size `Superpage and psb = size `Psb in
   Alcotest.(check bool) "superpage shrinks the table" true (sp < base);
@@ -122,7 +123,10 @@ let test_simulated_sizes_match_formulae () =
             acc + Workload.Snapshot.active_blocks ~subblock_factor:p proc)
           0 snap.Workload.Snapshot.procs
       in
-      let sim kind = Sim.Size_exp.size_of kind ~policy:`Base ~assignments in
+      let sim kind =
+        Sim.Size_exp.size_of kind ~policy:`Base
+          ~assignments:(Array.of_list assignments)
+      in
       Alcotest.(check int)
         (spec.Workload.Spec.name ^ " hashed")
         (Sim.Analytic.hashed_size ~nactive1:(nactive 1))
@@ -271,9 +275,50 @@ let test_subblock_sweep_tradeoff () =
   Alcotest.(check bool) "sparse prefers smaller factors more than dense" true
     (at sparse 16 /. at sparse 2 > at dense 16 /. at dense 2)
 
+(* Builder.iter_pages visits exactly the snapshot's pages, each once:
+   block by block in insertion order, ascending within a block, at any
+   subblock factor (a VPN rebuilt with a fixed factor-16 shift fails at
+   factor 4) *)
+let test_iter_pages_visits_every_page () =
+  let snap = Workload.Snapshot.generate Workload.Table1.gcc ~seed in
+  List.iter
+    (fun factor ->
+      Array.iteri
+        (fun i a ->
+          let name = Printf.sprintf "factor %d, proc %d" factor i in
+          let visited = ref [] in
+          Sim.Builder.iter_pages a (fun vpn _ -> visited := vpn :: !visited);
+          let visited = List.rev !visited in
+          Alcotest.(check (list int64))
+            (name ^ ": every page once")
+            (Array.to_list
+               (Workload.Snapshot.proc_vpns
+                  (List.nth snap.Workload.Snapshot.procs i)))
+            (List.sort Int64.unsigned_compare visited);
+          let block = Addr.Vaddr.vpbn_of_vpn ~subblock_factor:factor in
+          let rec runs = function
+            | v :: (w :: _ as rest) ->
+                if block v = block w then begin
+                  if Int64.unsigned_compare v w >= 0 then
+                    Alcotest.failf "%s: %Lx visited before %Lx" name v w;
+                  runs rest
+                end
+                else 1 + runs rest
+            | [ _ ] -> 1
+            | [] -> 0
+          in
+          Alcotest.(check int)
+            (name ^ ": one ascending run per block")
+            (List.length a.Sim.Builder.blocks)
+            (runs visited))
+        (Sim.Builder.assignments snap ~seed ~subblock_factor:factor))
+    [ 4; 16 ]
+
 let suite =
   ( "sim",
     [
+      Alcotest.test_case "builder: iter_pages visits every page" `Quick
+        test_iter_pages_visits_every_page;
       Alcotest.test_case "builder: all tables agree" `Quick
         test_builder_all_tables_agree;
       Alcotest.test_case "builder: policies shrink" `Quick test_builder_policies;
@@ -418,7 +463,8 @@ let test_mixed_policy () =
      full blocks as superpage translations *)
   let assignments = assignments_of Workload.Table1.ml in
   let size policy =
-    Sim.Size_exp.size_of Sim.Factory.clustered16 ~policy ~assignments
+    Sim.Size_exp.size_of Sim.Factory.clustered16 ~policy
+      ~assignments:(Array.of_list assignments)
   in
   Alcotest.(check bool) "mixed <= psb" true (size `Mixed <= size `Psb);
   let pt = Sim.Factory.make Sim.Factory.clustered16 in

@@ -201,8 +201,8 @@ let test_snapshot_roundtrip () =
   let snap = Workload.Snapshot.generate Workload.Table1.gcc ~seed:1L in
   with_tmp (fun path ->
       Workload.Snapshot.save snap path;
-      let back = Workload.Snapshot.load path in
-      Alcotest.(check bool) "identical" true (snap = back))
+      Alcotest.(check bool) "identical" true
+        (Workload.Snapshot.load path = Ok snap))
 
 let test_trace_roundtrip () =
   let spec = Workload.Table1.compress in
@@ -210,8 +210,8 @@ let test_trace_roundtrip () =
   let trace = Workload.Trace.generate spec snap ~seed:2L ~length:2000 in
   with_tmp (fun path ->
       Workload.Trace.save trace path;
-      let back = Workload.Trace.load path in
-      Alcotest.(check bool) "identical" true (trace = back))
+      Alcotest.(check bool) "identical" true
+        (Workload.Trace.load path = Ok trace))
 
 let test_load_rejects_garbage () =
   with_tmp (fun path ->
@@ -219,8 +219,11 @@ let test_load_rejects_garbage () =
       output_string oc "A banana\n";
       close_out oc;
       match Workload.Trace.load path with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.fail "expected Failure")
+      | Error msg ->
+          Alcotest.(check string) "names the file and line"
+            (path ^ ":1: bad event \"A banana\"")
+            msg
+      | Ok _ -> Alcotest.fail "expected an error")
 
 (* every churn op kind survives a save/load round trip *)
 let test_churn_trace_roundtrip () =
@@ -241,8 +244,8 @@ let test_churn_trace_roundtrip () =
   in
   with_tmp (fun path ->
       Workload.Trace.save trace path;
-      let back = Workload.Trace.load path in
-      Alcotest.(check bool) "identical" true (trace = back))
+      Alcotest.(check bool) "identical" true
+        (Workload.Trace.load path = Ok trace))
 
 let test_load_rejects_unknown_version () =
   with_tmp (fun path ->
@@ -251,10 +254,16 @@ let test_load_rejects_unknown_version () =
         (Workload.Trace.format_version + 1);
       close_out oc;
       match Workload.Trace.load path with
-      | exception Failure msg ->
-          Alcotest.(check bool) "message names the version" true
-            (String.length msg > 0)
-      | _ -> Alcotest.fail "expected Failure on a future format version")
+      | Error msg ->
+          Alcotest.(check string) "message names the version"
+            (Printf.sprintf
+               "%s:1: unsupported trace format v%d (this build reads up to \
+                v%d)"
+               path
+               (Workload.Trace.format_version + 1)
+               Workload.Trace.format_version)
+            msg
+      | Ok _ -> Alcotest.fail "expected an error on a future format version")
 
 (* a headerless v1 file (written before the version header existed)
    still loads *)
@@ -263,14 +272,14 @@ let test_load_headerless_v1 () =
       let oc = open_out path in
       output_string oc "A 0 1f\nS 1\nA 1 2a\n";
       close_out oc;
-      let back = Workload.Trace.load path in
       Alcotest.(check bool) "identical" true
-        (back
-        = [|
-            Workload.Trace.Access (0, 0x1fL);
-            Workload.Trace.Switch 1;
-            Workload.Trace.Access (1, 0x2aL);
-          |]))
+        (Workload.Trace.load path
+        = Ok
+            [|
+              Workload.Trace.Access (0, 0x1fL);
+              Workload.Trace.Switch 1;
+              Workload.Trace.Access (1, 0x2aL);
+            |]))
 
 let suite =
   ( fst suite,
@@ -285,6 +294,65 @@ let suite =
           test_load_rejects_unknown_version;
         Alcotest.test_case "headerless v1 load" `Quick test_load_headerless_v1;
       ] )
+
+(* Every decoder survives arbitrary bytes: a dumped snapshot and trace
+   with bytes flipped, the file truncated or bytes appended load to
+   [Ok] or [Error], never an exception; unmodified, both round-trip. *)
+let prop_loaders_survive_any_bytes =
+  let spec = Workload.Table1.compress in
+  let snap = Workload.Snapshot.generate spec ~seed:5L in
+  let trace = Workload.Trace.generate spec snap ~seed:6L ~length:300 in
+  let dumped save v =
+    with_tmp (fun path ->
+        save v path;
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  let snap_text = dumped Workload.Snapshot.save snap
+  and trace_text = dumped Workload.Trace.save trace in
+  let mutate text (kind, pos, bytes) =
+    let i = pos mod (String.length text + 1) in
+    match kind with
+    | 0 ->
+        String.mapi
+          (fun j c ->
+            let k = j - i in
+            if k >= 0 && k < String.length bytes then
+              Char.chr (Char.code c lxor (Char.code bytes.[k] lor 1))
+            else c)
+          text
+    | 1 -> String.sub text 0 i
+    | _ -> text ^ bytes
+  in
+  let loads load text original =
+    with_tmp (fun path ->
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        match load path with
+        | Ok v -> original = None || original = Some v
+        | Error _ -> original = None
+        | exception e ->
+            QCheck.Test.fail_reportf "load raised %s" (Printexc.to_string e))
+  in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_bound 4)
+        (triple (int_bound 2) nat (string_size ~gen:char (int_range 1 8))))
+  in
+  QCheck.Test.make ~name:"snapshot and trace loaders survive any bytes"
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list (triple int int string)) gen)
+    (fun mutations ->
+      let original v = if mutations = [] then Some v else None in
+      loads Workload.Snapshot.load
+        (List.fold_left mutate snap_text mutations)
+        (original snap)
+      && loads Workload.Trace.load
+           (List.fold_left mutate trace_text mutations)
+           (original trace))
+
+let suite =
+  ( fst suite,
+    snd suite @ [ QCheck_alcotest.to_alcotest prop_loaders_survive_any_bytes ]
+  )
 
 (* random profiles always produce valid snapshots: exact page counts,
    no duplicates, all segment invariants *)
