@@ -58,14 +58,18 @@ let sample_vpns =
 let lookup_bench kind ~policy =
   let pt = populated kind ~policy in
   let vpns = Lazy.force sample_vpns in
+  (* the miss path every experiment runs: one reused accumulator, reset
+     per walk *)
+  let acc = Mem.Walk_acc.create () in
   (* warm caching structures (the TSBs) so the estimate is the hit
      path, comparable across organizations *)
-  Array.iter (fun vpn -> ignore (Intf.lookup pt ~vpn)) vpns;
+  Array.iter
+    (fun vpn ->
+      Mem.Walk_acc.reset acc;
+      ignore (Intf.lookup_into pt acc ~vpn))
+    vpns;
   let n = Array.length vpns in
   let i = ref 0 in
-  (* the miss path every experiment runs: one reused accumulator, reset
-     per walk, no walk record built *)
-  let acc = Mem.Walk_acc.create () in
   Staged.stage (fun () ->
       let vpn = vpns.(!i) in
       i := (!i + 1) mod n;
@@ -77,10 +81,13 @@ let lookup_block_bench kind =
   let vpns = Lazy.force sample_vpns in
   let n = Array.length vpns in
   let i = ref 0 in
+  let acc = Mem.Walk_acc.create () in
   Staged.stage (fun () ->
       let vpn = vpns.(!i) in
       i := (!i + 1) mod n;
-      Sys.opaque_identity (ignore (Intf.lookup_block pt ~vpn ~subblock_factor:16)))
+      Mem.Walk_acc.reset acc;
+      Sys.opaque_identity
+        (ignore (Intf.lookup_block pt acc ~vpn ~subblock_factor:16)))
 
 let insert_remove_bench kind =
   let pt = Sim.Factory.make kind in

@@ -29,14 +29,18 @@ let () =
 
   (* Service a TLB miss: translate a faulting address. *)
   let faulting = 0x4100_5678L in
-  (match Clustered_pt.Table.lookup table ~vpn:(Addr.Vaddr.vpn faulting) with
-  | Some tr, walk ->
+  (* the walk's reads are charged to an accumulator *)
+  let walk = Mem.Walk_acc.create () in
+  (match
+     Clustered_pt.Table.lookup_into table walk ~vpn:(Addr.Vaddr.vpn faulting)
+   with
+  | Some tr ->
       Format.printf "lookup %a -> %a@." Addr.Vaddr.pp faulting
         Pt_common.Types.pp_translation tr;
       Printf.printf "the walk read %d node(s) and touched %d cache line(s)\n\n"
-        walk.Pt_common.Types.probes
-        (Pt_common.Types.walk_lines walk)
-  | None, _ -> print_endline "page fault!");
+        (Mem.Walk_acc.probes walk)
+        (Mem.Cache_model.record_acc (Mem.Cache_model.create_counter ()) walk)
+  | None -> print_endline "page fault!");
 
   (* The OS notices the first block is fully populated and properly
      placed, and promotes it to a 64 KB superpage PTE (Section 5). *)
@@ -51,8 +55,9 @@ let () =
     (Clustered_pt.Table.size_bytes table);
 
   (* The promoted mapping translates the same addresses. *)
-  match Clustered_pt.Table.lookup table ~vpn:first_vpn with
-  | Some tr, _ ->
+  Mem.Walk_acc.reset walk;
+  match Clustered_pt.Table.lookup_into table walk ~vpn:first_vpn with
+  | Some tr ->
       Format.printf "lookup after promotion -> %a@."
         Pt_common.Types.pp_translation tr
-  | None, _ -> print_endline "page fault!"
+  | None -> print_endline "page fault!"

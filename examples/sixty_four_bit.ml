@@ -52,7 +52,7 @@ let () =
      chain node, the clustered table pays one node *)
   Printf.printf "\ncache lines per TLB miss (single-page-size TLB):\n";
   let run =
-    Sim.Access_exp.run ~seed ~length:40_000 ~design:Sim.Access_exp.Single
+    Sim.Access_exp.run ~design:Sim.Access_exp.Single
       ~pt_kinds:
         [
           Sim.Factory.Linear1;
@@ -61,7 +61,7 @@ let () =
           Sim.Factory.Hashed;
           Sim.Factory.clustered16;
         ]
-      spec
+      (Sim.Builder.fixture spec ~seed ~length:40_000)
   in
   List.iter
     (fun r ->
@@ -88,12 +88,13 @@ let () =
     (fun a -> Sim.Builder.populate instance a ~policy:`Base)
     assignments;
   let counter = Mem.Cache_model.create_counter () in
+  let acc = Mem.Walk_acc.create () in
   Array.iter
     (fun a ->
       Sim.Builder.iter_pages a (fun vpn _ ->
-          let _, w = Clustered_pt.Table.lookup table ~vpn in
-          ignore
-            (Mem.Cache_model.record_walk counter w.Pt_common.Types.accesses)))
+          Mem.Walk_acc.reset acc;
+          ignore (Clustered_pt.Table.lookup_into table acc ~vpn);
+          ignore (Mem.Cache_model.record_acc counter acc)))
     assignments;
   Printf.printf "  clustered @ 16384 buckets: %.2f lines/lookup\n"
     (Mem.Cache_model.mean_lines counter)

@@ -43,8 +43,8 @@ let () =
     (100.0
     *. (1.0 -. float_of_int (Intf.size_bytes sp) /. float_of_int (Intf.size_bytes base)));
   (* and the TLB sees superpage translations now *)
-  match Intf.lookup sp ~vpn:0x9010L with
-  | Some tr, _ ->
+  match Intf.lookup_into sp (Mem.Walk_acc.create ()) ~vpn:0x9010L with
+  | Some tr ->
       Format.printf "a miss to 0x9010 now loads: %a@."
         Pt_common.Types.pp_translation tr
-  | None, _ -> assert false
+  | None -> assert false

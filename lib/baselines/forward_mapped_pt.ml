@@ -122,27 +122,16 @@ let lookup_into t acc ~vpn =
   in
   descend t.root
 
-let lookup t ~vpn =
-  let acc = Mem.Walk_acc.create ~capacity:8 () in
-  let tr = lookup_into t acc ~vpn in
-  (tr, Types.acc_to_walk acc)
-
-let lookup_block t ~vpn ~subblock_factor =
+let lookup_block t acc ~vpn ~subblock_factor =
   (* descend once, then the block's leaf slots are adjacent memory *)
-  let block_base =
-    Int64.mul
-      (Int64.div vpn (Int64.of_int subblock_factor))
-      (Int64.of_int subblock_factor)
-  in
+  let block_base = Types.block_base ~vpn ~subblock_factor in
   let leaf_level = levels t - 1 in
-  let rec descend n walk =
+  let rec descend n =
     let idx = index_at t ~level:n.level block_base in
     if n.level = leaf_level then begin
-      let walk =
-        Types.walk_probe
-          (Types.walk_read walk ~addr:(slot_addr n idx)
-             ~bytes:(8 * subblock_factor))
-      in
+      Mem.Walk_acc.read acc ~addr:(slot_addr n idx)
+        ~bytes:(8 * subblock_factor);
+      Mem.Walk_acc.probe acc;
       let results = ref [] in
       for i = subblock_factor - 1 downto 0 do
         let page = Int64.add block_base (Int64.of_int i) in
@@ -157,16 +146,14 @@ let lookup_block t ~vpn ~subblock_factor =
               | None -> ())
           | Empty | Child _ -> ()
       done;
-      (!results, walk)
+      !results
     end
-    else
-      let walk =
-        Types.walk_probe
-          (Types.walk_read walk ~addr:(slot_addr n idx) ~bytes:8)
-      in
+    else begin
+      Mem.Walk_acc.read acc ~addr:(slot_addr n idx) ~bytes:8;
+      Mem.Walk_acc.probe acc;
       match n.slots.(idx) with
-      | Empty -> ([], walk)
-      | Word w -> (
+      | Empty -> []
+      | Word w ->
           (* an intermediate superpage covers the whole block *)
           let results = ref [] in
           for i = subblock_factor - 1 downto 0 do
@@ -178,10 +165,11 @@ let lookup_block t ~vpn ~subblock_factor =
             | Some tr -> results := (i, tr) :: !results
             | None -> ()
           done;
-          (!results, walk))
-      | Child c -> descend c walk
+          !results
+      | Child c -> descend c
+    end
   in
-  descend t.root Types.empty_walk
+  descend t.root
 
 (* --- insertion --- *)
 

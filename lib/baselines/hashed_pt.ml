@@ -194,26 +194,16 @@ let lookup_into t acc ~vpn =
       | Some _ as tr -> tr
       | None -> second t acc ~vpn)
 
-let lookup t ~vpn =
-  let acc = Mem.Walk_acc.create ~capacity:8 () in
-  let tr = lookup_into t acc ~vpn in
-  (tr, Types.acc_to_walk acc)
-
-let lookup_block t ~vpn ~subblock_factor =
+let lookup_block t acc ~vpn ~subblock_factor =
   (* One probe per base page: the cost that makes complete-subblock
      prefetch "terrible" for hashed tables (Section 6.3 / Figure 11d).
      Pages already covered by a found multi-page entry are skipped. *)
-  let base =
-    Int64.mul
-      (Int64.div vpn (Int64.of_int subblock_factor))
-      (Int64.of_int subblock_factor)
-  in
+  let base = Types.block_base ~vpn ~subblock_factor in
   let covered = Array.make subblock_factor false in
-  let results = ref [] and walk = ref Types.empty_walk in
+  let results = ref [] in
   for i = 0 to subblock_factor - 1 do
     if not covered.(i) then begin
-      let found, w = lookup t ~vpn:(Int64.add base (Int64.of_int i)) in
-      walk := Types.walk_join !walk w;
+      let found = lookup_into t acc ~vpn:(Int64.add base (Int64.of_int i)) in
       Option.iter
         (fun (tr : Types.translation) ->
           (* the block's pages this entry maps: a psb entry's valid
@@ -245,7 +235,7 @@ let lookup_block t ~vpn ~subblock_factor =
         found
     end
   done;
-  (List.sort (fun (a, _) (b, _) -> compare a b) !results, !walk)
+  List.sort (fun (a, _) (b, _) -> compare a b) !results
 
 (* --- insertion --- *)
 
@@ -405,36 +395,57 @@ let unmap_run t ~vpn ~pages =
 
 (* --- range attribute updates --- *)
 
+(* The nodes of a searched chain that map [page]: a fine node tagged
+   with its VPN, any superpage-index node, or a coarse node (tagged by
+   VPBN, not VPN) holding a valid superpage or a psb word valid at the
+   page's offset. *)
+type reattr = Fine | Spindex | Coarse
+
+let reattr_maps t how ~key ~page (n : node) =
+  match how with
+  | Fine -> n.tag = key && node_matches t ~vpn:(Int64.of_int page) n
+  | Spindex -> node_matches t ~vpn:(Int64.of_int page) n
+  | Coarse -> (
+      n.tag = key
+      &&
+      match Pte.Word.decode n.w with
+      | Pte.Word.Superpage sp -> sp.valid
+      | Pte.Word.Psb p ->
+          Pte.Psb_pte.valid_at p ~boff:(page land ((1 lsl t.factor_bits) - 1))
+      | Pte.Word.Base _ -> false)
+
+(* Re-encode every node from [n] on that maps [page].  Top level, so a
+   page's update allocates no closure. *)
+let rec reattr_chain t (c : int64 Chain.t) how ~key ~page ~f (n : node) =
+  if n != c.nil then begin
+    (if reattr_maps t how ~key ~page n then
+       match Pt_common.Decode.reencode_attr n.w ~f with
+       | Some w -> n.w <- w
+       | None -> ());
+    reattr_chain t c how ~key ~page ~f n.next
+  end
+
+(* One hash search: [key]'s bucket of [c]. *)
+let reattr_search t c how ~key ~page ~f =
+  reattr_chain t c how ~key ~page ~f c.Chain.heads.(hash t key)
+
+(* A hashed table pays one hash search per base page (Section 3.1), two
+   with a coarse table. *)
 let set_attr_range t region ~f =
-  (* a hashed table pays one hash search per base page (Section 3.1) *)
-  let searches = ref 0 in
-  Addr.Region.iter_vpns region (fun vpn ->
-      incr searches;
-      let key = Int64.to_int vpn and block = Int64.to_int (vpbn t vpn) in
-      (* re-encode every node of [c]'s bucket for [key] that [maps] *)
-      let update_chain c key ~maps =
-        Chain.iter_bucket c ~bucket:(hash t key) (fun n ->
-            if maps n then
-              match Pt_common.Decode.reencode_attr n.w ~f with
-              | Some w -> n.w <- w
-              | None -> ())
-      in
-      let fine_maps (n : node) = n.tag = key && node_matches t ~vpn n in
-      match t.mode with
-      | No_superpages -> update_chain t.fine key ~maps:fine_maps
-      | Superpage_index -> update_chain t.fine block ~maps:(node_matches t ~vpn)
-      | Two_tables _ ->
-          update_chain t.fine key ~maps:fine_maps;
-          incr searches;
-          (* coarse nodes are tagged by VPBN, not VPN *)
-          update_chain t.coarse block ~maps:(fun (n : node) ->
-              n.tag = block
-              &&
-              match Pte.Word.decode n.w with
-              | Pte.Word.Superpage sp -> sp.valid
-              | Pte.Word.Psb p -> Pte.Psb_pte.valid_at p ~boff:(boff t vpn)
-              | Pte.Word.Base _ -> false));
-  !searches
+  let first = Int64.to_int region.Addr.Region.first_vpn in
+  for page = first to first + region.Addr.Region.pages - 1 do
+    let block = page lsr t.factor_bits in
+    match t.mode with
+    | No_superpages -> reattr_search t t.fine Fine ~key:page ~page ~f
+    | Superpage_index -> reattr_search t t.fine Spindex ~key:block ~page ~f
+    | Two_tables _ ->
+        reattr_search t t.fine Fine ~key:page ~page ~f;
+        reattr_search t t.coarse Coarse ~key:block ~page ~f
+  done;
+  let searches_per_page =
+    match t.mode with Two_tables _ -> 2 | No_superpages | Superpage_index -> 1
+  in
+  searches_per_page * region.Addr.Region.pages
 
 (* --- accounting --- *)
 
@@ -486,13 +497,15 @@ let chain_length t ~bucket = Chain.length t.fine ~bucket
 let iter_node_util t ~bucket f =
   Chain.iter_bucket t.fine ~bucket (fun n -> f (word_pages t n.w))
 
-(* Fine-chain tags are VPNs in [No_superpages] mode; [lookup] resolves
-   what each one actually maps. *)
+(* Fine-chain tags are VPNs in [No_superpages] mode; [lookup_into]
+   resolves what each one actually maps. *)
 let iter_mappings t f =
+  let acc = Mem.Walk_acc.create () in
   for bucket = 0 to t.buckets - 1 do
     Chain.iter_bucket t.fine ~bucket (fun n ->
         let vpn = Int64.of_int n.tag in
-        match lookup t ~vpn with Some tr, _ -> f vpn tr | None, _ -> ())
+        Mem.Walk_acc.reset acc;
+        match lookup_into t acc ~vpn with Some tr -> f vpn tr | None -> ())
   done
 
 let load_factor t =

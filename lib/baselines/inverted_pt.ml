@@ -57,53 +57,32 @@ let hash t vpn =
     (Int64.shift_right_logical (Addr.Bits.mix64 vpn)
        (64 - Addr.Bits.log2_exact t.slots))
 
-let anchor_addr t bucket = Int64.add t.anchors_addr (Int64.of_int (8 * bucket))
+let anchor_addr t bucket = Int64.to_int t.anchors_addr + (8 * bucket)
 
-let entry_addr t i = Int64.add t.table_addr (Int64.of_int (entry_bytes * i))
+let entry_addr t i = Int64.to_int t.table_addr + (entry_bytes * i)
 
-let lookup t ~vpn =
+(* Walk the frame chain from [i] on.  Top level, so a walk allocates
+   only the translation it returns. *)
+let rec walk_frames t acc ~vpn i =
+  if i < 0 then None
+  else begin
+    Mem.Walk_acc.read_int acc ~addr:(entry_addr t i) ~bytes:entry_bytes;
+    Mem.Walk_acc.probe acc;
+    if is_used t i && Int64.equal t.vpns.(i) vpn then
+      Some
+        (Types.base_translation ~vpn ~ppn:(Int64.of_int i)
+           ~attr:(Pte.Attr.of_bits (Int64.of_int t.attrs.(i))))
+    else walk_frames t acc ~vpn t.next.(i)
+  end
+
+let lookup_into t acc ~vpn =
   let bucket = hash t vpn in
   (* the anchor dereference is a real memory read here *)
-  let walk =
-    Types.walk_read Types.empty_walk ~addr:(anchor_addr t bucket) ~bytes:8
-  in
-  let rec go i walk =
-    if i < 0 then (None, walk)
-    else
-      let walk =
-        Types.walk_probe
-          (Types.walk_read walk ~addr:(entry_addr t i) ~bytes:entry_bytes)
-      in
-      if is_used t i && Int64.equal t.vpns.(i) vpn then
-        ( Some
-            (Types.base_translation ~vpn ~ppn:(Int64.of_int i)
-               ~attr:(Pte.Attr.of_bits (Int64.of_int t.attrs.(i)))),
-          walk )
-      else go t.next.(i) walk
-  in
-  go t.anchors.(bucket) walk
+  Mem.Walk_acc.read_int acc ~addr:(anchor_addr t bucket) ~bytes:8;
+  walk_frames t acc ~vpn t.anchors.(bucket)
 
-(* Cold path: translated through the legacy walk, then replayed into
-   the caller's accumulator. *)
-let lookup_into t acc ~vpn =
-  let tr, w = lookup t ~vpn in
-  Types.acc_add_walk acc w;
-  tr
-
-let lookup_block t ~vpn ~subblock_factor =
-  let base =
-    Int64.mul
-      (Int64.div vpn (Int64.of_int subblock_factor))
-      (Int64.of_int subblock_factor)
-  in
-  let results = ref [] and walk = ref Types.empty_walk in
-  for i = subblock_factor - 1 downto 0 do
-    let page = Int64.add base (Int64.of_int i) in
-    let tr, w = lookup t ~vpn:page in
-    walk := Types.walk_join w !walk;
-    match tr with Some tr -> results := (i, tr) :: !results | None -> ()
-  done;
-  (!results, !walk)
+let lookup_block t acc ~vpn ~subblock_factor =
+  Types.lookup_pages (lookup_into t) acc ~vpn ~subblock_factor
 
 (* unlink frame [i] from its chain in O(1) via the back pointer *)
 let unlink t i =

@@ -26,19 +26,17 @@ val create : ?arena:Mem.Sim_memory.t -> ?slots:int -> ?frames:int -> unit -> t
 
 val frames : t -> int
 
-val lookup :
-  t -> vpn:int64 -> Pt_common.Types.translation option * Pt_common.Types.walk
-
 val lookup_into :
   t -> Mem.Walk_acc.t -> vpn:int64 -> Pt_common.Types.translation option
-(** Allocation-free {!lookup}: appends the walk's reads and probes to
-    the caller's reusable accumulator. *)
+(** Charges the anchor read, then one entry read and probe per frame
+    on the chain. *)
 
 val lookup_block :
   t ->
+  Mem.Walk_acc.t ->
   vpn:int64 ->
   subblock_factor:int ->
-  (int * Pt_common.Types.translation) list * Pt_common.Types.walk
+  (int * Pt_common.Types.translation) list
 
 val insert_base : t -> vpn:int64 -> ppn:int64 -> attr:Pte.Attr.t -> unit
 (** Raises [Invalid_argument] if [ppn >= frames]. *)

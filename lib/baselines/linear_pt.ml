@@ -120,28 +120,19 @@ let lookup_into t acc ~vpn =
       Pt_common.Decode.translation_of_word ~subblock_factor:16 ~vpn
         leaf.words.(slot)
 
-let lookup t ~vpn =
-  let acc = Mem.Walk_acc.create ~capacity:4 () in
-  let tr = lookup_into t acc ~vpn in
-  (tr, Types.acc_to_walk acc)
-
-let lookup_block t ~vpn ~subblock_factor =
+let lookup_block t acc ~vpn ~subblock_factor =
   (* adjacent leaf PTEs: the block is one contiguous read *)
-  let block_base =
-    Int64.mul
-      (Int64.div vpn (Int64.of_int subblock_factor))
-      (Int64.of_int subblock_factor)
-  in
+  let block_base = Types.block_base ~vpn ~subblock_factor in
   match find_page t ~level:1 block_base with
-  | None -> ([], Types.walk_probe Types.empty_walk)
+  | None ->
+      Mem.Walk_acc.probe acc;
+      []
   | Some leaf ->
       let slot0 = slot_at t ~level:1 block_base in
-      let walk =
-        Types.walk_probe
-          (Types.walk_read Types.empty_walk
-             ~addr:(Int64.add leaf.addr (Int64.of_int (8 * slot0)))
-             ~bytes:(8 * subblock_factor))
-      in
+      Mem.Walk_acc.read acc
+        ~addr:(Int64.add leaf.addr (Int64.of_int (8 * slot0)))
+        ~bytes:(8 * subblock_factor);
+      Mem.Walk_acc.probe acc;
       let results = ref [] in
       for i = subblock_factor - 1 downto 0 do
         let page = Int64.add block_base (Int64.of_int i) in
@@ -155,7 +146,7 @@ let lookup_block t ~vpn ~subblock_factor =
           | Some tr -> results := (i, tr) :: !results
           | None -> ()
       done;
-      (!results, walk)
+      !results
 
 (* --- insertion --- *)
 

@@ -38,19 +38,17 @@ val create :
   t
 (** Defaults: 6 levels, 9 bits (512 entries per page), [`Six_level]. *)
 
-val lookup :
-  t -> vpn:int64 -> Pt_common.Types.translation option * Pt_common.Types.walk
-
 val lookup_into :
   t -> Mem.Walk_acc.t -> vpn:int64 -> Pt_common.Types.translation option
-(** Allocation-free {!lookup}: appends the walk's reads and probes to
-    the caller's reusable accumulator. *)
+(** Charges one probe and the leaf PTE's read; the table's own
+    mappings are taken as TLB-resident. *)
 
 val lookup_block :
   t ->
+  Mem.Walk_acc.t ->
   vpn:int64 ->
   subblock_factor:int ->
-  (int * Pt_common.Types.translation) list * Pt_common.Types.walk
+  (int * Pt_common.Types.translation) list
 (** Adjacent leaf PTEs: the whole block is one contiguous read. *)
 
 val insert_base : t -> vpn:int64 -> ppn:int64 -> attr:Pte.Attr.t -> unit

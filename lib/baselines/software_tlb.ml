@@ -86,52 +86,29 @@ let install t vpn word =
   t.words.(slot) <- word;
   t.stamps.(slot) <- tick t
 
-let lookup t ~vpn =
+let lookup_into t acc ~vpn =
   (* the whole PTE group (set) is read linearly: ways x 16 bytes *)
-  let walk =
-    Types.walk_probe
-      (Types.walk_read Types.empty_walk ~addr:(set_addr t vpn)
-         ~bytes:(16 * t.ways))
-  in
+  Mem.Walk_acc.read acc ~addr:(set_addr t vpn) ~bytes:(16 * t.ways);
+  Mem.Walk_acc.probe acc;
   match find_in_set t vpn with
   | Some i ->
       t.hits <- t.hits + 1;
       t.stamps.(i) <- tick t;
-      ( Pt_common.Decode.translation_of_word ~subblock_factor:16 ~vpn
-          t.words.(i),
-        walk )
+      Pt_common.Decode.translation_of_word ~subblock_factor:16 ~vpn
+        t.words.(i)
   | None ->
       t.misses <- t.misses + 1;
-      let tr, backing_walk = Hashed_pt.lookup t.backing ~vpn in
+      let tr = Hashed_pt.lookup_into t.backing acc ~vpn in
       (* a backing hit refills the set, like a level-two TLB *)
       (match tr with
       | Some r when r.Types.kind = Types.Base ->
           install t vpn
             Pte.Base_pte.(encode (make ~ppn:r.Types.ppn ~attr:r.Types.attr ()))
       | _ -> ());
-      (tr, Types.walk_join walk backing_walk)
+      tr
 
-(* Cold path: translated through the legacy walk, then replayed into
-   the caller's accumulator. *)
-let lookup_into t acc ~vpn =
-  let tr, w = lookup t ~vpn in
-  Types.acc_add_walk acc w;
-  tr
-
-let lookup_block t ~vpn ~subblock_factor =
-  let base =
-    Int64.mul
-      (Int64.div vpn (Int64.of_int subblock_factor))
-      (Int64.of_int subblock_factor)
-  in
-  let results = ref [] and walk = ref Types.empty_walk in
-  for i = subblock_factor - 1 downto 0 do
-    let page = Int64.add base (Int64.of_int i) in
-    let tr, w = lookup t ~vpn:page in
-    walk := Types.walk_join w !walk;
-    match tr with Some tr -> results := (i, tr) :: !results | None -> ()
-  done;
-  (!results, !walk)
+let lookup_block t acc ~vpn ~subblock_factor =
+  Types.lookup_pages (lookup_into t) acc ~vpn ~subblock_factor
 
 let insert_base t ~vpn ~ppn ~attr =
   (* always insert into the backing table (the source of truth); fill

@@ -25,19 +25,17 @@ val create :
     buckets.  [entries] must be a multiple of [ways], both powers of
     two. *)
 
-val lookup :
-  t -> vpn:int64 -> Pt_common.Types.translation option * Pt_common.Types.walk
-
 val lookup_into :
   t -> Mem.Walk_acc.t -> vpn:int64 -> Pt_common.Types.translation option
-(** Allocation-free {!lookup}: appends the walk's reads and probes to
-    the caller's reusable accumulator. *)
+(** Charges the set read; a miss also charges the backing table's walk
+    and installs a base mapping it finds. *)
 
 val lookup_block :
   t ->
+  Mem.Walk_acc.t ->
   vpn:int64 ->
   subblock_factor:int ->
-  (int * Pt_common.Types.translation) list * Pt_common.Types.walk
+  (int * Pt_common.Types.translation) list
 
 val insert_base : t -> vpn:int64 -> ppn:int64 -> attr:Pte.Attr.t -> unit
 

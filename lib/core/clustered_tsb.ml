@@ -115,94 +115,73 @@ let refill t (tr : Types.translation) =
         done
       end
 
-(* On a TSB miss, reload the whole block from the backing table: the
-   backing node holds all the block's mappings adjacently, so the
-   reload costs one chain traversal and future same-block lookups hit
-   the slot (the block-granular analogue of a TSB reload). *)
-let reload_block t ~vpn =
-  let found, backing_walk =
-    Table.lookup_block t.backing ~vpn ~subblock_factor:t.factor
-  in
-  List.iter (fun (_, tr) -> refill t tr) found;
-  let boff = Addr.Vaddr.boff_of_vpn ~subblock_factor:t.factor vpn in
-  (List.assoc_opt boff found, backing_walk)
+let charge_slot t acc (s : slot) =
+  Mem.Walk_acc.read acc ~addr:s.addr ~bytes:t.slot_bytes;
+  Mem.Walk_acc.probe acc
 
-let lookup t ~vpn =
+(* Fetch [vpn]'s block from the backing table, charging its walk, and
+   refill the slot from what it maps. *)
+let backing_block t acc ~vpn ~subblock_factor =
+  let found = Table.lookup_block t.backing acc ~vpn ~subblock_factor in
+  List.iter (fun (_, tr) -> refill t tr) found;
+  found
+
+let lookup_into t acc ~vpn =
   let s = slot_of t vpn in
   (* the handler reads the slot tag and the mapping word(s): one slot,
      one (or with small lines, few) cache lines *)
-  let walk =
-    Types.walk_probe
-      (Types.walk_read Types.empty_walk ~addr:s.addr ~bytes:t.slot_bytes)
-  in
+  charge_slot t acc s;
   match
     if Int64.equal s.tag (vpbn t vpn) then
       Pt_common.Decode.translation_in_block ~subblock_factor:t.factor ~vpn
         ~words:s.words
     else None
   with
-  | Some tr ->
+  | Some _ as tr ->
       t.hits <- t.hits + 1;
-      (Some tr, walk)
+      tr
   | None ->
       t.misses <- t.misses + 1;
-      let tr, backing_walk = reload_block t ~vpn in
-      (tr, Types.walk_join walk backing_walk)
+      (* reload the whole block: the backing node holds all the block's
+         mappings adjacently, so the reload costs one chain traversal
+         and future same-block lookups hit the slot (the block-granular
+         analogue of a TSB reload) *)
+      let found = backing_block t acc ~vpn ~subblock_factor:t.factor in
+      let boff = Addr.Vaddr.boff_of_vpn ~subblock_factor:t.factor vpn in
+      List.assoc_opt boff found
 
-(* Cold path: translated through the legacy walk, then replayed into
-   the caller's accumulator. *)
-let lookup_into t acc ~vpn =
-  let tr, w = lookup t ~vpn in
-  Types.acc_add_walk acc w;
-  tr
+(* Every page of [vpn]'s block that slot [s] maps. *)
+let slot_block t (s : slot) ~vpn =
+  let block_base = Int64.shift_left (vpbn t vpn) t.factor_bits in
+  let results = ref [] in
+  for i = t.factor - 1 downto 0 do
+    let page = Int64.add block_base (Int64.of_int i) in
+    match
+      Pt_common.Decode.translation_in_block ~subblock_factor:t.factor
+        ~vpn:page ~words:s.words
+    with
+    | Some tr -> results := (i, tr) :: !results
+    | None -> ()
+  done;
+  !results
 
-let lookup_block t ~vpn ~subblock_factor =
-  if subblock_factor = t.factor then begin
+let lookup_block t acc ~vpn ~subblock_factor =
+  if subblock_factor <> t.factor then
+    Table.lookup_block t.backing acc ~vpn ~subblock_factor
+  else begin
     let s = slot_of t vpn in
-    if Int64.equal s.tag (vpbn t vpn) then begin
-      (* one slot read serves the whole block *)
-      let walk =
-        Types.walk_probe
-          (Types.walk_read Types.empty_walk ~addr:s.addr ~bytes:t.slot_bytes)
-      in
-      let block_base = Int64.shift_left (vpbn t vpn) t.factor_bits in
-      let results = ref [] in
-      for i = t.factor - 1 downto 0 do
-        let page = Int64.add block_base (Int64.of_int i) in
-        match
-          Pt_common.Decode.translation_in_block ~subblock_factor:t.factor
-            ~vpn:page ~words:s.words
-        with
-        | Some tr -> results := (i, tr) :: !results
-        | None -> ()
-      done;
-      if !results <> [] then begin
-        t.hits <- t.hits + 1;
-        (!results, walk)
-      end
-      else begin
+    (* one slot read serves the whole block *)
+    charge_slot t acc s;
+    match
+      if Int64.equal s.tag (vpbn t vpn) then slot_block t s ~vpn else []
+    with
+    | [] ->
         t.misses <- t.misses + 1;
-        let found, backing_walk =
-          Table.lookup_block t.backing ~vpn ~subblock_factor
-        in
-        List.iter (fun (_, tr) -> refill t tr) found;
-        (found, Types.walk_join walk backing_walk)
-      end
-    end
-    else begin
-      t.misses <- t.misses + 1;
-      let walk =
-        Types.walk_probe
-          (Types.walk_read Types.empty_walk ~addr:s.addr ~bytes:t.slot_bytes)
-      in
-      let found, backing_walk =
-        Table.lookup_block t.backing ~vpn ~subblock_factor
-      in
-      List.iter (fun (_, tr) -> refill t tr) found;
-      (found, Types.walk_join walk backing_walk)
-    end
+        backing_block t acc ~vpn ~subblock_factor
+    | cached ->
+        t.hits <- t.hits + 1;
+        cached
   end
-  else Table.lookup_block t.backing ~vpn ~subblock_factor
 
 (* All updates go to the backing table; the affected TSB slots are
    invalidated and refill on demand — how an OS maintains a TSB. *)

@@ -32,19 +32,17 @@ val create :
 (** Defaults: 512 slots, factor 16 (reach: 8192 pages = 32 MB),
     4096 backing buckets. *)
 
-val lookup :
-  t -> vpn:int64 -> Pt_common.Types.translation option * Pt_common.Types.walk
-
 val lookup_into :
   t -> Mem.Walk_acc.t -> vpn:int64 -> Pt_common.Types.translation option
-(** Allocation-free {!lookup}: appends the walk's reads and probes to
-    the caller's reusable accumulator. *)
+(** Charges the slot read; a miss also charges the backing table's
+    block walk and refills the slot from it. *)
 
 val lookup_block :
   t ->
+  Mem.Walk_acc.t ->
   vpn:int64 ->
   subblock_factor:int ->
-  (int * Pt_common.Types.translation) list * Pt_common.Types.walk
+  (int * Pt_common.Types.translation) list
 
 val insert_base : t -> vpn:int64 -> ppn:int64 -> attr:Pte.Attr.t -> unit
 

@@ -1,5 +1,3 @@
-module Types = Pt_common.Types
-
 type t = { fine : Table.t; coarse : Table.t }
 
 let name = "clustered-2t"
@@ -20,29 +18,15 @@ let fine t = t.fine
 
 let coarse t = t.coarse
 
-let lookup t ~vpn =
-  match Table.lookup t.fine ~vpn with
-  | (Some _ as tr), walk -> (tr, walk)
-  | None, walk_fine ->
-      let tr, walk_coarse = Table.lookup t.coarse ~vpn in
-      (tr, Types.walk_join walk_fine walk_coarse)
-
-(* Cold path: translated through the legacy walk, then replayed into
-   the caller's accumulator. *)
 let lookup_into t acc ~vpn =
-  let tr, w = lookup t ~vpn in
-  Types.acc_add_walk acc w;
-  tr
+  match Table.lookup_into t.fine acc ~vpn with
+  | Some _ as tr -> tr
+  | None -> Table.lookup_into t.coarse acc ~vpn
 
-let lookup_block t ~vpn ~subblock_factor =
-  let found, walk = Table.lookup_block t.fine ~vpn ~subblock_factor in
-  match found with
-  | [] ->
-      let found, walk_coarse =
-        Table.lookup_block t.coarse ~vpn ~subblock_factor
-      in
-      (found, Types.walk_join walk walk_coarse)
-  | found -> (found, walk)
+let lookup_block t acc ~vpn ~subblock_factor =
+  match Table.lookup_block t.fine acc ~vpn ~subblock_factor with
+  | [] -> Table.lookup_block t.coarse acc ~vpn ~subblock_factor
+  | found -> found
 
 let insert_base t ~vpn ~ppn ~attr = Table.insert_base t.fine ~vpn ~ppn ~attr
 
@@ -55,9 +39,9 @@ let insert_psb t ~vpbn ~vmask ~ppn ~attr =
   Table.insert_psb t.fine ~vpbn ~vmask ~ppn ~attr
 
 let remove t ~vpn =
-  match Table.lookup t.fine ~vpn with
-  | Some _, _ -> Table.remove t.fine ~vpn
-  | None, _ -> Table.remove t.coarse ~vpn
+  match Table.lookup_into t.fine (Mem.Walk_acc.create ()) ~vpn with
+  | Some _ -> Table.remove t.fine ~vpn
+  | None -> Table.remove t.coarse ~vpn
 
 let set_attr_range t region ~f =
   Table.set_attr_range t.fine region ~f + Table.set_attr_range t.coarse region ~f

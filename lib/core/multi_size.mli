@@ -19,19 +19,17 @@ val fine : t -> Table.t
 
 val coarse : t -> Table.t
 
-val lookup :
-  t -> vpn:int64 -> Pt_common.Types.translation option * Pt_common.Types.walk
-
 val lookup_into :
   t -> Mem.Walk_acc.t -> vpn:int64 -> Pt_common.Types.translation option
-(** Allocation-free {!lookup}: appends the walk's reads and probes to
-    the caller's reusable accumulator. *)
+(** Walks the fine table, then the coarse one when the fine table has
+    no mapping; both walks are charged. *)
 
 val lookup_block :
   t ->
+  Mem.Walk_acc.t ->
   vpn:int64 ->
   subblock_factor:int ->
-  (int * Pt_common.Types.translation) list * Pt_common.Types.walk
+  (int * Pt_common.Types.translation) list
 
 val insert_base : t -> vpn:int64 -> ppn:int64 -> attr:Pte.Attr.t -> unit
 

@@ -202,7 +202,7 @@ let node_translation t (n : node) ~vpn ~boff =
 
 let word_addr (n : node) i = n.addr + 16 + (8 * i)
 
-let charge_empty_head_acc t ~bucket acc =
+let charge_empty_head t ~bucket acc =
   Mem.Walk_acc.read_int acc ~addr:(t.heads_addr + (bucket * 16)) ~bytes:16;
   Mem.Walk_acc.probe acc
 
@@ -247,15 +247,10 @@ let lookup_into t acc ~vpn =
   let boff = Int64.to_int uvpn land ((1 lsl t.factor_bits) - 1) in
   let bucket = hash t tag in
   if t.chain.head_tags.(bucket) = Chain.retired then begin
-    charge_empty_head_acc t ~bucket acc;
+    charge_empty_head t ~bucket acc;
     None
   end
   else walk_chain t acc ~vpn ~tag ~boff t.chain.heads.(bucket)
-
-let lookup t ~vpn =
-  let acc = Mem.Walk_acc.create ~capacity:8 () in
-  let tr = lookup_into t acc ~vpn in
-  (tr, Types.acc_to_walk acc)
 
 (* [lookup_block]'s chain walk: every node of the block's tag, in chain
    order, fills the offsets still missing from [found]. *)
@@ -275,7 +270,7 @@ let rec gather_block t acc ~tag ~block_base found (n : node) =
     gather_block t acc ~tag ~block_base found n.next
   end
 
-let lookup_block t ~vpn ~subblock_factor =
+let lookup_block t acc ~vpn ~subblock_factor =
   if subblock_factor = t.config.Config.subblock_factor && t.unit_shift = 0 then begin
     (* one chain traversal serves the whole block: mappings for all the
        block's base pages are adjacent in the matching nodes
@@ -284,10 +279,9 @@ let lookup_block t ~vpn ~subblock_factor =
     let tag = Int64.to_int vpbn in
     let block_base = Int64.shift_left vpbn t.factor_bits in
     let found = Array.make subblock_factor None in
-    let acc = Mem.Walk_acc.create ~capacity:8 () in
     let bucket = hash t tag in
     if t.chain.head_tags.(bucket) = Chain.retired then
-      charge_empty_head_acc t ~bucket acc
+      charge_empty_head t ~bucket acc
     else gather_block t acc ~tag ~block_base found t.chain.heads.(bucket);
     let results = ref [] in
     for i = subblock_factor - 1 downto 0 do
@@ -295,27 +289,11 @@ let lookup_block t ~vpn ~subblock_factor =
       | Some tr -> results := (i, tr) :: !results
       | None -> ()
     done;
-    (!results, Types.acc_to_walk acc)
+    !results
   end
-  else begin
+  else
     (* mismatched factor: gather page by page *)
-    let block_pages = subblock_factor in
-    let base =
-      Int64.mul
-        (Int64.div vpn (Int64.of_int block_pages))
-        (Int64.of_int block_pages)
-    in
-    let results = ref [] and walk = ref Types.empty_walk in
-    for i = block_pages - 1 downto 0 do
-      let page = Int64.add base (Int64.of_int i) in
-      let tr, w = lookup t ~vpn:page in
-      walk := Types.walk_join w !walk;
-      match tr with
-      | Some tr -> results := (i, tr) :: !results
-      | None -> ()
-    done;
-    (!results, !walk)
-  end
+    Types.lookup_pages (lookup_into t) acc ~vpn ~subblock_factor
 
 (* --- insertion --- *)
 
@@ -743,13 +721,15 @@ let iter_node_util t ~bucket f =
 let iter_mappings t f =
   let factor = t.config.Config.subblock_factor in
   let seen = Hashtbl.create 1024 in
+  let acc = Mem.Walk_acc.create () in
   Chain.iter t.chain (fun n ->
       if not (Hashtbl.mem seen n.tag) then begin
         Hashtbl.add seen n.tag ();
         let base = Int64.of_int (n.tag * factor) in
+        Mem.Walk_acc.reset acc;
         List.iter
           (fun (boff, tr) -> f (Int64.add base (Int64.of_int boff)) tr)
-          (fst (lookup_block t ~vpn:base ~subblock_factor:factor))
+          (lookup_block t acc ~vpn:base ~subblock_factor:factor)
       end)
 
 let block_size t = Addr.Page_size.of_sz_code t.sz_code_block
@@ -764,9 +744,11 @@ let promote_block t ~vpn =
         let vpbn, _ = split t vpn in
         let block_base_vpn = Int64.shift_left vpbn t.factor_bits in
         let attr =
-          match lookup t ~vpn:block_base_vpn with
-          | Some tr, _ -> tr.Types.attr
-          | None, _ -> assert false
+          match
+            lookup_into t (Mem.Walk_acc.create ()) ~vpn:block_base_vpn
+          with
+          | Some tr -> tr.Types.attr
+          | None -> assert false
         in
         for i = 0 to t.config.Config.subblock_factor - 1 do
           remove t ~vpn:(Int64.add block_base_vpn (Int64.of_int i))

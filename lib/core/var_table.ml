@@ -90,91 +90,77 @@ let node_translation n ~vpn ~boff =
       n.words.(boff - n.off)
   else None
 
-let charge_empty_head t ~bucket walk =
-  Types.walk_probe
-    (Types.walk_read walk
-       ~addr:(Int64.add t.heads_addr (Int64.of_int (bucket * 16)))
-       ~bytes:16)
+let charge_empty_head t ~bucket acc =
+  Mem.Walk_acc.read acc
+    ~addr:(Int64.add t.heads_addr (Int64.of_int (bucket * 16)))
+    ~bytes:16;
+  Mem.Walk_acc.probe acc
 
-let lookup t ~vpn =
+(* The miss handler's chain walk.  Top level, so a walk allocates only
+   the translation it returns. *)
+let rec walk_chain acc ~vpn ~vpbn ~boff = function
+  | None -> None
+  | Some n ->
+      (* the tag word carries the node's factor and offset in spare
+         bits, so the range check costs no extra read *)
+      Mem.Walk_acc.read acc ~addr:n.addr ~bytes:16;
+      Mem.Walk_acc.probe acc;
+      if not (Int64.equal n.tag vpbn) then
+        walk_chain acc ~vpn ~vpbn ~boff n.next
+      else if Array.length n.words > 1 && not (covers n boff) then
+        walk_chain acc ~vpn ~vpbn ~boff n.next
+      else begin
+        let word_idx = if Array.length n.words = 1 then 0 else boff - n.off in
+        Mem.Walk_acc.read acc
+          ~addr:(Int64.add n.addr (Int64.of_int (16 + (8 * word_idx))))
+          ~bytes:8;
+        match node_translation n ~vpn ~boff with
+        | Some _ as tr -> tr
+        | None -> walk_chain acc ~vpn ~vpbn ~boff n.next
+      end
+
+let lookup_into t acc ~vpn =
   let vpbn, boff = split vpn in
   let bucket = hash t vpbn in
-  let rec go chain walk =
-    match chain with
-    | None -> (None, walk)
-    | Some n ->
-        (* the tag word carries the node's factor and offset in spare
-           bits, so the range check costs no extra read *)
-        let walk =
-          Types.walk_probe (Types.walk_read walk ~addr:n.addr ~bytes:16)
-        in
-        if not (Int64.equal n.tag vpbn) then go n.next walk
-        else if Array.length n.words > 1 && not (covers n boff) then
-          go n.next walk
-        else
-          let word_idx = if Array.length n.words = 1 then 0 else boff - n.off in
-          let walk =
-            Types.walk_read walk
-              ~addr:(Int64.add n.addr (Int64.of_int (16 + (8 * word_idx))))
-              ~bytes:8
-          in
-          (match node_translation n ~vpn ~boff with
-          | Some tr -> (Some tr, walk)
-          | None -> go n.next walk)
-  in
   match t.buckets.(bucket) with
-  | None -> (None, charge_empty_head t ~bucket Types.empty_walk)
-  | chain -> go chain Types.empty_walk
+  | None ->
+      charge_empty_head t ~bucket acc;
+      None
+  | chain -> walk_chain acc ~vpn ~vpbn ~boff chain
 
-(* Cold path: translated through the legacy walk, then replayed into
-   the caller's accumulator. *)
-let lookup_into t acc ~vpn =
-  let tr, w = lookup t ~vpn in
-  Types.acc_add_walk acc w;
-  tr
-
-let lookup_block t ~vpn ~subblock_factor =
+let lookup_block t acc ~vpn ~subblock_factor =
   if subblock_factor <> factor then
     invalid_arg "Var_table.lookup_block: factor mismatch";
   let vpbn, _ = split vpn in
   let block_base = Int64.shift_left vpbn factor_bits in
   let bucket = hash t vpbn in
   let found = Array.make factor None in
-  let rec go chain walk =
-    match chain with
-    | None -> walk
+  let rec go = function
+    | None -> ()
     | Some n ->
-        let walk =
-          Types.walk_probe (Types.walk_read walk ~addr:n.addr ~bytes:16)
-        in
-        if not (Int64.equal n.tag vpbn) then go n.next walk
-        else begin
-          let walk =
-            Types.walk_read walk ~addr:(Int64.add n.addr 16L)
-              ~bytes:(8 * Array.length n.words)
-          in
+        Mem.Walk_acc.read acc ~addr:n.addr ~bytes:16;
+        Mem.Walk_acc.probe acc;
+        if Int64.equal n.tag vpbn then begin
+          Mem.Walk_acc.read acc ~addr:(Int64.add n.addr 16L)
+            ~bytes:(8 * Array.length n.words);
           for i = 0 to factor - 1 do
             if found.(i) = None then
               let page = Int64.add block_base (Int64.of_int i) in
-              match node_translation n ~vpn:page ~boff:i with
-              | Some tr -> found.(i) <- Some tr
-              | None -> ()
-          done;
-          go n.next walk
-        end
+              found.(i) <- node_translation n ~vpn:page ~boff:i
+          done
+        end;
+        go n.next
   in
-  let walk =
-    match t.buckets.(bucket) with
-    | None -> charge_empty_head t ~bucket Types.empty_walk
-    | chain -> go chain Types.empty_walk
-  in
+  (match t.buckets.(bucket) with
+  | None -> charge_empty_head t ~bucket acc
+  | chain -> go chain);
   let results = ref [] in
   for i = factor - 1 downto 0 do
     match found.(i) with
     | Some tr -> results := (i, tr) :: !results
     | None -> ()
   done;
-  (!results, walk)
+  !results
 
 (* --- node management for inserts --- *)
 

@@ -1,30 +1,8 @@
-type access = { addr : int64; bytes : int }
-
 let default_line_size = 256
 
 let check_line_size line_size =
   if not (Addr.Bits.is_pow2 line_size) then
     invalid_arg "Cache_model: line size must be a power of two"
-
-let lines_of_access ~line_size a =
-  check_line_size line_size;
-  if a.bytes <= 0 then invalid_arg "Cache_model: access bytes";
-  let shift = Addr.Bits.log2_exact line_size in
-  let first = Int64.shift_right_logical a.addr shift in
-  let last_byte = Int64.add a.addr (Int64.of_int (a.bytes - 1)) in
-  let last = Int64.shift_right_logical last_byte shift in
-  let rec loop l acc =
-    if Int64.compare l first < 0 then acc else loop (Int64.pred l) (l :: acc)
-  in
-  loop last []
-
-let lines_set ~line_size accesses =
-  check_line_size line_size;
-  List.concat_map (lines_of_access ~line_size) accesses
-  |> List.sort_uniq Int64.compare
-
-let distinct_lines ~line_size accesses =
-  List.length (lines_set ~line_size accesses)
 
 type counter = {
   line_size : int;
@@ -46,12 +24,6 @@ let create_counter ?(line_size = default_line_size) () =
     total_lines = 0;
     scratch = Array.make 64 0;
   }
-
-let record_walk c accesses =
-  let n = distinct_lines ~line_size:c.line_size accesses in
-  c.walks <- c.walks + 1;
-  c.total_lines <- c.total_lines + n;
-  n
 
 (* Count the distinct lines touched by an accumulated walk without
    allocating: expand every access into line numbers in the counter's

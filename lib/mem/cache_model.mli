@@ -2,37 +2,21 @@
 
     Section 6.1 measures "the average number of cache lines accessed to
     handle one TLB miss", assuming a 256-byte level-two line and that
-    page-table data is not resident.  A walk reports the byte ranges it
-    read; this module folds them into the set of distinct lines. *)
-
-type access = { addr : int64; bytes : int }
-(** One memory read of [bytes] bytes starting at physical byte address
-    [addr]. *)
+    page-table data is not resident.  A walk charges the byte ranges it
+    reads to a {!Walk_acc.t}; this module folds them into the number of
+    distinct lines. *)
 
 val default_line_size : int
 (** 256 bytes, the paper's assumption. *)
-
-val lines_of_access : line_size:int -> access -> int64 list
-(** Line indices (address / line size) covered by one access, in
-    ascending order. *)
-
-val distinct_lines : line_size:int -> access list -> int
-(** Number of distinct cache lines touched by a walk. *)
-
-val lines_set : line_size:int -> access list -> int64 list
-(** The distinct line indices themselves (sorted), for tests. *)
 
 type counter
 (** Accumulates the per-miss metric over a run. *)
 
 val create_counter : ?line_size:int -> unit -> counter
 
-val record_walk : counter -> access list -> int
-(** Record one TLB miss's walk; returns the lines it touched. *)
-
 val record_acc : counter -> Walk_acc.t -> int
-(** Like {!record_walk}, but reads the accesses out of a reusable
-    accumulator without allocating (in-place scratch sort). *)
+(** Record one TLB miss's walk; returns the distinct lines its reads
+    touched.  Allocates nothing (an in-place scratch sort). *)
 
 val record_lines : counter -> int -> unit
 (** Record a walk whose line count was computed elsewhere (e.g. the

@@ -34,12 +34,17 @@ let access t addr =
   hit
 
 let access_bytes t ~addr ~bytes =
-  let lines = Cache_model.lines_of_access ~line_size:t.line_size { addr; bytes } in
-  List.fold_left
-    (fun (h, m) line ->
-      let byte = Int64.shift_left line (Addr.Bits.log2_exact t.line_size) in
-      if access t byte then (h + 1, m) else (h, m + 1))
-    (0, 0) lines
+  if bytes <= 0 then invalid_arg "Cache_sim: access bytes";
+  let shift = Addr.Bits.log2_exact t.line_size in
+  let last_byte = Int64.add addr (Int64.of_int (bytes - 1)) in
+  let last = Int64.shift_right_logical last_byte shift in
+  let rec go line hits misses =
+    if Int64.compare line last > 0 then (hits, misses)
+    else if access t (Int64.shift_left line shift) then
+      go (Int64.succ line) (hits + 1) misses
+    else go (Int64.succ line) hits (misses + 1)
+  in
+  go (Int64.shift_right_logical addr shift) 0 0
 
 let hits t = t.hits
 

@@ -1,10 +1,9 @@
-(* Reusable walk accumulator for the TLB-miss hot path.
+(* The walk of a TLB miss: every memory read a page-table search makes,
+   and its probes, for the cache-line metric.
 
-   The original walk representation accumulated every memory read of a
-   page-table search in a fresh cons cell ([Types.walk_read] prepended
-   to a list).  Under the parallel experiment runner, each domain
-   replays hundreds of thousands of misses, and the per-miss list
-   churn dominated minor-GC time.  An accumulator is allocated once
+   It is the only walk representation.  Under the parallel experiment
+   runner each domain replays hundreds of thousands of misses, so a
+   walk must not allocate per read: an accumulator is allocated once
    per replay loop and [reset] per miss; [read] only writes into the
    preallocated arrays (growing them by doubling on the rare overflow,
    so the steady state allocates nothing).

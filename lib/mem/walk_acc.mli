@@ -1,8 +1,8 @@
-(** Reusable walk accumulator for the TLB-miss hot path.
+(** The walk of a TLB miss: the reads and probes a page-table search
+    charges, the only walk representation.
 
-    Replaces the list-building walk representation in replay loops:
-    allocate one accumulator per loop, [reset] it per miss, and let the
-    page table's [lookup_into] append reads and probes into the
+    Allocate one accumulator per replay loop, [reset] it per miss, and
+    let the page table's [lookup_into] append reads and probes into the
     preallocated arrays.  Steady state allocates nothing: addresses are
     held unboxed (a simulated physical address is below 2^62), so
     recording a read never boxes. *)

@@ -197,7 +197,7 @@ let remove_page_pte t ~vpn =
   match t.pol with
   | Base_only | Partial_subblock -> Intf.remove t.pt ~vpn
   | Superpage_promotion -> (
-      match fst (Intf.lookup t.pt ~vpn) with
+      match Intf.lookup_into t.pt (Mem.Walk_acc.create ()) ~vpn with
       | Some { Pt_common.Types.kind = Pt_common.Types.Superpage size; _ } ->
           Intf.remove t.pt ~vpn;
           let sz = Addr.Page_size.sz_code size in

@@ -1,5 +1,4 @@
 module Intf = Pt_common.Intf
-module Types = Pt_common.Types
 
 type outcome = [ `Tlb_hit | `Filled | `Page_fault_filled | `Fault ]
 
@@ -10,6 +9,7 @@ type t = {
   prefetch : bool;
   factor : int;
   counter : Mem.Cache_model.counter;
+  acc : Mem.Walk_acc.t;  (* the current miss's walk, reset per miss *)
   mutable page_faults : int;
   (* telemetry handles into the creating domain's shard, resolved once
      here so the per-miss cost is a field bump (create the handler on
@@ -31,6 +31,7 @@ let create ~tlb ~pt ?aspace ?(prefetch = false) ?(subblock_factor = 16)
     prefetch;
     factor = subblock_factor;
     counter = Mem.Cache_model.create_counter ?line_size ();
+    acc = Mem.Walk_acc.create ();
     page_faults = 0;
     m_tlb_hits = Obs.Metrics.counter shard "os.tlb_hits";
     m_tlb_misses = Obs.Metrics.counter shard "os.tlb_misses";
@@ -39,15 +40,14 @@ let create ~tlb ~pt ?aspace ?(prefetch = false) ?(subblock_factor = 16)
     m_walk_lines = Obs.Metrics.hist shard "os.walk_lines";
   }
 
-let record t (walk : Types.walk) =
-  let lines = Mem.Cache_model.record_walk t.counter walk.accesses in
-  Obs.Hist.observe t.m_walk_reads (List.length walk.accesses);
+let record t =
+  let lines = Mem.Cache_model.record_acc t.counter t.acc in
+  Obs.Hist.observe t.m_walk_reads (Mem.Walk_acc.count t.acc);
   Obs.Hist.observe t.m_walk_lines lines;
   if Obs.Tracer.enabled () then
-    List.iter
-      (fun (a : Mem.Cache_model.access) ->
-        Obs.Tracer.instant Obs.Tracer.ev_walk_read a.bytes)
-      walk.accesses
+    for i = 0 to Mem.Walk_acc.count t.acc - 1 do
+      Obs.Tracer.instant Obs.Tracer.ev_walk_read (Mem.Walk_acc.bytes t.acc i)
+    done
 
 (* Section 3.1: the handler updates reference/modified bits in place,
    without locks, as part of servicing the miss. *)
@@ -62,9 +62,10 @@ let update_ref_mod t ~vpn ~write =
          }))
 
 let walk_and_fill t ~vpn ~block_miss =
+  Mem.Walk_acc.reset t.acc;
   if t.prefetch && block_miss then begin
-    let found, walk = Intf.lookup_block t.pt ~vpn ~subblock_factor:t.factor in
-    record t walk;
+    let found = Intf.lookup_block t.pt t.acc ~vpn ~subblock_factor:t.factor in
+    record t;
     let boff = Int64.to_int (Int64.rem vpn (Int64.of_int t.factor)) in
     if List.mem_assoc boff found then begin
       Tlb.Intf.fill_block t.tlb found;
@@ -73,8 +74,8 @@ let walk_and_fill t ~vpn ~block_miss =
     else `Missing
   end
   else begin
-    let tr, walk = Intf.lookup t.pt ~vpn in
-    record t walk;
+    let tr = Intf.lookup_into t.pt t.acc ~vpn in
+    record t;
     match tr with
     | Some tr ->
         Tlb.Intf.fill t.tlb tr;

@@ -13,6 +13,7 @@ type t = {
   tlb : tlb_front;
   switch_policy : switch_policy;
   counter : Mem.Cache_model.counter;
+  acc : Mem.Walk_acc.t;  (* the current miss's walk, reset per miss *)
   allocator : Mem.Phys_alloc.t;
   mutable cur : int;
   mutable page_faults : int;
@@ -46,6 +47,7 @@ let create ?(entries = 64) ?(switch_policy = Flush)
     tlb;
     switch_policy;
     counter = Mem.Cache_model.create_counter ?line_size ();
+    acc = Mem.Walk_acc.create ();
     allocator;
     cur = 0;
     page_faults = 0;
@@ -94,8 +96,9 @@ let tlb_fill t tr =
 
 let walk t ~vpn =
   let p = t.procs.(t.cur) in
-  let tr, w = Intf.lookup p.pt ~vpn in
-  ignore (Mem.Cache_model.record_walk t.counter w.Pt_common.Types.accesses);
+  Mem.Walk_acc.reset t.acc;
+  let tr = Intf.lookup_into p.pt t.acc ~vpn in
+  ignore (Mem.Cache_model.record_acc t.counter t.acc);
   tr
 
 let access t ~vpn =

@@ -10,7 +10,13 @@
     forward-mapped page tables replicate the PTE at every base-page
     site; hashed page tables keep two logical tables (4 KB searched
     first, then 64 KB blocks); clustered page tables store the new
-    formats natively in their nodes. *)
+    formats natively in their nodes.
+
+    A lookup charges its walk (the memory reads the TLB miss handler
+    performs and the nodes or levels it visits) to a caller-owned
+    {!Mem.Walk_acc.t}, the one walk representation; the access-time
+    metric reads the walk's distinct cache lines out of it with
+    {!Mem.Cache_model.record_acc}. *)
 
 module type PAGE_TABLE = sig
   type t
@@ -18,28 +24,27 @@ module type PAGE_TABLE = sig
   val name : string
   (** Short identifier used in reports, e.g. "clustered". *)
 
-  val lookup : t -> vpn:int64 -> Types.translation option * Types.walk
-  (** TLB-miss service: translate the faulting base page.  The walk
-      records every memory read the handler performed, successful or
-      not. *)
-
   val lookup_into :
     t -> Mem.Walk_acc.t -> vpn:int64 -> Types.translation option
-  (** Allocation-free variant of {!lookup} for miss-replay hot loops:
-      the handler's reads and probes are appended to the caller's
-      reusable accumulator (not reset here) instead of materializing a
-      {!Types.walk}.  Charges exactly the reads {!lookup} would. *)
+  (** TLB-miss service: translate the faulting base page.  Every memory
+      read the handler performs, successful or not, and every hash node
+      or tree level it visits is appended to the caller's accumulator,
+      which is not reset here: a replay loop allocates one accumulator,
+      resets it per miss and reads the walk's lines out of it
+      ({!Mem.Cache_model.record_acc}).  A caller that only wants the
+      translation passes a scratch accumulator. *)
 
   val lookup_block :
     t ->
+    Mem.Walk_acc.t ->
     vpn:int64 ->
     subblock_factor:int ->
-    (int * Types.translation) list * Types.walk
+    (int * Types.translation) list
   (** Complete-subblock prefetch (Section 4.4): return all valid
       translations in the faulting page's block as [(block offset,
-      translation)] pairs, charging the full cost of gathering them —
-      one probe per base page for a hashed table, adjacent reads for
-      linear and clustered tables. *)
+      translation)] pairs, offsets ascending, charging the full cost of
+      gathering them to the accumulator — one probe per base page for
+      a hashed table, adjacent reads for linear and clustered tables. *)
 
   val insert_base :
     t -> vpn:int64 -> ppn:int64 -> attr:Pte.Attr.t -> unit
@@ -249,12 +254,10 @@ type instance =
 
 let instance_name (Instance ((module P), _)) = P.name
 
-let lookup (Instance ((module P), t)) ~vpn = P.lookup t ~vpn
-
 let lookup_into (Instance ((module P), t)) acc ~vpn = P.lookup_into t acc ~vpn
 
-let lookup_block (Instance ((module P), t)) ~vpn ~subblock_factor =
-  P.lookup_block t ~vpn ~subblock_factor
+let lookup_block (Instance ((module P), t)) acc ~vpn ~subblock_factor =
+  P.lookup_block t acc ~vpn ~subblock_factor
 
 let insert_base (Instance ((module P), t)) ~vpn ~ppn ~attr =
   P.insert_base t ~vpn ~ppn ~attr

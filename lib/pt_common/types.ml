@@ -21,64 +21,19 @@ let covered_pages t =
   | Superpage size -> Addr.Page_size.base_pages size
   | Partial_subblock vmask -> Addr.Bits.popcount (Int64.of_int vmask)
 
-type walk = {
-  accesses : Mem.Cache_model.access list;
-  probes : int;
-  nested_misses : int;
-}
+let block_base ~vpn ~subblock_factor =
+  let f = Int64.of_int subblock_factor in
+  Int64.mul (Int64.div vpn f) f
 
-let empty_walk = { accesses = []; probes = 0; nested_misses = 0 }
-
-let walk_read w ~addr ~bytes =
-  { w with accesses = { Mem.Cache_model.addr; bytes } :: w.accesses }
-
-let walk_probe w = { w with probes = w.probes + 1 }
-
-let walk_join a b =
-  {
-    accesses = b.accesses @ a.accesses;
-    probes = a.probes + b.probes;
-    nested_misses = a.nested_misses + b.nested_misses;
-  }
-
-let walk_lines ?(line_size = Mem.Cache_model.default_line_size) w =
-  Mem.Cache_model.distinct_lines ~line_size w.accesses
-
-(* --- reusable accumulator bridge (the allocation-free miss path) ---
-
-   Hot paths thread a {!Mem.Walk_acc.t} through [lookup_into] instead
-   of building [walk] lists.  These helpers convert between the two
-   representations; [acc_to_walk] reproduces the exact list a
-   [walk_read]-built walk would hold (reverse-chronological, from
-   prepending), so legacy callers observe bit-identical walks. *)
-
-type acc = Mem.Walk_acc.t
-
-let acc_to_walk (acc : acc) =
-  let accesses = ref [] in
-  for i = 0 to Mem.Walk_acc.count acc - 1 do
-    accesses :=
-      { Mem.Cache_model.addr = Mem.Walk_acc.addr acc i;
-        bytes = Mem.Walk_acc.bytes acc i }
-      :: !accesses
+let lookup_pages lookup_into acc ~vpn ~subblock_factor =
+  let base = block_base ~vpn ~subblock_factor in
+  let results = ref [] in
+  for i = subblock_factor - 1 downto 0 do
+    match lookup_into acc ~vpn:(Int64.add base (Int64.of_int i)) with
+    | Some tr -> results := (i, tr) :: !results
+    | None -> ()
   done;
-  {
-    accesses = !accesses;
-    probes = Mem.Walk_acc.probes acc;
-    nested_misses = Mem.Walk_acc.nested_misses acc;
-  }
-
-(* Append a walk's reads to an accumulator in chronological order
-   (walk lists are reverse-chronological). *)
-let acc_add_walk (acc : acc) w =
-  List.iter
-    (fun (a : Mem.Cache_model.access) ->
-      Mem.Walk_acc.read acc ~addr:a.addr ~bytes:a.bytes)
-    (List.rev w.accesses);
-  for _ = 1 to w.probes do
-    Mem.Walk_acc.probe acc
-  done;
-  Mem.Walk_acc.add_nested acc w.nested_misses
+  !results
 
 let pp_kind ppf = function
   | Base -> Format.fprintf ppf "base"

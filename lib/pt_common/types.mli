@@ -1,5 +1,5 @@
 (** Shared types for page-table implementations: the result a TLB miss
-    handler loads, and the walk-cost record an experiment charges. *)
+    handler loads.  A walk's cost is charged to a {!Mem.Walk_acc.t}. *)
 
 (** Granularity of the mapping a lookup produced — this is what decides
     which TLB entry format the handler loads. *)
@@ -24,41 +24,19 @@ val covered_pages : translation -> int
 (** Base pages covered by the loaded entry (1, superpage size, or the
     subblock factor). *)
 
-(** Cost of one page-table walk, charged by the simulated TLB miss
-    handler. *)
-type walk = {
-  accesses : Mem.Cache_model.access list;
-      (** byte ranges read, most recent first *)
-  probes : int;  (** hash nodes or tree levels visited *)
-  nested_misses : int;
-      (** linear page tables: TLB misses taken on the page table's own
-          virtual mappings *)
-}
+val block_base : vpn:int64 -> subblock_factor:int -> int64
+(** First page of [vpn]'s [subblock_factor]-page block. *)
 
-val empty_walk : walk
-
-val walk_read : walk -> addr:int64 -> bytes:int -> walk
-(** Charge one memory read to a walk. *)
-
-val walk_probe : walk -> walk
-(** Count one more node/level visit. *)
-
-val walk_join : walk -> walk -> walk
-(** Combine two walks (e.g. probing a second page table). *)
-
-val walk_lines : ?line_size:int -> walk -> int
-(** Distinct cache lines the walk touched (default 256-byte lines). *)
-
-type acc = Mem.Walk_acc.t
-(** Reusable walk accumulator threaded through the allocation-free
-    lookup path ([lookup_into]). *)
-
-val acc_to_walk : acc -> walk
-(** Materialize a legacy {!walk} from an accumulator.  The accesses
-    list is reverse-chronological, exactly as {!walk_read} builds it. *)
-
-val acc_add_walk : acc -> walk -> unit
-(** Append a walk's reads, probes and nested misses to an accumulator
-    in chronological order. *)
+val lookup_pages :
+  (Mem.Walk_acc.t -> vpn:int64 -> translation option) ->
+  Mem.Walk_acc.t ->
+  vpn:int64 ->
+  subblock_factor:int ->
+  (int * translation) list
+(** [lookup_pages lookup_into acc ~vpn ~subblock_factor] is a
+    complete-subblock prefetch done page by page, for a table with no
+    block-granular walk: [lookup_into] every page of [vpn]'s block,
+    last page first, charging each walk to [acc], and return the pages
+    found as [(block offset, translation)], offsets ascending. *)
 
 val pp_translation : Format.formatter -> translation -> unit

@@ -86,16 +86,14 @@ let record_misses ?(design = Single) ?(subblock_factor = 16) trace tlb
               incr count;
               misses := { proc; vpn; block_miss } :: !misses;
               let pt = reference.(proc) in
-              if design = Csb && block_miss then begin
-                let found, _ = Intf.lookup_block pt ~vpn ~subblock_factor in
-                Tlb.Intf.fill_block tlb found
-              end
-              else begin
-                Mem.Walk_acc.reset acc;
+              Mem.Walk_acc.reset acc;
+              if design = Csb && block_miss then
+                Tlb.Intf.fill_block tlb
+                  (Intf.lookup_block pt acc ~vpn ~subblock_factor)
+              else
                 match Intf.lookup_into pt acc ~vpn with
                 | Some tr -> Tlb.Intf.fill tlb tr
-                | None -> ()
-              end)
+                | None -> ())
       | _ -> () (* churn ops never appear in access traces *))
     trace;
   (List.rev !misses, !count)
@@ -108,16 +106,11 @@ let replay_misses ?hist ?(design = Single)
   List.iter
     (fun { proc; vpn; block_miss } ->
       let pt = tables.(proc) in
-      let lines =
-        if design = Csb && block_miss then
-          let walk = snd (Intf.lookup_block pt ~vpn ~subblock_factor) in
-          Mem.Cache_model.record_walk counter walk.Pt_common.Types.accesses
-        else begin
-          Mem.Walk_acc.reset acc;
-          ignore (Intf.lookup_into pt acc ~vpn);
-          Mem.Cache_model.record_acc counter acc
-        end
-      in
+      Mem.Walk_acc.reset acc;
+      if design = Csb && block_miss then
+        ignore (Intf.lookup_block pt acc ~vpn ~subblock_factor)
+      else ignore (Intf.lookup_into pt acc ~vpn);
+      let lines = Mem.Cache_model.record_acc counter acc in
       match hist with Some h -> Obs.Hist.observe h lines | None -> ())
     misses;
   Mem.Cache_model.total_lines counter
@@ -133,11 +126,10 @@ let is_linear = function
   | Factory.Linear6 | Factory.Linear1 | Factory.Linear_hashed -> true
   | _ -> false
 
-let run ?(seed = 0x7ACE_1995L) ?(length = 80_000)
-    ?(line_size = Mem.Cache_model.default_line_size) ?(placement_p = 0.95)
-    ?(subblock_factor = 16) ~design ~pt_kinds spec =
+let run ?(line_size = Mem.Cache_model.default_line_size)
+    ?(subblock_factor = 16) ~design ~pt_kinds (fx : Builder.fixture) =
+  let spec = fx.Builder.spec in
   let policy = policy_of_design design in
-  let fx = Builder.fixture spec ~seed ~placement_p ~length in
   let build kind = Builder.tables kind ~policy fx.Builder.assignments in
   (* the clustered table supports every PTE format natively, so it
      serves as the fill reference for the miss-recording pass *)
@@ -222,8 +214,8 @@ let run_residency ?(seed = 0x7ACE_1995L) ?(length = 80_000)
           Mem.Walk_acc.reset acc;
           ignore (Intf.lookup_into tables.(proc) acc ~vpn);
           cold := !cold + Mem.Cache_model.record_acc cold_counter acc;
-          (* replay into the warm cache in the walk list's order
-             (reverse-chronological), as the legacy path did *)
+          (* replay into the warm cache last read first: LRU state,
+             hence the warm column, depends on this order *)
           for i = Mem.Walk_acc.count acc - 1 downto 0 do
             let _hits, misses =
               Mem.Cache_sim.access_bytes cache ~addr:(Mem.Walk_acc.addr acc i)

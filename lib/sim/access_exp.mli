@@ -65,16 +65,14 @@ val replay_misses :
     [hist]. *)
 
 val run :
-  ?seed:int64 ->
-  ?length:int ->
   ?line_size:int ->
-  ?placement_p:float ->
   ?subblock_factor:int ->
   design:design ->
   pt_kinds:Factory.kind list ->
-  Workload.Spec.t ->
+  Builder.fixture ->
   workload_run
-(** Default trace length 80_000 accesses, 256-byte lines, factor 16. *)
+(** Run one design over a fixture's trace, building every table from
+    its assignments.  Default 256-byte lines, factor 16. *)
 
 val default_pt_kinds : Factory.kind list
 (** linear-1L, forward-mapped, hashed (mode per design), clustered —

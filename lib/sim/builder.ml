@@ -140,6 +140,7 @@ let assignments ?subblock_factor ?placement_p ~seed snap =
   |> Array.of_list
 
 type fixture = {
+  spec : Workload.Spec.t;
   snap : Workload.Snapshot.t;
   assignments : assignment array;
   trace : Workload.Trace.t Lazy.t;
@@ -148,6 +149,7 @@ type fixture = {
 let fixture ?placement_p ?(length = 80_000) ?quantum ~seed spec =
   let snap = Workload.Snapshot.generate spec ~seed in
   {
+    spec;
     snap;
     assignments = assignments ?placement_p ~seed snap;
     trace =

@@ -77,6 +77,7 @@ val assignments :
 (** One assignment per process of the snapshot. *)
 
 type fixture = {
+  spec : Workload.Spec.t;
   snap : Workload.Snapshot.t;
   assignments : assignment array;  (** one per process *)
   trace : Workload.Trace.t Lazy.t;  (** generated on first use *)

@@ -45,12 +45,12 @@ let table1 ?(options = default_options) ?domains () =
   let computed =
     par_map ?domains
       (fun spec ->
+        let fx = fixture options spec in
         let run =
-          Access_exp.run ~seed:options.seed ~length:options.length
-            ~placement_p:options.placement_p ~design:Access_exp.Single
-            ~pt_kinds:[ Factory.Hashed ] spec
+          Access_exp.run ~design:Access_exp.Single ~pt_kinds:[ Factory.Hashed ]
+            fx
         in
-        let hashed_bytes = base_size Factory.Hashed (fixture options spec) in
+        let hashed_bytes = base_size Factory.Hashed fx in
         (* 40-cycle miss penalty (Section 6.2).  Trace events are
            page-granular; one event stands for ~25 in-page references of
            a real instruction stream (calibration constant, see
@@ -132,9 +132,8 @@ let figure11 ?(options = default_options) ?domains ~design () =
   let runs =
     par_map ?domains
       (fun spec ->
-        Access_exp.run ~seed:options.seed ~length:options.length
-          ~placement_p:options.placement_p ~design
-          ~pt_kinds:(Access_exp.kinds_for design) spec)
+        Access_exp.run ~design ~pt_kinds:(Access_exp.kinds_for design)
+          (fixture options spec))
       specs
   in
   (match runs with
@@ -229,16 +228,15 @@ let table2 ?(options = default_options) ?domains () =
 (* --- Ablations (Sections 6.3 and 7) --- *)
 
 let ablation_line_size ?(options = default_options) ?domains () =
-  let spec = Workload.Table1.coral in
+  let fx = fixture options Workload.Table1.coral in
+  (* the jobs share the fixture: generate the trace before they start *)
+  ignore (Lazy.force fx.Builder.trace);
   let out =
     par_map ?domains
       (fun line_size ->
         let run =
-          Access_exp.run ~seed:options.seed ~length:options.length
-            ~line_size ~placement_p:options.placement_p
-            ~design:Access_exp.Single
-            ~pt_kinds:[ Factory.clustered16 ]
-            spec
+          Access_exp.run ~line_size ~design:Access_exp.Single
+            ~pt_kinds:[ Factory.clustered16 ] fx
         in
         let mean =
           match run.Access_exp.results with
@@ -360,15 +358,14 @@ let ablation_reverse_order ?(options = default_options) ?domains () =
     par_map ?domains
       (fun spec ->
         let run =
-          Access_exp.run ~seed:options.seed ~length:options.length
-            ~placement_p:options.placement_p ~design:Access_exp.Psb
+          Access_exp.run ~design:Access_exp.Psb
             ~pt_kinds:
               [
                 Factory.Hashed_two_tables { coarse_first = false };
                 Factory.Hashed_two_tables { coarse_first = true };
                 Factory.clustered16;
               ]
-            spec
+            (fixture options spec)
         in
         spec.Workload.Spec.name
         :: List.map
@@ -517,15 +514,14 @@ let ablation_guarded ?(options = default_options) ?domains () =
     par_map ?domains
       (fun spec ->
         let run =
-          Access_exp.run ~seed:options.seed ~length:options.length
-            ~placement_p:options.placement_p ~design:Access_exp.Single
+          Access_exp.run ~design:Access_exp.Single
             ~pt_kinds:
               [
                 Factory.Forward_mapped;
                 Factory.Forward_guarded;
                 Factory.clustered16;
               ]
-            spec
+            (fixture options spec)
         in
         spec.Workload.Spec.name
         :: List.map
@@ -1165,9 +1161,9 @@ let verify_report ?(options = default_options) ?domains () =
        run.Access_exp.results)
       .Access_exp.mean_lines
   in
+  let fx = fixture options spec in
   let run design =
-    Access_exp.run ~seed:options.seed ~length:options.length ~design
-      ~pt_kinds:(Access_exp.kinds_for design) spec
+    Access_exp.run ~design ~pt_kinds:(Access_exp.kinds_for design) fx
   in
   let a = run Access_exp.Single in
   check "Fig 11a: forward-mapped = 7 lines/miss" (mean a "fwd-mapped" = 7.0);
@@ -1183,7 +1179,6 @@ let verify_report ?(options = default_options) ?domains () =
   check "Fig 11d: prefetch from clustered stays near one line"
     (mean d "clustered" < 1.5);
   (* Table 2 *)
-  let fx = fixture options spec in
   let n p = nactive fx.Builder.snap p in
   check "Table 2: clustered size = (8s+16) * Nactive(16)"
     (base_size Factory.clustered16 fx

@@ -53,7 +53,7 @@ let agrees ~make ops =
   in
   List.for_all
     (fun vpn ->
-      let got = fst (Intf.lookup pt ~vpn) in
+      let got = Walk.find Intf.lookup_into pt ~vpn in
       match (Hashtbl.find_opt model vpn, got) with
       | None, None -> true
       | Some ppn, Some tr ->
@@ -83,61 +83,6 @@ let drain_test ~name ~make =
         Intf.remove pt ~vpn:(Int64.of_int v)
       done;
       Intf.population pt = 0)
-
-(* --- lookup_into equivalence ---
-
-   The allocation-free [lookup_into] must translate identically to the
-   legacy [lookup] AND charge the same walk: same memory reads, same
-   probe count, same nested misses.  Two identically-populated tables
-   are compared because lookups can be stateful (the TSBs install
-   entries as they run), so issuing both entry points against one table
-   would entangle their histories; instead each table sees the same
-   lookup sequence through its own entry point. *)
-let walk_equiv ~make ops =
-  let pt_a = make () and pt_b = make () in
-  let apply pt =
-    List.iter
-      (function
-        | Insert (vpn, ppn) ->
-            Intf.insert_base pt ~vpn ~ppn ~attr:Pte.Attr.default
-        | Remove vpn -> Intf.remove pt ~vpn)
-      ops
-  in
-  apply pt_a;
-  apply pt_b;
-  let acc = Mem.Walk_acc.create () in
-  let vpns =
-    List.sort_uniq compare
-      (List.map (function Insert (v, _) -> v | Remove v -> v) ops)
-  in
-  List.for_all
-    (fun vpn ->
-      let legacy, walk = Intf.lookup pt_a ~vpn in
-      Mem.Walk_acc.reset acc;
-      let through_acc = Intf.lookup_into pt_b acc ~vpn in
-      let same_translation =
-        match (legacy, through_acc) with
-        | None, None -> true
-        | Some a, Some b ->
-            Int64.equal a.Types.ppn b.Types.ppn
-            && Types.covered_pages a = Types.covered_pages b
-        | Some _, None | None, Some _ -> false
-      in
-      let acc_reads = ref [] in
-      Mem.Walk_acc.iter acc (fun addr bytes ->
-          acc_reads := { Mem.Cache_model.addr; bytes } :: !acc_reads);
-      (* the walk lists reads most recent first; compare as sorted
-         multisets so only the set of charged reads matters *)
-      let sorted l = List.sort compare l in
-      same_translation
-      && sorted walk.Types.accesses = sorted !acc_reads
-      && Mem.Walk_acc.probes acc = walk.Types.probes
-      && Mem.Walk_acc.nested_misses acc = walk.Types.nested_misses)
-    vpns
-
-let walk_equiv_test ~name ~make =
-  QCheck.Test.make ~name ~count:60 (ops_arbitrary ~vpn_space:200 ~len:120)
-    (fun ops -> walk_equiv ~make ops)
 
 (* --- mixed-format model checking ---
 
@@ -218,7 +163,7 @@ let apply_mixed pt model op =
       let vpn = Int64.add (Int64.shift_left vpbn 4) (Int64.of_int i) in
       Intf.remove pt ~vpn;
       (* a psb node and base words can coexist on a chain; drain *)
-      while fst (Intf.lookup pt ~vpn) <> None do
+      while Walk.find Intf.lookup_into pt ~vpn <> None do
         Intf.remove pt ~vpn
       done
     done
@@ -227,7 +172,7 @@ let apply_mixed pt model op =
   | MBase (vpn, ppn) ->
       Model.remove model vpn;
       Intf.remove pt ~vpn;
-      while fst (Intf.lookup pt ~vpn) <> None do
+      while Walk.find Intf.lookup_into pt ~vpn <> None do
         Intf.remove pt ~vpn
       done;
       Hashtbl.replace model vpn (ppn, Model.EBase);
@@ -262,7 +207,7 @@ let mixed_agrees ~make ops =
   let ok = ref true in
   for v = 0 to (8 * 16) - 1 do
     let vpn = Int64.of_int v in
-    let got = fst (Intf.lookup pt ~vpn) in
+    let got = Walk.find Intf.lookup_into pt ~vpn in
     (match (Hashtbl.find_opt model vpn, got) with
     | None, None -> ()
     | Some (ppn, _), Some tr when Int64.equal tr.Types.ppn ppn -> ()

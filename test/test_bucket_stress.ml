@@ -48,7 +48,7 @@ let read_back_range table lock ~domain =
     let v = vpn ~domain ~k in
     let tr =
       Clustered_pt.Bucket_lock.Real.with_read lock ~bucket:(bucket_of v)
-        (fun () -> fst (Clustered_pt.Table.lookup table ~vpn:v))
+        (fun () -> Walk.find Clustered_pt.Table.lookup_into table ~vpn:v)
     in
     match tr with
     | Some t ->
@@ -106,8 +106,8 @@ let test_stress () =
   for domain = 0 to num_domains - 1 do
     for k = 0 to vpns_per_domain - 1 do
       let v = vpn ~domain ~k in
-      let got = fst (Clustered_pt.Table.lookup table ~vpn:v) in
-      let want = fst (Clustered_pt.Table.lookup reference ~vpn:v) in
+      let got = Walk.find Clustered_pt.Table.lookup_into table ~vpn:v in
+      let want = Walk.find Clustered_pt.Table.lookup_into reference ~vpn:v in
       if got <> want then
         Alcotest.failf "translation mismatch at vpn %Ld" v
     done
@@ -156,7 +156,7 @@ let test_single_bucket_reclaim () =
   done;
   Hashtbl.iter
     (fun v () ->
-      match fst (Clustered_pt.Table.lookup table ~vpn:v) with
+      match Walk.find Clustered_pt.Table.lookup_into table ~vpn:v with
       | Some tr when tr.Pt_common.Types.ppn = ppn_of v -> ()
       | Some _ -> Alcotest.failf "wrong translation at vpn %Ld" v
       | None -> Alcotest.failf "lost vpn %Ld mid-interleave" v)
@@ -179,7 +179,7 @@ let test_single_bucket_reclaim () =
     (Clustered_pt.Table.population table);
   Alcotest.(check bool) "emptied nodes parked for reuse" true
     (Clustered_pt.Table.free_nodes table > 0);
-  (match fst (Clustered_pt.Table.lookup table ~vpn:(page 0 1)) with
+  (match Walk.find Clustered_pt.Table.lookup_into table ~vpn:(page 0 1) with
   | None -> ()
   | Some _ -> Alcotest.fail "lookup found a mapping in a drained table");
   (* refill: the free list must satisfy the rebuild without growing the

@@ -17,14 +17,14 @@ let instance ?subblock_factor ?buckets () =
 let test_insert_lookup () =
   let t = make () in
   T.insert_base t ~vpn:0x41034L ~ppn:0x123L ~attr;
-  (match T.lookup t ~vpn:0x41034L with
+  (match Walk.lookup T.lookup_into t ~vpn:0x41034L with
   | Some tr, walk ->
       Alcotest.(check int64) "ppn" 0x123L tr.Types.ppn;
       Alcotest.(check bool) "base kind" true (tr.Types.kind = Types.Base);
-      Alcotest.(check int) "one probe" 1 walk.Types.probes
+      Alcotest.(check int) "one probe" 1 (Walk.probes walk)
   | None, _ -> Alcotest.fail "mapped page not found");
   Alcotest.(check bool) "neighbour in same block unmapped" true
-    (fst (T.lookup t ~vpn:0x41035L) = None)
+    (Walk.find T.lookup_into t ~vpn:0x41035L = None)
 
 let test_one_node_per_block () =
   let t = make () in
@@ -49,19 +49,19 @@ let test_walk_reads_match_figure8 () =
   let t = make () in
   T.insert_base t ~vpn:0x100L ~ppn:1L ~attr;
   T.insert_base t ~vpn:0x105L ~ppn:2L ~attr;
-  let _, walk0 = T.lookup t ~vpn:0x100L in
-  let _, walk5 = T.lookup t ~vpn:0x105L in
+  let _, walk0 = Walk.lookup T.lookup_into t ~vpn:0x100L in
+  let _, walk5 = Walk.lookup T.lookup_into t ~vpn:0x105L in
   Alcotest.(check int) "boff 0 reads: tag+next, word0" 2
-    (List.length walk0.Types.accesses);
+    (Walk.reads walk0);
   Alcotest.(check int) "boff 5 reads: tag+next, word0, word5" 3
-    (List.length walk5.Types.accesses);
+    (Walk.reads walk5);
   (* all within one 256-byte line *)
-  Alcotest.(check int) "still one line" 1 (Types.walk_lines walk5)
+  Alcotest.(check int) "still one line" 1 (Walk.lines walk5)
 
 let test_empty_bucket_costs_one_line () =
   let t = make () in
-  let _, walk = T.lookup t ~vpn:0xDEADL in
-  Alcotest.(check int) "embedded head read" 1 (Types.walk_lines walk)
+  let _, walk = Walk.lookup T.lookup_into t ~vpn:0xDEADL in
+  Alcotest.(check int) "embedded head read" 1 (Walk.lines walk)
 
 (* --- partial-subblock and superpage nodes (Figures 7/8) --- *)
 
@@ -69,13 +69,14 @@ let test_psb_node () =
   let t = make () in
   T.insert_psb t ~vpbn:5L ~vmask:0b1010 ~ppn:0x40L ~attr;
   Alcotest.(check int) "psb node is 24 bytes" 24 (T.size_bytes t);
-  (match T.lookup t ~vpn:0x51L with
+  (match Walk.lookup T.lookup_into t ~vpn:0x51L with
   | Some tr, _ ->
       Alcotest.(check int64) "ppn offset" 0x41L tr.Types.ppn;
       Alcotest.(check bool) "kind" true
         (tr.Types.kind = Types.Partial_subblock 0b1010)
   | None, _ -> Alcotest.fail "psb bit 1 should map");
-  Alcotest.(check bool) "clear bit faults" true (fst (T.lookup t ~vpn:0x50L) = None)
+  Alcotest.(check bool) "clear bit faults" true
+    (Walk.find T.lookup_into t ~vpn:0x50L = None)
 
 let test_psb_merge () =
   let t = make () in
@@ -88,7 +89,7 @@ let test_block_superpage_node () =
   let t = make () in
   T.insert_superpage t ~vpn:0x40L ~size:Addr.Page_size.kb64 ~ppn:0x100L ~attr;
   Alcotest.(check int) "one 24-byte node" 24 (T.size_bytes t);
-  (match T.lookup t ~vpn:0x4BL with
+  (match Walk.lookup T.lookup_into t ~vpn:0x4BL with
   | Some tr, _ ->
       Alcotest.(check int64) "ppn" 0x10BL tr.Types.ppn;
       Alcotest.(check int64) "vpn_base" 0x40L tr.Types.vpn_base;
@@ -104,7 +105,7 @@ let test_large_superpage_replicates_per_block () =
   Alcotest.(check int) "sixteen single nodes" 16 (T.node_count t);
   Alcotest.(check int) "384 bytes total" (16 * 24) (T.size_bytes t);
   (* any page resolves with the right offset *)
-  (match T.lookup t ~vpn:0x1FFL with
+  (match Walk.lookup T.lookup_into t ~vpn:0x1FFL with
   | Some tr, _ -> Alcotest.(check int64) "last page" 0x4FFL tr.Types.ppn
   | None, _ -> Alcotest.fail "should map");
   Alcotest.(check int) "population covers 256 pages" 256 (T.population t)
@@ -118,11 +119,11 @@ let test_small_superpage_in_block_node () =
   T.insert_superpage t ~vpn:0x12L ~size:(Addr.Page_size.of_bytes 0x2000)
     ~ppn:0x30L ~attr;
   Alcotest.(check int) "one block node" 1 (T.node_count t);
-  (match T.lookup t ~vpn:0x11L with
+  (match Walk.lookup T.lookup_into t ~vpn:0x11L with
   | Some tr, _ ->
       Alcotest.(check int64) "first sp maps" 0x21L tr.Types.ppn
   | None, _ -> Alcotest.fail "first 8KB sp");
-  match T.lookup t ~vpn:0x12L with
+  match Walk.lookup T.lookup_into t ~vpn:0x12L with
   | Some tr, _ -> Alcotest.(check int64) "second sp maps" 0x30L tr.Types.ppn
   | None, _ -> Alcotest.fail "second 8KB sp"
 
@@ -137,7 +138,7 @@ let test_mixed_chain_continues_after_tag_match () =
   T.insert_psb t ~vpbn:4L ~vmask:0b0011 ~ppn:0x40L ~attr;
   Alcotest.(check int) "two nodes share the tag" 2 (T.node_count t);
   let ppn_of vpn =
-    match T.lookup t ~vpn with
+    match Walk.lookup T.lookup_into t ~vpn with
     | Some tr, _ -> tr.Types.ppn
     | None, _ -> Alcotest.failf "vpn %Lx unmapped" vpn
   in
@@ -151,8 +152,10 @@ let test_remove_base () =
   T.insert_base t ~vpn:0x10L ~ppn:1L ~attr;
   T.insert_base t ~vpn:0x11L ~ppn:2L ~attr;
   T.remove t ~vpn:0x10L;
-  Alcotest.(check bool) "removed" true (fst (T.lookup t ~vpn:0x10L) = None);
-  Alcotest.(check bool) "sibling intact" true (fst (T.lookup t ~vpn:0x11L) <> None);
+  Alcotest.(check bool) "removed" true
+    (Walk.find T.lookup_into t ~vpn:0x10L = None);
+  Alcotest.(check bool) "sibling intact" true
+    (Walk.find T.lookup_into t ~vpn:0x11L <> None);
   T.remove t ~vpn:0x11L;
   Alcotest.(check int) "empty node freed" 0 (T.node_count t);
   Alcotest.(check int) "no bytes" 0 (T.size_bytes t)
@@ -161,8 +164,10 @@ let test_remove_psb_bitwise () =
   let t = make () in
   T.insert_psb t ~vpbn:2L ~vmask:0b11 ~ppn:0x20L ~attr;
   T.remove t ~vpn:0x20L;
-  Alcotest.(check bool) "bit cleared" true (fst (T.lookup t ~vpn:0x20L) = None);
-  Alcotest.(check bool) "other bit alive" true (fst (T.lookup t ~vpn:0x21L) <> None);
+  Alcotest.(check bool) "bit cleared" true
+    (Walk.find T.lookup_into t ~vpn:0x20L = None);
+  Alcotest.(check bool) "other bit alive" true
+    (Walk.find T.lookup_into t ~vpn:0x21L <> None);
   T.remove t ~vpn:0x21L;
   Alcotest.(check int) "node gone at zero mask" 0 (T.node_count t)
 
@@ -171,7 +176,7 @@ let test_remove_superpage_whole () =
   T.insert_superpage t ~vpn:0x40L ~size:Addr.Page_size.kb64 ~ppn:0x100L ~attr;
   T.remove t ~vpn:0x45L;
   Alcotest.(check bool) "whole superpage removed" true
-    (fst (T.lookup t ~vpn:0x40L) = None);
+    (Walk.find T.lookup_into t ~vpn:0x40L = None);
   Alcotest.(check int) "node freed" 0 (T.node_count t)
 
 (* --- range operations (Section 3.1) --- *)
@@ -187,7 +192,7 @@ let test_attr_range_one_search_per_block () =
       ~f:(fun a -> { a with Pte.Attr.writable = false })
   in
   Alcotest.(check int) "48 pages, 3 block searches" 3 searches;
-  match T.lookup t ~vpn:20L with
+  match Walk.lookup T.lookup_into t ~vpn:20L with
   | Some tr, _ ->
       Alcotest.(check bool) "attr updated" false tr.Types.attr.Pte.Attr.writable
   | None, _ -> Alcotest.fail "page vanished"
@@ -202,7 +207,7 @@ let test_attr_range_partial_block () =
        (Addr.Region.make ~first_vpn:4L ~pages:4)
        ~f:(fun a -> { a with Pte.Attr.writable = false }));
   let writable vpn =
-    match T.lookup t ~vpn with
+    match Walk.lookup T.lookup_into t ~vpn with
     | Some tr, _ -> tr.Types.attr.Pte.Attr.writable
     | None, _ -> Alcotest.fail "unmapped"
   in
@@ -224,7 +229,7 @@ let test_promotion () =
     summary.T.promotable_ppn;
   Alcotest.(check bool) "promote succeeds" true (T.promote_block t ~vpn:0x25L);
   Alcotest.(check int) "one 24-byte node after" 24 (T.size_bytes t);
-  (match T.lookup t ~vpn:0x2FL with
+  (match Walk.lookup T.lookup_into t ~vpn:0x2FL with
   | Some tr, _ ->
       Alcotest.(check bool) "now a superpage" true
         (tr.Types.kind = Types.Superpage Addr.Page_size.kb64);
@@ -232,7 +237,7 @@ let test_promotion () =
   | None, _ -> Alcotest.fail "promoted page unmapped");
   (* and back *)
   Alcotest.(check bool) "demote succeeds" true (T.demote_block t ~vpn:0x25L);
-  match T.lookup t ~vpn:0x2FL with
+  match Walk.lookup T.lookup_into t ~vpn:0x2FL with
   | Some tr, _ -> Alcotest.(check bool) "base again" true (tr.Types.kind = Types.Base)
   | None, _ -> Alcotest.fail "demoted page unmapped"
 
@@ -258,16 +263,18 @@ let test_lookup_block () =
       T.insert_base t ~vpn:(Int64.of_int (0x60 + i)) ~ppn:(Int64.of_int (0x80 + i))
         ~attr
   done;
-  let found, walk = T.lookup_block t ~vpn:0x63L ~subblock_factor:16 in
+  let found, walk =
+    Walk.block T.lookup_block t ~vpn:0x63L ~subblock_factor:16
+  in
   Alcotest.(check int) "eight valid pages" 8 (List.length found);
   Alcotest.(check bool) "offsets are the even ones" true
     (List.for_all (fun (i, _) -> i mod 2 = 0) found);
-  Alcotest.(check int) "one probe serves the block" 1 walk.Types.probes;
+  Alcotest.(check int) "one probe serves the block" 1 (Walk.probes walk);
   (* a 144-byte node spans one 256-byte line *)
-  Alcotest.(check int) "one line" 1 (Types.walk_lines walk);
+  Alcotest.(check int) "one line" 1 (Walk.lines walk);
   Alcotest.(check int) "two lines at 64B"
     3
-    (Types.walk_lines ~line_size:64 walk)
+    (Walk.lines ~line_size:64 walk)
 
 (* --- chains and hashing --- *)
 
@@ -280,7 +287,7 @@ let test_chain_collisions () =
   Alcotest.(check int) "chain holds all nodes" 10 (T.chain_length t ~bucket:0);
   Alcotest.(check (float 1e-9)) "load factor" 10.0 (T.load_factor t);
   for b = 0 to 9 do
-    match T.lookup t ~vpn:(Int64.of_int (b * 16)) with
+    match Walk.lookup T.lookup_into t ~vpn:(Int64.of_int (b * 16)) with
     | Some tr, _ -> Alcotest.(check int64) "resolves" (Int64.of_int b) tr.Types.ppn
     | None, _ -> Alcotest.fail "chained node lost"
   done
@@ -293,7 +300,8 @@ let test_clear () =
   T.clear t;
   Alcotest.(check int) "no nodes" 0 (T.node_count t);
   Alcotest.(check int) "no bytes" 0 (T.size_bytes t);
-  Alcotest.(check bool) "lookups fault" true (fst (T.lookup t ~vpn:0L) = None)
+  Alcotest.(check bool) "lookups fault" true
+    (Walk.find T.lookup_into t ~vpn:0L = None)
 
 (* --- coarse (multi-size) tables and the two-table scheme --- *)
 
@@ -312,19 +320,19 @@ let test_multi_size () =
   (* the 1 MB superpage costs ONE coarse node, not 16 *)
   Alcotest.(check int) "coarse node count" 1
     (T.node_count (Clustered_pt.Multi_size.coarse m));
-  (match Clustered_pt.Multi_size.lookup m ~vpn:0x10L with
+  (match Walk.lookup Clustered_pt.Multi_size.lookup_into m ~vpn:0x10L with
   | Some tr, _ -> Alcotest.(check int64) "fine hit" 0x1L tr.Types.ppn
   | None, _ -> Alcotest.fail "fine lookup");
-  (match Clustered_pt.Multi_size.lookup m ~vpn:0x1FFL with
+  (match Walk.lookup Clustered_pt.Multi_size.lookup_into m ~vpn:0x1FFL with
   | Some tr, walk ->
       Alcotest.(check int64) "coarse hit" 0x4FFL tr.Types.ppn;
       (* probing fine first costs a (failed) fine walk *)
       Alcotest.(check bool) "two-table walk costs >= 2 lines" true
-        (Types.walk_lines walk >= 2)
+        (Walk.lines walk >= 2)
   | None, _ -> Alcotest.fail "coarse lookup");
   Clustered_pt.Multi_size.remove m ~vpn:0x1FFL;
   Alcotest.(check bool) "large superpage removed via coarse" true
-    (fst (Clustered_pt.Multi_size.lookup m ~vpn:0x1FFL) = None)
+    (Walk.find Clustered_pt.Multi_size.lookup_into m ~vpn:0x1FFL = None)
 
 (* --- bucket locks (Section 3.1) --- *)
 
@@ -415,11 +423,11 @@ let test_tsb_hit_one_slot_read () =
   let t = Tsb.create ~slots:64 () in
   Tsb.insert_base t ~vpn:0x40L ~ppn:0x80L ~attr;
   (* first lookup misses the (invalidated) slot and refills it *)
-  ignore (Tsb.lookup t ~vpn:0x40L);
-  match Tsb.lookup t ~vpn:0x40L with
+  ignore (Walk.lookup Tsb.lookup_into t ~vpn:0x40L);
+  match Walk.lookup Tsb.lookup_into t ~vpn:0x40L with
   | Some tr, walk ->
       Alcotest.(check int64) "ppn" 0x80L tr.Types.ppn;
-      Alcotest.(check int) "one line on a TSB hit" 1 (Types.walk_lines walk)
+      Alcotest.(check int) "one line on a TSB hit" 1 (Walk.lines walk)
   | None, _ -> Alcotest.fail "not found"
 
 let test_tsb_block_coverage_after_block_refill () =
@@ -428,12 +436,12 @@ let test_tsb_block_coverage_after_block_refill () =
     Tsb.insert_base t ~vpn:(Int64.of_int (0x40 + i)) ~ppn:(Int64.of_int i) ~attr
   done;
   (* one block lookup warms the whole slot *)
-  let found, _ = Tsb.lookup_block t ~vpn:0x43L ~subblock_factor:16 in
+  let found, _ = Walk.block Tsb.lookup_block t ~vpn:0x43L ~subblock_factor:16 in
   Alcotest.(check int) "block gathered" 16 (List.length found);
-  ignore (Tsb.lookup t ~vpn:0x44L);
+  ignore (Walk.lookup Tsb.lookup_into t ~vpn:0x44L);
   let before = Tsb.tsb_hits t in
   (* after the single-page refill path, at least that page hits *)
-  ignore (Tsb.lookup t ~vpn:0x44L);
+  ignore (Walk.lookup Tsb.lookup_into t ~vpn:0x44L);
   Alcotest.(check bool) "page hits after refill" true (Tsb.tsb_hits t > before)
 
 let test_tsb_conflict_eviction () =
@@ -441,10 +449,10 @@ let test_tsb_conflict_eviction () =
   (* blocks 0 and 64 conflict in a 64-slot TSB *)
   Tsb.insert_base t ~vpn:0x5L ~ppn:0x1L ~attr;
   Tsb.insert_base t ~vpn:(Int64.of_int ((64 * 16) + 5)) ~ppn:0x2L ~attr;
-  ignore (Tsb.lookup t ~vpn:0x5L);
-  ignore (Tsb.lookup t ~vpn:(Int64.of_int ((64 * 16) + 5)));
+  ignore (Walk.lookup Tsb.lookup_into t ~vpn:0x5L);
+  ignore (Walk.lookup Tsb.lookup_into t ~vpn:(Int64.of_int ((64 * 16) + 5)));
   (* both remain resolvable through the backing table *)
-  (match Tsb.lookup t ~vpn:0x5L with
+  (match Walk.lookup Tsb.lookup_into t ~vpn:0x5L with
   | Some tr, _ -> Alcotest.(check int64) "evicted still resolves" 0x1L tr.Types.ppn
   | None, _ -> Alcotest.fail "lost after conflict");
   Alcotest.(check bool) "misses were counted" true (Tsb.tsb_misses t >= 2)
@@ -452,32 +460,32 @@ let test_tsb_conflict_eviction () =
 let test_tsb_psb_and_superpage_slots () =
   let t = Tsb.create ~slots:64 () in
   Tsb.insert_psb t ~vpbn:2L ~vmask:0b101 ~ppn:0x20L ~attr;
-  ignore (Tsb.lookup t ~vpn:0x22L);
-  (match Tsb.lookup t ~vpn:0x22L with
+  ignore (Walk.lookup Tsb.lookup_into t ~vpn:0x22L);
+  (match Walk.lookup Tsb.lookup_into t ~vpn:0x22L with
   | Some tr, walk ->
       Alcotest.(check bool) "psb kind" true
         (match tr.Types.kind with Types.Partial_subblock _ -> true | _ -> false);
-      Alcotest.(check int) "hit costs a line" 1 (Types.walk_lines walk)
+      Alcotest.(check int) "hit costs a line" 1 (Walk.lines walk)
   | None, _ -> Alcotest.fail "psb slot");
   Tsb.insert_superpage t ~vpn:0x40L ~size:Addr.Page_size.kb64 ~ppn:0x100L ~attr;
-  ignore (Tsb.lookup t ~vpn:0x4AL);
-  match Tsb.lookup t ~vpn:0x4AL with
+  ignore (Walk.lookup Tsb.lookup_into t ~vpn:0x4AL);
+  match Walk.lookup Tsb.lookup_into t ~vpn:0x4AL with
   | Some tr, _ -> Alcotest.(check int64) "sp offset" 0x10AL tr.Types.ppn
   | None, _ -> Alcotest.fail "sp slot"
 
 let test_tsb_invalidate_on_update () =
   let t = Tsb.create ~slots:64 () in
   Tsb.insert_base t ~vpn:0x40L ~ppn:0x80L ~attr;
-  ignore (Tsb.lookup t ~vpn:0x40L);
-  ignore (Tsb.lookup t ~vpn:0x40L);
+  ignore (Walk.lookup Tsb.lookup_into t ~vpn:0x40L);
+  ignore (Walk.lookup Tsb.lookup_into t ~vpn:0x40L);
   (* remap: the stale slot must not serve the old frame *)
   Tsb.insert_base t ~vpn:0x40L ~ppn:0x99L ~attr;
-  (match Tsb.lookup t ~vpn:0x40L with
+  (match Walk.lookup Tsb.lookup_into t ~vpn:0x40L with
   | Some tr, _ -> Alcotest.(check int64) "fresh frame" 0x99L tr.Types.ppn
   | None, _ -> Alcotest.fail "remap lost");
   Tsb.remove t ~vpn:0x40L;
   Alcotest.(check bool) "removed everywhere" true
-    (fst (Tsb.lookup t ~vpn:0x40L) = None);
+    (Walk.find Tsb.lookup_into t ~vpn:0x40L = None);
   Alcotest.(check int) "reach" (64 * 16) (Tsb.reach_pages t)
 
 let prop_tsb_model =
@@ -518,10 +526,10 @@ let test_var_sparse_uses_quarter_nodes () =
   (* one isolated page: a 48-byte quarter node, not 144 *)
   Alcotest.(check int) "48 bytes" 48 (V.size_bytes t);
   Alcotest.(check int) "one quarter node" 1 (V.quarter_nodes t);
-  match V.lookup t ~vpn:0x41L with
+  match Walk.lookup V.lookup_into t ~vpn:0x41L with
   | Some tr, walk ->
       Alcotest.(check int64) "resolves" 0x1L tr.Pt_common.Types.ppn;
-      Alcotest.(check int) "one line" 1 (Pt_common.Types.walk_lines walk)
+      Alcotest.(check int) "one line" 1 (Walk.lines walk)
   | None, _ -> Alcotest.fail "not found"
 
 let test_var_merge_to_full () =
@@ -537,7 +545,7 @@ let test_var_merge_to_full () =
   (* everything still resolves *)
   List.iter
     (fun (vpn, ppn) ->
-      match V.lookup t ~vpn with
+      match Walk.lookup V.lookup_into t ~vpn with
       | Some tr, _ -> Alcotest.(check int64) "kept" ppn tr.Pt_common.Types.ppn
       | None, _ -> Alcotest.fail "lost in merge")
     [ (0x40L, 0x0L); (0x44L, 0x4L); (0x48L, 0x8L) ]
@@ -548,12 +556,12 @@ let test_var_quarter_miss_continues_chain () =
   (* same block, other quarter: second quarter node on the chain *)
   V.insert_base t ~vpn:0x4FL ~ppn:0xFL ~attr;
   Alcotest.(check int) "two quarters" 2 (V.quarter_nodes t);
-  (match V.lookup t ~vpn:0x4FL with
+  (match Walk.lookup V.lookup_into t ~vpn:0x4FL with
   | Some tr, _ -> Alcotest.(check int64) "far quarter" 0xFL tr.Pt_common.Types.ppn
   | None, _ -> Alcotest.fail "far quarter lost");
   (* a page in a covered quarter but an unmapped slot faults *)
   Alcotest.(check bool) "unmapped slot faults" true
-    (fst (V.lookup t ~vpn:0x41L) = None)
+    (Walk.find V.lookup_into t ~vpn:0x41L = None)
 
 let test_var_sparse_vs_fixed_size () =
   (* the point of the feature: sparse blocks cost a third *)
@@ -576,10 +584,10 @@ let test_var_psb_and_superpage () =
   let t = vmake () in
   V.insert_psb t ~vpbn:2L ~vmask:0b11 ~ppn:0x20L ~attr;
   V.insert_superpage t ~vpn:0x40L ~size:Addr.Page_size.kb64 ~ppn:0x100L ~attr;
-  (match V.lookup t ~vpn:0x21L with
+  (match Walk.lookup V.lookup_into t ~vpn:0x21L with
   | Some tr, _ -> Alcotest.(check int64) "psb" 0x21L tr.Pt_common.Types.ppn
   | None, _ -> Alcotest.fail "psb");
-  (match V.lookup t ~vpn:0x4AL with
+  (match Walk.lookup V.lookup_into t ~vpn:0x4AL with
   | Some tr, _ -> Alcotest.(check int64) "sp" 0x10AL tr.Pt_common.Types.ppn
   | None, _ -> Alcotest.fail "sp");
   (* an 8 KB superpage inside one quarter costs 48 bytes *)
@@ -692,7 +700,7 @@ let test_multi_size_mixed_population () =
       ~f:(fun a -> { a with Pte.Attr.writable = false })
   in
   Alcotest.(check bool) "searched both tables" true (searches >= 2);
-  (match Clustered_pt.Multi_size.lookup m ~vpn:0x4FFL with
+  (match Walk.lookup Clustered_pt.Multi_size.lookup_into m ~vpn:0x4FFL with
   | Some tr, _ ->
       Alcotest.(check bool) "range applied through the coarse table" false
         tr.Pt_common.Types.attr.Pte.Attr.writable
@@ -708,12 +716,16 @@ let test_tsb_block_prefetch_path () =
   for i = 0 to 15 do
     Tsb.insert_base t ~vpn:(Int64.of_int (0x80 + i)) ~ppn:(Int64.of_int i) ~attr
   done;
-  let found, _cold = Tsb.lookup_block t ~vpn:0x85L ~subblock_factor:16 in
+  let found, _cold =
+    Walk.block Tsb.lookup_block t ~vpn:0x85L ~subblock_factor:16
+  in
   Alcotest.(check int) "cold gathers all sixteen" 16 (List.length found);
-  let found, warm = Tsb.lookup_block t ~vpn:0x85L ~subblock_factor:16 in
+  let found, warm =
+    Walk.block Tsb.lookup_block t ~vpn:0x85L ~subblock_factor:16
+  in
   Alcotest.(check int) "warm gathers all sixteen" 16 (List.length found);
   Alcotest.(check int) "warm costs one slot read" 1
-    (List.length warm.Types.accesses)
+    (Walk.reads warm)
 
 let suite =
   ( fst suite,
@@ -728,14 +740,14 @@ let suite =
 let test_tsb_attr_range_invalidates () =
   let t = Tsb.create ~slots:64 () in
   Tsb.insert_base t ~vpn:0x40L ~ppn:0x80L ~attr;
-  ignore (Tsb.lookup t ~vpn:0x40L);
-  ignore (Tsb.lookup t ~vpn:0x40L);
+  ignore (Walk.lookup Tsb.lookup_into t ~vpn:0x40L);
+  ignore (Walk.lookup Tsb.lookup_into t ~vpn:0x40L);
   (* range op updates the backing and must not leave a stale slot *)
   ignore
     (Tsb.set_attr_range t
        (Addr.Region.make ~first_vpn:0x40L ~pages:1)
        ~f:(fun a -> { a with Pte.Attr.writable = false }));
-  match Tsb.lookup t ~vpn:0x40L with
+  match Walk.lookup Tsb.lookup_into t ~vpn:0x40L with
   | Some tr, _ ->
       Alcotest.(check bool) "fresh attr served" false
         tr.Types.attr.Pte.Attr.writable
@@ -765,9 +777,10 @@ let prop_promote_demote_roundtrip =
       done;
       let snapshot () =
         List.init 16 (fun i ->
-            match T.lookup t ~vpn:(Int64.add base_vpn (Int64.of_int i)) with
-            | Some tr, _ -> Some tr.Types.ppn
-            | None, _ -> None)
+            let vpn = Int64.add base_vpn (Int64.of_int i) in
+            match Walk.find T.lookup_into t ~vpn with
+            | Some tr -> Some tr.Types.ppn
+            | None -> None)
       in
       let before = snapshot () in
       let promoted = T.promote_block t ~vpn:base_vpn in

@@ -103,12 +103,12 @@ let test_cow_divergence () =
       Alcotest.(check (option int64)) "parent untouched" (Some orig)
         (A.translate parent ~vpn);
       (* both page tables reflect the divergence *)
-      (match fst (Intf.lookup child_pt ~vpn) with
+      (match Walk.find Intf.lookup_into child_pt ~vpn with
       | Some tr ->
           Alcotest.(check int64) "child PT has fresh frame" fresh
             tr.Pt_common.Types.ppn
       | None -> Alcotest.fail "child PT lost the page");
-      (match fst (Intf.lookup pt ~vpn) with
+      (match Walk.find Intf.lookup_into pt ~vpn with
       | Some tr ->
           Alcotest.(check int64) "parent PT keeps old frame" orig
             tr.Pt_common.Types.ppn
@@ -152,7 +152,7 @@ let test_pt_matches_mappings () =
       done;
       for v = 0 to 511 do
         let vpn = Int64.of_int v in
-        match (A.translate t ~vpn, fst (Intf.lookup pt ~vpn)) with
+        match (A.translate t ~vpn, Walk.find Intf.lookup_into pt ~vpn) with
         | None, None -> ()
         | Some ppn, Some tr ->
             if not (Int64.equal ppn tr.Pt_common.Types.ppn) then

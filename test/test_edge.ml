@@ -28,7 +28,7 @@ let validation_cases =
     raises_invalid "sim memory non-pow2 align" (fun () ->
         Mem.Sim_memory.alloc (Mem.Sim_memory.create ()) ~bytes:8 ~align:24);
     raises_invalid "cache model non-pow2 line" (fun () ->
-        Mem.Cache_model.distinct_lines ~line_size:100 []);
+        Mem.Cache_model.create_counter ~line_size:100 ());
     raises_invalid "cache sim zero ways" (fun () ->
         Mem.Cache_sim.create ~sets:4 ~ways:0 ());
     raises_invalid "buddy bad total" (fun () ->
@@ -76,14 +76,28 @@ let validation_cases =
 
 (* --- semantic edge cases --- *)
 
-let test_walk_join_orders_accesses () =
-  let a = Types.walk_read Types.empty_walk ~addr:0L ~bytes:8 in
-  let b = Types.walk_read Types.empty_walk ~addr:512L ~bytes:8 in
-  let j = Types.walk_join a b in
-  Alcotest.(check int) "accesses merged" 2 (List.length j.Types.accesses);
-  Alcotest.(check int) "lines merged" 2 (Types.walk_lines j);
-  let j2 = Types.walk_join (Types.walk_probe a) (Types.walk_probe b) in
-  Alcotest.(check int) "probes added" 2 j2.Types.probes
+let test_lookup_pages () =
+  (* a toy table: even pages map, each lookup reads one word *)
+  let order = ref [] in
+  let lookup_into acc ~vpn =
+    order := vpn :: !order;
+    Mem.Walk_acc.read acc ~addr:(Int64.mul vpn 512L) ~bytes:8;
+    Mem.Walk_acc.probe acc;
+    if Int64.rem vpn 2L = 0L then
+      Some (Types.base_translation ~vpn ~ppn:vpn ~attr)
+    else None
+  in
+  let acc = Mem.Walk_acc.create () in
+  let found =
+    Types.lookup_pages lookup_into acc ~vpn:0x13L ~subblock_factor:4
+  in
+  Alcotest.(check (list int)) "mapped offsets, ascending" [ 0; 2 ]
+    (List.map fst found);
+  Alcotest.(check (list int64)) "last page looked up first"
+    [ 0x10L; 0x11L; 0x12L; 0x13L ] !order;
+  Alcotest.(check int) "every page's read charged" 4 (Walk.reads acc);
+  Alcotest.(check int) "lines added" 4 (Walk.lines acc);
+  Alcotest.(check int) "probes added" 4 (Walk.probes acc)
 
 let test_covered_pages () =
   let base = Types.base_translation ~vpn:1L ~ppn:2L ~attr in
@@ -99,7 +113,9 @@ let test_lookup_is_pure () =
   for b = 0 to 7 do
     Clustered_pt.Table.insert_base t ~vpn:(Int64.of_int (b * 16)) ~ppn:0L ~attr
   done;
-  let cost vpn = (snd (Clustered_pt.Table.lookup t ~vpn)).Types.probes in
+  let cost vpn =
+    Walk.probes (snd (Walk.lookup Clustered_pt.Table.lookup_into t ~vpn))
+  in
   let first = cost 0L in
   for _ = 1 to 5 do
     ignore (cost 0L)
@@ -123,7 +139,7 @@ let test_reinsert_overwrites () =
       let pt = Sim.Factory.make kind in
       Pt_common.Intf.insert_base pt ~vpn:5L ~ppn:1L ~attr;
       Pt_common.Intf.insert_base pt ~vpn:5L ~ppn:2L ~attr;
-      (match Pt_common.Intf.lookup pt ~vpn:5L with
+      (match Walk.lookup Pt_common.Intf.lookup_into pt ~vpn:5L with
       | Some tr, _ ->
           Alcotest.(check int64)
             (Sim.Factory.name kind ^ " remap wins")
@@ -147,14 +163,15 @@ let test_max_ppn_roundtrip () =
   let ppn = Addr.Paddr.max_ppn in
   let t = Clustered_pt.Table.create Clustered_pt.Config.default in
   Clustered_pt.Table.insert_base t ~vpn:0L ~ppn ~attr;
-  (match Clustered_pt.Table.lookup t ~vpn:0L with
+  (match Walk.lookup Clustered_pt.Table.lookup_into t ~vpn:0L with
   | Some tr, _ -> Alcotest.(check int64) "max ppn" ppn tr.Types.ppn
   | None, _ -> Alcotest.fail "lost");
   let block_ppn = Addr.Bits.align_down ppn 4 in
   Clustered_pt.Table.insert_psb t ~vpbn:9L ~vmask:1 ~ppn:block_ppn ~attr;
-  match Clustered_pt.Table.lookup t ~vpn:(Int64.of_int (9 * 16)) with
-  | Some tr, _ -> Alcotest.(check int64) "max block ppn" block_ppn tr.Types.ppn
-  | None, _ -> Alcotest.fail "psb lost"
+  let vpn = Int64.of_int (9 * 16) in
+  match Walk.find Clustered_pt.Table.lookup_into t ~vpn with
+  | Some tr -> Alcotest.(check int64) "max block ppn" block_ppn tr.Types.ppn
+  | None -> Alcotest.fail "psb lost"
 
 let test_high_vpn_space () =
   (* 52-bit VPNs (the full 64-bit address space) work everywhere *)
@@ -163,7 +180,7 @@ let test_high_vpn_space () =
     (fun kind ->
       let pt = Sim.Factory.make kind in
       Pt_common.Intf.insert_base pt ~vpn ~ppn:1L ~attr;
-      match Pt_common.Intf.lookup pt ~vpn with
+      match Walk.lookup Pt_common.Intf.lookup_into pt ~vpn with
       | Some tr, _ ->
           Alcotest.(check int64) (Sim.Factory.name kind) 1L tr.Types.ppn
       | None, _ -> Alcotest.failf "%s lost the top of the space" (Sim.Factory.name kind))
@@ -193,7 +210,7 @@ let suite =
   ( "edge cases",
     validation_cases
     @ [
-        Alcotest.test_case "walk join" `Quick test_walk_join_orders_accesses;
+        Alcotest.test_case "page-by-page prefetch" `Quick test_lookup_pages;
         Alcotest.test_case "covered pages" `Quick test_covered_pages;
         Alcotest.test_case "lookup purity" `Quick test_lookup_is_pure;
         Alcotest.test_case "remove nonexistent" `Quick

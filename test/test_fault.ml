@@ -193,7 +193,7 @@ let apply_table (Pt_common.Intf.Concurrent ((module T), t)) = function
   | Rem vpn -> T.remove t ~vpn
 
 let present (Pt_common.Intf.Concurrent ((module T), t)) vpn =
-  fst (T.lookup t ~vpn) <> None
+  Walk.find T.lookup_into t ~vpn <> None
 
 let fresh : string -> Fsck.table = function
   | "clustered" ->

@@ -12,22 +12,22 @@ let instance ?sp_strategy () =
 let test_seven_reads_per_miss () =
   let t = F.create () in
   F.insert_base t ~vpn:0x41034L ~ppn:0x55L ~attr;
-  match F.lookup t ~vpn:0x41034L with
+  match Walk.lookup F.lookup_into t ~vpn:0x41034L with
   | Some tr, walk ->
       Alcotest.(check int64) "ppn" 0x55L tr.Types.ppn;
       (* "the overhead of seven memory accesses on every TLB miss is
          not acceptable" (Section 2) *)
-      Alcotest.(check int) "seven probes" 7 walk.Types.probes;
-      Alcotest.(check int) "seven lines" 7 (Types.walk_lines walk)
+      Alcotest.(check int) "seven probes" 7 (Walk.probes walk);
+      Alcotest.(check int) "seven lines" 7 (Walk.lines walk)
   | None, _ -> Alcotest.fail "not found"
 
 let test_failed_walk_stops_early () =
   let t = F.create () in
   F.insert_base t ~vpn:0L ~ppn:0L ~attr;
   (* a totally unrelated address dies at the root *)
-  let tr, walk = F.lookup t ~vpn:0xF_0000_0000_0000L in
+  let tr, walk = Walk.lookup F.lookup_into t ~vpn:0xF_0000_0000_0000L in
   Alcotest.(check bool) "faults" true (tr = None);
-  Alcotest.(check int) "one probe only" 1 walk.Types.probes
+  Alcotest.(check int) "one probe only" 1 (Walk.probes walk)
 
 let test_size_per_node () =
   let t = F.create () in
@@ -49,11 +49,11 @@ let test_intermediate_superpage () =
   let t = F.create ~sp_strategy:`Intermediate () in
   F.insert_superpage t ~vpn:0x40L (* 64-page aligned *)
     ~size:Addr.Page_size.kb256 ~ppn:0x400L ~attr;
-  (match F.lookup t ~vpn:0x7FL with
+  (match Walk.lookup F.lookup_into t ~vpn:0x7FL with
   | Some tr, walk ->
       Alcotest.(check int64) "last page of the superpage" 0x43FL tr.Types.ppn;
       (* the walk short-circuits at the intermediate node *)
-      Alcotest.(check int) "six probes, not seven" 6 walk.Types.probes
+      Alcotest.(check int) "six probes, not seven" 6 (Walk.probes walk)
   | None, _ -> Alcotest.fail "intermediate superpage");
   F.remove t ~vpn:0x50L;
   Alcotest.(check int) "one clear removes it" 0 (F.population t)
@@ -62,10 +62,10 @@ let test_replicate_superpage () =
   let t = F.create ~sp_strategy:`Replicate () in
   F.insert_superpage t ~vpn:0x40L ~size:Addr.Page_size.kb64 ~ppn:0x200L ~attr;
   Alcotest.(check int) "sixteen replicas" 16 (F.population t);
-  match F.lookup t ~vpn:0x44L with
+  match Walk.lookup F.lookup_into t ~vpn:0x44L with
   | Some tr, walk ->
       Alcotest.(check int64) "offset" 0x204L tr.Types.ppn;
-      Alcotest.(check int) "full-depth walk" 7 walk.Types.probes
+      Alcotest.(check int) "full-depth walk" 7 (Walk.probes walk)
   | None, _ -> Alcotest.fail "replica"
 
 let test_block_prefetch_one_descent () =
@@ -73,10 +73,12 @@ let test_block_prefetch_one_descent () =
   for i = 0 to 15 do
     F.insert_base t ~vpn:(Int64.of_int (0x40 + i)) ~ppn:(Int64.of_int i) ~attr
   done;
-  let found, walk = F.lookup_block t ~vpn:0x4AL ~subblock_factor:16 in
+  let found, walk =
+    Walk.block F.lookup_block t ~vpn:0x4AL ~subblock_factor:16
+  in
   Alcotest.(check int) "all sixteen" 16 (List.length found);
   (* six upper levels + one contiguous leaf read *)
-  Alcotest.(check int) "seven lines" 7 (Types.walk_lines walk)
+  Alcotest.(check int) "seven lines" 7 (Walk.lines walk)
 
 let prop_model = Pt_model.model_test ~name:"forward-mapped agrees with model"
     ~make:(fun () -> instance ())
@@ -91,11 +93,11 @@ module I = Baselines.Inverted_pt
 let test_inverted_extra_read () =
   let t = I.create () in
   I.insert_base t ~vpn:5L ~ppn:6L ~attr;
-  match I.lookup t ~vpn:5L with
+  match Walk.lookup I.lookup_into t ~vpn:5L with
   | Some tr, walk ->
       Alcotest.(check int64) "ppn" 6L tr.Types.ppn;
       (* pointer-array read + node read *)
-      Alcotest.(check int) "two lines" 2 (Types.walk_lines walk)
+      Alcotest.(check int) "two lines" 2 (Walk.lines walk)
   | None, _ -> Alcotest.fail "not found"
 
 let test_inverted_size_fixed_by_physical_memory () =
@@ -110,8 +112,9 @@ let test_inverted_frame_reuse () =
   I.insert_base t ~vpn:5L ~ppn:6L ~attr;
   (* stealing the frame for another vpn unmaps the old one *)
   I.insert_base t ~vpn:99L ~ppn:6L ~attr;
-  Alcotest.(check bool) "old vpn unmapped" true (fst (I.lookup t ~vpn:5L) = None);
-  (match I.lookup t ~vpn:99L with
+  Alcotest.(check bool) "old vpn unmapped" true
+    (Walk.find I.lookup_into t ~vpn:5L = None);
+  (match Walk.lookup I.lookup_into t ~vpn:99L with
   | Some tr, _ -> Alcotest.(check int64) "new vpn owns the frame" 6L tr.Pt_common.Types.ppn
   | None, _ -> Alcotest.fail "new mapping lost");
   Alcotest.(check int) "one frame used" 1 (I.population t);
@@ -144,10 +147,10 @@ module S = Baselines.Software_tlb
 let test_tsb_hit_is_one_read () =
   let t = S.create ~entries:64 () in
   S.insert_base t ~vpn:5L ~ppn:6L ~attr;
-  match S.lookup t ~vpn:5L with
+  match Walk.lookup S.lookup_into t ~vpn:5L with
   | Some tr, walk ->
       Alcotest.(check int64) "ppn" 6L tr.Types.ppn;
-      Alcotest.(check int) "TSB hit: one line" 1 (Types.walk_lines walk);
+      Alcotest.(check int) "TSB hit: one line" 1 (Walk.lines walk);
       Alcotest.(check int) "hit counted" 1 (S.tsb_hits t)
   | None, _ -> Alcotest.fail "not found"
 
@@ -157,16 +160,16 @@ let test_tsb_conflict_refill () =
   S.insert_base t ~vpn:5L ~ppn:50L ~attr;
   S.insert_base t ~vpn:69L ~ppn:690L ~attr;
   (* 69 now owns the slot; 5 must come from the backing table *)
-  (match S.lookup t ~vpn:5L with
+  (match Walk.lookup S.lookup_into t ~vpn:5L with
   | Some tr, walk ->
       Alcotest.(check int64) "still resolvable" 50L tr.Types.ppn;
       Alcotest.(check bool) "paid the backing probe" true
-        (Types.walk_lines walk >= 2)
+        (Walk.lines walk >= 2)
   | None, _ -> Alcotest.fail "evicted mapping lost");
   (* the miss refilled the TSB slot: now it hits again *)
-  match S.lookup t ~vpn:5L with
+  match Walk.lookup S.lookup_into t ~vpn:5L with
   | Some _, walk ->
-      Alcotest.(check int) "refilled: one line" 1 (Types.walk_lines walk)
+      Alcotest.(check int) "refilled: one line" 1 (Walk.lines walk)
   | None, _ -> Alcotest.fail "refill failed"
 
 let prop_model_swtlb =
@@ -206,29 +209,29 @@ let test_tsb_set_associative () =
   S.insert_base t ~vpn:5L ~ppn:50L ~attr;
   let hit vpn =
     let before = S.tsb_hits t in
-    ignore (S.lookup t ~vpn);
+    ignore (Walk.lookup S.lookup_into t ~vpn);
     S.tsb_hits t > before
   in
   Alcotest.(check bool) "both ways resident" true (hit 1L && hit 5L);
   (* 1 was touched more recently than 5 after the probes above: touch 5
      then insert 9: victim should be 1 *)
-  ignore (S.lookup t ~vpn:5L);
+  ignore (Walk.lookup S.lookup_into t ~vpn:5L);
   S.insert_base t ~vpn:9L ~ppn:90L ~attr;
   Alcotest.(check bool) "9 resident" true (hit 9L);
   Alcotest.(check bool) "5 survived (recently used)" true (hit 5L);
   Alcotest.(check bool) "1 evicted" false (hit 1L);
   (* the evicted mapping still resolves through the backing table *)
-  match S.lookup t ~vpn:1L with
+  match Walk.lookup S.lookup_into t ~vpn:1L with
   | Some tr, _ -> Alcotest.(check int64) "backing serves it" 10L tr.Pt_common.Types.ppn
   | None, _ -> Alcotest.fail "mapping lost"
 
 let test_tsb_set_read_cost () =
   let t = S.create ~entries:8 ~ways:4 () in
   S.insert_base t ~vpn:3L ~ppn:30L ~attr;
-  match S.lookup t ~vpn:3L with
+  match Walk.lookup S.lookup_into t ~vpn:3L with
   | Some _, walk ->
       (* a 4-way set is one 64-byte group: still a single 256B line *)
-      Alcotest.(check int) "one line" 1 (Pt_common.Types.walk_lines walk)
+      Alcotest.(check int) "one line" 1 (Walk.lines walk)
   | None, _ -> Alcotest.fail "not found"
 
 let suite =
@@ -244,11 +247,11 @@ let suite =
 let test_guarded_sparse_path_compression () =
   let t = F.create ~guarded:true () in
   F.insert_base t ~vpn:0x123456789L ~ppn:0x1L ~attr;
-  match F.lookup t ~vpn:0x123456789L with
+  match Walk.lookup F.lookup_into t ~vpn:0x123456789L with
   | Some _, walk ->
       (* a lone page: every intermediate is single-child, so only the
          root and the leaf are read *)
-      Alcotest.(check int) "two probes" 2 walk.Types.probes
+      Alcotest.(check int) "two probes" 2 (Walk.probes walk)
   | None, _ -> Alcotest.fail "not found"
 
 let test_guarded_partially_effective () =
@@ -259,17 +262,17 @@ let test_guarded_partially_effective () =
   (* two pages diverging at the second-to-last level *)
   F.insert_base t ~vpn:0x1000L ~ppn:0x1L ~attr;
   F.insert_base t ~vpn:0x2000L ~ppn:0x2L ~attr;
-  (match F.lookup t ~vpn:0x1000L with
+  (match Walk.lookup F.lookup_into t ~vpn:0x1000L with
   | Some _, walk ->
       Alcotest.(check bool) "more than two probes after branching" true
-        (walk.Types.probes > 2)
+        (Walk.probes walk > 2)
   | None, _ -> Alcotest.fail "not found");
   (* guarded never charges more than unguarded *)
   let u = F.create ~guarded:false () in
   F.insert_base u ~vpn:0x1000L ~ppn:0x1L ~attr;
   F.insert_base u ~vpn:0x2000L ~ppn:0x2L ~attr;
   let probes table vpn =
-    (snd (F.lookup table ~vpn)).Types.probes
+    Walk.probes (snd (Walk.lookup F.lookup_into table ~vpn))
   in
   Alcotest.(check bool) "guarded <= unguarded" true
     (probes t 0x1000L <= probes u 0x1000L)
@@ -283,8 +286,8 @@ let test_guarded_size_discount () =
     (F.size_bytes guarded < F.size_bytes plain);
   (* correctness unchanged *)
   Alcotest.(check bool) "translates identically" true
-    (fst (F.lookup guarded ~vpn:0x123456789L)
-    = fst (F.lookup plain ~vpn:0x123456789L))
+    (Walk.find F.lookup_into guarded ~vpn:0x123456789L
+    = Walk.find F.lookup_into plain ~vpn:0x123456789L)
 
 let prop_model_guarded =
   Pt_model.model_test ~name:"guarded forward-mapped agrees with model"

@@ -12,10 +12,10 @@ let instance ?packed ?mode () =
 let test_basic () =
   let t = H.create () in
   H.insert_base t ~vpn:0x41034L ~ppn:0x99L ~attr;
-  (match H.lookup t ~vpn:0x41034L with
+  (match Walk.lookup H.lookup_into t ~vpn:0x41034L with
   | Some tr, walk ->
       Alcotest.(check int64) "ppn" 0x99L tr.Types.ppn;
-      Alcotest.(check int) "one line on a short chain" 1 (Types.walk_lines walk)
+      Alcotest.(check int) "one line on a short chain" 1 (Walk.lines walk)
   | None, _ -> Alcotest.fail "not found");
   Alcotest.(check int) "24 bytes per PTE" 24 (H.size_bytes t)
 
@@ -42,20 +42,20 @@ let test_chain_cost () =
     H.insert_base t ~vpn:(Int64.of_int i) ~ppn:(Int64.of_int i) ~attr
   done;
   (* inserted at head: vpn 3 first, vpn 0 last *)
-  let _, w3 = H.lookup t ~vpn:3L in
-  let _, w0 = H.lookup t ~vpn:0L in
-  Alcotest.(check int) "head is one probe" 1 w3.Types.probes;
-  Alcotest.(check int) "tail is four probes" 4 w0.Types.probes;
-  Alcotest.(check int) "four lines" 4 (Types.walk_lines w0)
+  let _, w3 = Walk.lookup H.lookup_into t ~vpn:3L in
+  let _, w0 = Walk.lookup H.lookup_into t ~vpn:0L in
+  Alcotest.(check int) "head is one probe" 1 (Walk.probes w3);
+  Alcotest.(check int) "tail is four probes" 4 (Walk.probes w0);
+  Alcotest.(check int) "four lines" 4 (Walk.lines w0)
 
 let test_unsuccessful_search_full_chain () =
   let t = H.create ~buckets:1 () in
   for i = 0 to 4 do
     H.insert_base t ~vpn:(Int64.of_int i) ~ppn:(Int64.of_int i) ~attr
   done;
-  let tr, w = H.lookup t ~vpn:100L in
+  let tr, w = Walk.lookup H.lookup_into t ~vpn:100L in
   Alcotest.(check bool) "faults" true (tr = None);
-  Alcotest.(check int) "walks the whole chain" 5 w.Types.probes
+  Alcotest.(check int) "walks the whole chain" 5 (Walk.probes w)
 
 let test_remove_relinks () =
   let t = H.create ~buckets:1 () in
@@ -63,10 +63,12 @@ let test_remove_relinks () =
     H.insert_base t ~vpn:(Int64.of_int i) ~ppn:(Int64.of_int i) ~attr
   done;
   H.remove t ~vpn:2L;
-  Alcotest.(check bool) "removed" true (fst (H.lookup t ~vpn:2L) = None);
+  Alcotest.(check bool) "removed" true
+    (Walk.find H.lookup_into t ~vpn:2L = None);
   List.iter
     (fun v ->
-      Alcotest.(check bool) "chain intact" true (fst (H.lookup t ~vpn:v) <> None))
+      Alcotest.(check bool) "chain intact" true
+        (Walk.find H.lookup_into t ~vpn:v <> None))
     [ 0L; 1L; 3L; 4L ];
   Alcotest.(check int) "node freed" 4 (H.node_count t)
 
@@ -82,53 +84,55 @@ let test_two_tables_superpage () =
   let t = H.create ~mode:(H.Two_tables { coarse_first = false }) () in
   H.insert_superpage t ~vpn:0x40L ~size:Addr.Page_size.kb64 ~ppn:0x100L ~attr;
   H.insert_base t ~vpn:0x10L ~ppn:0x1L ~attr;
-  (match H.lookup t ~vpn:0x4AL with
+  (match Walk.lookup H.lookup_into t ~vpn:0x4AL with
   | Some tr, walk ->
       Alcotest.(check int64) "sp offset" 0x10AL tr.Types.ppn;
       (* probing the empty 4KB table first costs an extra line *)
       Alcotest.(check bool) "two probes for sp pages" true
-        (Types.walk_lines walk >= 2)
+        (Walk.lines walk >= 2)
   | None, _ -> Alcotest.fail "superpage page not found");
-  match H.lookup t ~vpn:0x10L with
+  match Walk.lookup H.lookup_into t ~vpn:0x10L with
   | Some _, walk ->
-      Alcotest.(check int) "base page costs one line" 1 (Types.walk_lines walk)
+      Alcotest.(check int) "base page costs one line" 1 (Walk.lines walk)
   | None, _ -> Alcotest.fail "base page lost"
 
 let test_two_tables_coarse_first () =
   (* the Section 6.3 reverse order: superpage pages become cheap *)
   let t = H.create ~mode:(H.Two_tables { coarse_first = true }) () in
   H.insert_superpage t ~vpn:0x40L ~size:Addr.Page_size.kb64 ~ppn:0x100L ~attr;
-  match H.lookup t ~vpn:0x4AL with
+  match Walk.lookup H.lookup_into t ~vpn:0x4AL with
   | Some _, walk ->
       Alcotest.(check int) "one line when coarse probed first" 1
-        (Types.walk_lines walk)
+        (Walk.lines walk)
   | None, _ -> Alcotest.fail "not found"
 
 let test_two_tables_psb () =
   let t = H.create ~mode:(H.Two_tables { coarse_first = false }) () in
   H.insert_psb t ~vpbn:3L ~vmask:0b101 ~ppn:0x30L ~attr;
-  (match H.lookup t ~vpn:0x32L with
+  (match Walk.lookup H.lookup_into t ~vpn:0x32L with
   | Some tr, _ ->
       Alcotest.(check int64) "psb page" 0x32L tr.Types.ppn;
       Alcotest.(check bool) "kind" true
         (tr.Types.kind = Types.Partial_subblock 0b101)
   | None, _ -> Alcotest.fail "psb bit 2");
   Alcotest.(check bool) "clear bit faults" true
-    (fst (H.lookup t ~vpn:0x31L) = None);
+    (Walk.find H.lookup_into t ~vpn:0x31L = None);
   (* removing one page clears its bit *)
   H.remove t ~vpn:0x32L;
-  Alcotest.(check bool) "bit removed" true (fst (H.lookup t ~vpn:0x32L) = None);
-  Alcotest.(check bool) "other bit alive" true (fst (H.lookup t ~vpn:0x30L) <> None)
+  Alcotest.(check bool) "bit removed" true
+    (Walk.find H.lookup_into t ~vpn:0x32L = None);
+  Alcotest.(check bool) "other bit alive" true
+    (Walk.find H.lookup_into t ~vpn:0x30L <> None)
 
 let test_superpage_index_mode () =
   let t = H.create ~mode:H.Superpage_index () in
   H.insert_base t ~vpn:0x41L ~ppn:0x1L ~attr;
   H.insert_superpage t ~vpn:0x50L ~size:Addr.Page_size.kb64 ~ppn:0x200L ~attr;
   (* base and superpage PTEs share buckets (hash on the 64 KB index) *)
-  (match H.lookup t ~vpn:0x41L with
+  (match Walk.lookup H.lookup_into t ~vpn:0x41L with
   | Some tr, _ -> Alcotest.(check int64) "base" 0x1L tr.Types.ppn
   | None, _ -> Alcotest.fail "base in spindex");
-  (match H.lookup t ~vpn:0x5FL with
+  (match Walk.lookup H.lookup_into t ~vpn:0x5FL with
   | Some tr, _ -> Alcotest.(check int64) "sp" 0x20FL tr.Types.ppn
   | None, _ -> Alcotest.fail "sp in spindex");
   (* base pages of one block chain together: longer chains *)
@@ -136,8 +140,8 @@ let test_superpage_index_mode () =
   for i = 0 to 15 do
     H.insert_base t2 ~vpn:(Int64.of_int (0x40 + i)) ~ppn:(Int64.of_int i) ~attr
   done;
-  let _, w = H.lookup t2 ~vpn:0x40L in
-  Alcotest.(check int) "sixteen base PTEs on one chain" 16 w.Types.probes
+  let _, w = Walk.lookup H.lookup_into t2 ~vpn:0x40L in
+  Alcotest.(check int) "sixteen base PTEs on one chain" 16 (Walk.probes w)
 
 let test_spindex_rejects_large () =
   let t = H.create ~mode:H.Superpage_index () in
@@ -153,19 +157,23 @@ let test_lookup_block_sixteen_probes () =
   for i = 0 to 15 do
     H.insert_base t ~vpn:(Int64.of_int (0x80 + i)) ~ppn:(Int64.of_int i) ~attr
   done;
-  let found, walk = H.lookup_block t ~vpn:0x85L ~subblock_factor:16 in
+  let found, walk =
+    Walk.block H.lookup_block t ~vpn:0x85L ~subblock_factor:16
+  in
   Alcotest.(check int) "all sixteen found" 16 (List.length found);
   (* Section 4.4: sixteen separate hash probes *)
-  Alcotest.(check bool) "sixteen probes" true (walk.Types.probes >= 16);
-  Alcotest.(check bool) "sixteen lines" true (Types.walk_lines walk >= 16)
+  Alcotest.(check bool) "sixteen probes" true (Walk.probes walk >= 16);
+  Alcotest.(check bool) "sixteen lines" true (Walk.lines walk >= 16)
 
 let test_lookup_block_covers_via_psb () =
   let t = H.create ~mode:(H.Two_tables { coarse_first = false }) () in
   H.insert_psb t ~vpbn:8L ~vmask:0xFFFF ~ppn:0x80L ~attr;
-  let found, walk = H.lookup_block t ~vpn:0x80L ~subblock_factor:16 in
+  let found, walk =
+    Walk.block H.lookup_block t ~vpn:0x80L ~subblock_factor:16
+  in
   Alcotest.(check int) "one psb entry covers all" 16 (List.length found);
   (* one fine miss + one coarse hit, not sixteen probes *)
-  Alcotest.(check bool) "few lines" true (Types.walk_lines walk <= 3)
+  Alcotest.(check bool) "few lines" true (Walk.lines walk <= 3)
 
 let test_attr_range_per_page () =
   let t = H.create () in
@@ -179,7 +187,7 @@ let test_attr_range_per_page () =
   in
   (* Section 3.1: hashed pays one search per base page *)
   Alcotest.(check int) "32 searches for 32 pages" 32 searches;
-  match H.lookup t ~vpn:9L with
+  match Walk.lookup H.lookup_into t ~vpn:9L with
   | Some tr, _ ->
       Alcotest.(check bool) "updated" false tr.Types.attr.Pte.Attr.writable
   | None, _ -> Alcotest.fail "page lost"
@@ -199,7 +207,7 @@ let test_attr_range_two_tables_coarse () =
        ~f:read_only);
   List.iter
     (fun (vpn, ppn) ->
-      match H.lookup t ~vpn with
+      match Walk.lookup H.lookup_into t ~vpn with
       | Some tr, _ ->
           Alcotest.(check int64) (Printf.sprintf "ppn of %Lx" vpn) ppn
             tr.Types.ppn;

@@ -11,13 +11,14 @@ let instance ?size_variant () =
 let test_basic () =
   let t = L.create () in
   L.insert_base t ~vpn:0x41034L ~ppn:0x77L ~attr;
-  (match L.lookup t ~vpn:0x41034L with
+  (match Walk.lookup L.lookup_into t ~vpn:0x41034L with
   | Some tr, walk ->
       Alcotest.(check int64) "ppn" 0x77L tr.Types.ppn;
-      Alcotest.(check int) "exactly one read" 1 (List.length walk.Types.accesses);
-      Alcotest.(check int) "one line" 1 (Types.walk_lines walk)
+      Alcotest.(check int) "exactly one read" 1 (Walk.reads walk);
+      Alcotest.(check int) "one line" 1 (Walk.lines walk)
   | None, _ -> Alcotest.fail "not found");
-  Alcotest.(check bool) "unmapped faults" true (fst (L.lookup t ~vpn:0x999L) = None)
+  Alcotest.(check bool) "unmapped faults" true
+    (Walk.find L.lookup_into t ~vpn:0x999L = None)
 
 let test_page_granular_allocation () =
   let t = L.create ~size_variant:`One_level () in
@@ -54,7 +55,8 @@ let test_prune_on_remove () =
   L.insert_base t ~vpn:0x1234L ~ppn:1L ~attr;
   let before = L.size_bytes t in
   L.remove t ~vpn:0x1234L;
-  Alcotest.(check bool) "removed" true (fst (L.lookup t ~vpn:0x1234L) = None);
+  Alcotest.(check bool) "removed" true
+    (Walk.find L.lookup_into t ~vpn:0x1234L = None);
   Alcotest.(check int) "all pages pruned" 0 (L.size_bytes t);
   Alcotest.(check bool) "had allocated before" true (before > 0)
 
@@ -64,7 +66,7 @@ let test_superpage_replication () =
   (* replicate-PTEs: every covered base site holds the word, so the
      superpage saves no page-table memory *)
   Alcotest.(check int) "population is all sixteen" 16 (L.population t);
-  (match L.lookup t ~vpn:0x4DL with
+  (match Walk.lookup L.lookup_into t ~vpn:0x4DL with
   | Some tr, _ ->
       Alcotest.(check int64) "offset ppn" 0x20DL tr.Types.ppn;
       Alcotest.(check bool) "superpage kind" true
@@ -78,14 +80,14 @@ let test_psb_replication () =
   let t = L.create () in
   L.insert_psb t ~vpbn:4L ~vmask:0b110 ~ppn:0x40L ~attr;
   Alcotest.(check int) "two valid sites" 2 (L.population t);
-  (match L.lookup t ~vpn:0x42L with
+  (match Walk.lookup L.lookup_into t ~vpn:0x42L with
   | Some tr, _ -> Alcotest.(check int64) "psb ppn" 0x42L tr.Types.ppn
   | None, _ -> Alcotest.fail "psb site");
   Alcotest.(check bool) "invalid bit faults" true
-    (fst (L.lookup t ~vpn:0x40L) = None);
+    (Walk.find L.lookup_into t ~vpn:0x40L = None);
   (* removing one page updates the remaining replicas' vector *)
   L.remove t ~vpn:0x42L;
-  (match L.lookup t ~vpn:0x41L with
+  (match Walk.lookup L.lookup_into t ~vpn:0x41L with
   | Some tr, _ ->
       Alcotest.(check bool) "survivor's mask shrank" true
         (tr.Types.kind = Types.Partial_subblock 0b010)
@@ -96,11 +98,13 @@ let test_block_read_is_one_line () =
   for i = 0 to 15 do
     L.insert_base t ~vpn:(Int64.of_int (0x40 + i)) ~ppn:(Int64.of_int i) ~attr
   done;
-  let found, walk = L.lookup_block t ~vpn:0x45L ~subblock_factor:16 in
+  let found, walk =
+    Walk.block L.lookup_block t ~vpn:0x45L ~subblock_factor:16
+  in
   Alcotest.(check int) "all sixteen" 16 (List.length found);
   (* adjacent leaf PTEs: a single 128-byte read *)
-  Alcotest.(check int) "one access" 1 (List.length walk.Types.accesses);
-  Alcotest.(check int) "one 256B line" 1 (Types.walk_lines walk)
+  Alcotest.(check int) "one access" 1 (Walk.reads walk);
+  Alcotest.(check int) "one 256B line" 1 (Walk.lines walk)
 
 let test_leaf_page_vpn_stable () =
   let t = L.create () in

@@ -35,33 +35,32 @@ let test_arena_reset () =
 
 (* --- Cache_model --- *)
 
+(* distinct lines of a walk of [(addr, bytes)] reads, counted by the
+   experiments' [record_acc] *)
+let walk_lines ~line_size reads =
+  let acc = Mem.Walk_acc.create () in
+  List.iter (fun (addr, bytes) -> Mem.Walk_acc.read acc ~addr ~bytes) reads;
+  Mem.Cache_model.record_acc (Mem.Cache_model.create_counter ~line_size ()) acc
+
 let test_lines_of_access () =
-  let open Mem.Cache_model in
-  Alcotest.(check (list int64)) "within one line" [ 0L ]
-    (lines_of_access ~line_size:256 { addr = 16L; bytes = 8 });
-  Alcotest.(check (list int64)) "straddles" [ 0L; 1L ]
-    (lines_of_access ~line_size:256 { addr = 250L; bytes = 16 });
-  Alcotest.(check (list int64)) "three lines" [ 1L; 2L; 3L ]
-    (lines_of_access ~line_size:64 { addr = 100L; bytes = 130 })
+  Alcotest.(check int) "within one line" 1
+    (walk_lines ~line_size:256 [ (16L, 8) ]);
+  Alcotest.(check int) "straddles" 2 (walk_lines ~line_size:256 [ (250L, 16) ]);
+  Alcotest.(check int) "three lines" 3
+    (walk_lines ~line_size:64 [ (100L, 130) ])
 
 let test_distinct_lines () =
-  let open Mem.Cache_model in
-  let accesses =
-    [
-      { addr = 0L; bytes = 8 };
-      { addr = 8L; bytes = 8 };
-      { addr = 300L; bytes = 8 };
-    ]
-  in
+  let reads = [ (0L, 8); (8L, 8); (300L, 8) ] in
   Alcotest.(check int) "two distinct 256B lines" 2
-    (distinct_lines ~line_size:256 accesses);
-  Alcotest.(check int) "64B lines" 2 (distinct_lines ~line_size:64 accesses)
+    (walk_lines ~line_size:256 reads);
+  Alcotest.(check int) "64B lines" 2 (walk_lines ~line_size:64 reads);
+  Alcotest.(check int) "no reads, no lines" 0 (walk_lines ~line_size:256 [])
 
 let test_counter () =
   let c = Mem.Cache_model.create_counter ~line_size:256 () in
-  let n =
-    Mem.Cache_model.record_walk c [ { Mem.Cache_model.addr = 0L; bytes = 8 } ]
-  in
+  let acc = Mem.Walk_acc.create () in
+  Mem.Walk_acc.read acc ~addr:0L ~bytes:8;
+  let n = Mem.Cache_model.record_acc c acc in
   Alcotest.(check int) "first walk lines" 1 n;
   Mem.Cache_model.record_lines c 3;
   Alcotest.(check int) "walks" 2 (Mem.Cache_model.walks c);
@@ -72,14 +71,12 @@ let test_counter () =
 let test_paper_line_arithmetic () =
   let walk boff line_size =
     let node = 0x1000L in
-    let accesses =
+    walk_lines ~line_size
       [
-        { Mem.Cache_model.addr = node; bytes = 16 };
-        { Mem.Cache_model.addr = Int64.add node 16L; bytes = 8 };
-        { Mem.Cache_model.addr = Int64.add node (Int64.of_int (16 + (8 * boff))); bytes = 8 };
+        (node, 16);
+        (Int64.add node 16L, 8);
+        (Int64.add node (Int64.of_int (16 + (8 * boff))), 8);
       ]
-    in
-    Mem.Cache_model.distinct_lines ~line_size accesses
   in
   (* 256B lines: always one line *)
   for boff = 0 to 15 do

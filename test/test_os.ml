@@ -26,7 +26,7 @@ let test_map_translate () =
   for i = 0 to 19 do
     let vpn = Int64.add 0x100L (Int64.of_int i) in
     let os_ppn = Option.get (A.translate a ~vpn) in
-    match Intf.lookup pt ~vpn with
+    match Walk.lookup Intf.lookup_into pt ~vpn with
     | Some tr, _ -> Alcotest.(check int64) "pt agrees" os_ppn tr.Types.ppn
     | None, _ -> Alcotest.fail "page table missing a mapped page"
   done
@@ -35,7 +35,8 @@ let test_segfault_and_demand () =
   let pt = clustered () in
   let a = A.create ~pt ~total_pages:256 () in
   A.declare_region a (region ~first:0x10L ~pages:4) attr;
-  Alcotest.(check bool) "outside faults" true (A.fault a ~vpn:0x50L = `Segfault);
+  Alcotest.(check bool) "outside faults" true
+    (A.fault a ~vpn:0x50L = `Segfault);
   (match A.fault a ~vpn:0x11L with
   | `Mapped _ -> ()
   | _ -> Alcotest.fail "demand fault should map");
@@ -76,7 +77,7 @@ let test_superpage_promotion_policy () =
   (* the block now costs a 24-byte node instead of 144 *)
   Alcotest.(check int) "table shrank to one superpage node" 24
     (Intf.size_bytes pt);
-  match Intf.lookup pt ~vpn:0x4AL with
+  match Walk.lookup Intf.lookup_into pt ~vpn:0x4AL with
   | Some tr, _ ->
       Alcotest.(check bool) "superpage translation" true
         (tr.Types.kind = Types.Superpage Addr.Page_size.kb64)
@@ -88,7 +89,7 @@ let test_psb_policy () =
   (* map half a block: properly placed thanks to reservation *)
   A.map_region a (region ~first:0x40L ~pages:8) attr;
   Alcotest.(check int) "rides one psb node" 24 (Intf.size_bytes pt);
-  match Intf.lookup pt ~vpn:0x44L with
+  match Walk.lookup Intf.lookup_into pt ~vpn:0x44L with
   | Some tr, _ ->
       Alcotest.(check bool) "psb translation" true
         (match tr.Types.kind with Types.Partial_subblock _ -> true | _ -> false)
@@ -115,7 +116,7 @@ let test_protect_applies_to_future_faults () =
     (A.protect_region a (region ~first:0x10L ~pages:8) ~f:(fun at ->
          { at with Pte.Attr.writable = false }));
   ignore (A.fault a ~vpn:0x11L);
-  match Intf.lookup pt ~vpn:0x11L with
+  match Walk.lookup Intf.lookup_into pt ~vpn:0x11L with
   | Some tr, _ ->
       Alcotest.(check bool) "late fault sees new attr" false
         tr.Types.attr.Pte.Attr.writable
@@ -146,7 +147,8 @@ let test_miss_handler_flow () =
   Alcotest.(check bool) "first touch demand-faults" true
     (MH.access h ~vpn:0x10L = `Page_fault_filled);
   Alcotest.(check bool) "then hits" true (MH.access h ~vpn:0x10L = `Tlb_hit);
-  Alcotest.(check bool) "outside faults hard" true (MH.access h ~vpn:0x90L = `Fault);
+  Alcotest.(check bool) "outside faults hard" true
+    (MH.access h ~vpn:0x90L = `Fault);
   Alcotest.(check int) "one page fault" 1 (MH.page_faults h);
   Alcotest.(check bool) "walk lines recorded" true (MH.walks h > 0)
 
@@ -229,7 +231,8 @@ let test_system_isolation () =
   let ppn pid =
     Option.get (A.translate (Sys_.aspace s ~pid) ~vpn:0x10L)
   in
-  Alcotest.(check bool) "separate frames" true (not (Int64.equal (ppn 0) (ppn 1)));
+  Alcotest.(check bool) "separate frames" true
+    (not (Int64.equal (ppn 0) (ppn 1)));
   Alcotest.(check int) "two faults" 2 (Sys_.page_faults s);
   Alcotest.(check int) "one switch" 1 (Sys_.switches s)
 
@@ -333,7 +336,7 @@ let test_ref_mod_bits () =
   A.map_region a (region ~first:0x10L ~pages:4) attr;
   let h = MH.create ~tlb:(Tlb.Intf.fa ~entries:8 ()) ~pt () in
   let bits vpn =
-    match Intf.lookup pt ~vpn with
+    match Walk.lookup Intf.lookup_into pt ~vpn with
     | Some tr, _ ->
         (tr.Types.attr.Pte.Attr.referenced, tr.Types.attr.Pte.Attr.modified)
     | None, _ -> Alcotest.fail "unmapped"

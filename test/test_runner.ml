@@ -110,7 +110,40 @@ let test_verify_passes () =
          { options with Sim.Runner.length = 20_000; placement_p = 0.95 }
        ())
 
+(* verify checks Figure 11 at the options' placement, as figure11 does:
+   its nasa7 lines per miss are figure11's, design by design *)
+let test_verify_placement () =
+  let options = { options with Sim.Runner.placement_p = 0.5 } in
+  let report = Sim.Runner.verify_report ~options () in
+  List.iter
+    (fun (tag, design) ->
+      let nasa7 =
+        List.find
+          (fun run -> run.Sim.Access_exp.spec.Workload.Spec.name = "nasa7")
+          (Sim.Runner.figure11 ~options ~design ())
+      in
+      List.iter
+        (fun r ->
+          Alcotest.(check (option (float 0.0)))
+            (tag ^ " " ^ r.Sim.Access_exp.pt)
+            (Some r.Sim.Access_exp.mean_lines)
+            (List.find_map
+               (fun (t, pt, lines) ->
+                 if t = tag && pt = r.Sim.Access_exp.pt then Some lines
+                 else None)
+               report.Sim.Runner.lines_per_miss))
+        nasa7.Sim.Access_exp.results)
+    [
+      ("single", Sim.Access_exp.Single);
+      ("superpage", Sim.Access_exp.Superpage);
+      ("csb", Sim.Access_exp.Csb);
+    ]
+
 let suite =
   ( fst suite,
     snd suite
-    @ [ Alcotest.test_case "verify command" `Slow test_verify_passes ] )
+    @ [
+        Alcotest.test_case "verify command" `Slow test_verify_passes;
+        Alcotest.test_case "verify at the options' placement" `Slow
+          test_verify_placement;
+      ] )

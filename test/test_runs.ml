@@ -274,7 +274,7 @@ let run_case (type a)
     for k = 0 to blocks - 1 do
       for off = 0 to factor - 1 do
         let vpn = vpn_of k off in
-        let got = fst (T.lookup runs ~vpn) in
+        let got = Walk.find T.lookup_into runs ~vpn in
         let want = Hashtbl.find_opt model vpn in
         let at_ppn (tr : Types.translation) = Int64.equal tr.ppn (ppn_of vpn) in
         if show_translation got <> show_entry want
